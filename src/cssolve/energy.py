@@ -163,14 +163,6 @@ def weak_gradient(
     return dirich + coef * nprime - e2 * integrate_plane(g, model.g(u.values) * v.values)
 
 
-def _metric_operator(grid, m0: float) -> sp.csr_matrix:
-    """Discrete operator A with v^T A w = <w, v> in the (||grad .||^2 + m0 ||.||^2) metric."""
-    w_plane = 2.0 * math.pi * grid.weights * grid.nodes
-    big_w = sp.diags(w_plane)
-    d = diff_matrix(grid)
-    return (d.T @ big_w @ d + m0 * big_w).tocsc()
-
-
 def riesz_gradient(
     theta: float, u: RadialFunction, q: float, model: NonlinearityModel
 ) -> RadialFunction:

@@ -156,41 +156,28 @@ def integrate_plane(f, values: Optional[np.ndarray] = None) -> float:
     return TWO_PI * float(np.sum(g.weights * vals * g.nodes))
 
 
-def _cum_increments(grid: RadialGrid, f: np.ndarray):
-    """Per-interval integrals of f, as (index triples, coefficient triples).
-
-    Returns arrays idx (m, 3) and coef (m, 3) with the k-th interval integral
-    equal to sum_j coef[k, j] * f[idx[k, j]].  Shared by the cumulative rule
-    and its adjoint so prefix-based functionals have exact discrete gradients.
-    """
-    n = grid.n
-    x = grid.nodes
-    ks = np.arange(1, n)
-    idx = np.empty((n - 1, 3), dtype=np.intp)
-    coef = np.empty((n - 1, 3))
-    if grid.grading == "uniform":
-        h = x[1] - x[0]
-        fwd = (ks % 2 == 1) & (ks < n - 1)
-        kf = ks[fwd]
-        idx[fwd] = np.stack([kf - 1, kf, kf + 1], axis=1)
-        coef[fwd] = h / 12.0 * np.array([5.0, 8.0, -1.0])
-        kb = ks[~fwd]
-        idx[~fwd] = np.stack([kb - 2, kb - 1, kb], axis=1)
-        coef[~fwd] = h / 12.0 * np.array([-1.0, 8.0, 5.0])
-    else:
-        d = np.diff(x)
-        idx[:] = np.stack([ks - 1, ks - 1, ks], axis=1)
-        coef[:, 0] = 0.0
-        coef[:, 1] = d / 2.0
-        coef[:, 2] = d / 2.0
-    return idx, coef
-
-
 def cumulative_integral(grid: RadialGrid, f: np.ndarray) -> np.ndarray:
-    """C_i = int_0^{r_i} f dr with the grid's cumulative rule (C_0 = 0)."""
-    idx, coef = _cum_increments(grid, np.asarray(f))
-    inc = np.sum(coef * np.asarray(f)[idx], axis=1)
-    out = np.zeros(grid.n)
+    """C_i = int_0^{r_i} f dr with the grid's cumulative rule (C_0 = 0).
+
+    On a uniform grid interval k = [r_{k-1}, r_k] takes the quadratic through
+    r_{k-1..k+1} for odd k, and through r_{k-2..k} for even k and for the
+    last interval of an even n; on a graded grid, the trapezoid.
+    """
+    f = np.asarray(f)
+    n = grid.n
+    inc = np.empty(n - 1)  # inc[k-1] is the integral over interval k
+    if grid.grading == "uniform":
+        c = (grid.nodes[1] - grid.nodes[0]) / 12.0
+        c5, c8 = c * 5.0, c * 8.0
+        f0, f1, f2 = f[0 : n - 2 : 2], f[1 : n - 1 : 2], f[2:n:2]
+        inc[0 : n - 2 : 2] = c5 * f0 + c8 * f1 - c * f2
+        inc[1 : n - 1 : 2] = -c * f0 + c8 * f1 + c5 * f2
+        if n % 2 == 0:
+            inc[-1] = -c * f[-3] + c8 * f[-2] + c5 * f[-1]
+    else:
+        half = np.diff(grid.nodes) / 2.0
+        inc[:] = half * f[:-1] + half * f[1:]
+    out = np.zeros(n)
     np.cumsum(inc, out=out[1:])
     return out
 
@@ -199,13 +186,30 @@ def cumulative_adjoint(grid: RadialGrid, z: np.ndarray) -> np.ndarray:
     """Transpose of cumulative_integral: returns C^T z.
 
     Needed to assemble exact discrete gradients of prefix-built functionals.
+    Each node sums its terms in interval order, as a loop over intervals would.
     """
     z = np.asarray(z)
-    idx, coef = _cum_increments(grid, z)
+    n = grid.n
     # C_i = sum_{k<=i} inc_k, so C^T z weights increment k by suffix sums of z
     s = np.cumsum(z[::-1])[::-1]  # s[k] = sum_{i>=k} z_i
-    out = np.zeros(grid.n)
-    np.add.at(out, idx, coef * s[1:, None])
+    out = np.zeros(n)
+    if grid.grading == "uniform":
+        c = (grid.nodes[1] - grid.nodes[0]) / 12.0
+        c5, c8 = c * 5.0, c * 8.0
+        m = 2 * ((n - 1) // 2)  # nodes 0..m carry the odd/even interval pairs
+        sf, sb = s[1 : n - 1 : 2], s[2:n:2]  # forward and backward interval weights
+        out[2 : m + 1 : 2] = -c * sf + c5 * sb  # right end of pair, then left end
+        out[0:m:2] += c5 * sf
+        out[0:m:2] -= c * sb
+        out[1:m:2] = c8 * sf + c8 * sb
+        if n % 2 == 0:
+            out[-3] -= c * s[-1]
+            out[-2] += c8 * s[-1]
+            out[-1] = c5 * s[-1]
+    else:
+        t = np.diff(grid.nodes) / 2.0 * s[1:]
+        out[1:] = t
+        out[:-1] += t
     return out
 
 

@@ -31,7 +31,8 @@ from scipy.linalg import solve_banded
 
 from .energy import j_trunc, riesz_gradient
 from .gauge import big_n, prefix_h, suffix_a
-from .grid import RadialFunction, RadialGrid, dilate, integrate_plane, laplacian_radial, norm_sobolev
+from .grid import (RadialFunction, RadialGrid, cumulative_integral, dilate, integrate_plane,
+                   laplacian_radial, norm_sobolev)
 from .nonlinearity import NonlinearityModel
 from .verify import nehari_residual, pohozaev_residual, residual_pde
 
@@ -135,6 +136,13 @@ def _decay_rate(model: NonlinearityModel, v_end: float) -> float:
     return math.sqrt(max(2.0 * model.m0 + v_end, 1e-12))
 
 
+def _residual_floor(grid: RadialGrid) -> float:
+    """Sup-norm residual floor 3e3 eps / h^2 set by the stencils' h^-2 roundoff."""
+    if grid.grading != "uniform":
+        return 0.0
+    return 3e3 * np.finfo(float).eps / (grid.nodes[1] - grid.nodes[0]) ** 2
+
+
 # ---------------------------------------------------------------------------
 # Shooting on the frozen-coefficient local ODE
 # ---------------------------------------------------------------------------
@@ -213,8 +221,14 @@ def _inner_newton(grid: RadialGrid, v_pot: np.ndarray, model: NonlinearityModel,
     r, h, n = grid.nodes, grid.nodes[1] - grid.nodes[0], grid.n
     kappa = _decay_rate(model, float(v_pot[-1]))
     u = u0.copy()
-    # sup-norm residuals cannot beat the h^-2 roundoff amplification
-    floor = 3e3 * np.finfo(float).eps / h**2
+    floor = _residual_floor(grid)
+    # Jacobian pattern: origin row, tridiagonal interior, Robin row (n-1; n-3..n-1)
+    i = np.arange(1, n - 1)
+    rows = np.concatenate((i, i, i, [0, 0, n - 1, n - 1, n - 1]))
+    cols = np.concatenate((i - 1, i, i + 1, [0, 1, n - 3, n - 2, n - 1]))
+    lower = -1.0 / h**2 + 1.0 / (2.0 * h * r[1:-1])
+    upper = -1.0 / h**2 - 1.0 / (2.0 * h * r[1:-1])
+    edges = [-4.0 / h**2, 1.0 / (2.0 * h), -4.0 / (2.0 * h), 3.0 / (2.0 * h) + kappa]
 
     def resid(u):
         f = np.empty(n)
@@ -233,19 +247,11 @@ def _inner_newton(grid: RadialGrid, v_pot: np.ndarray, model: NonlinearityModel,
         if nf < tol:
             return u, True, it
         diag = v_pot - _gprime(model, u)
-        main = np.empty(n)
-        upper = np.empty(n - 1)
-        lower = np.empty(n - 1)
-        main[1:-1] = 2.0 / h**2 + diag[1:-1]
-        upper[1:] = -1.0 / h**2 - 1.0 / (2.0 * h * r[1:-1])
-        lower[:-1] = -1.0 / h**2 + 1.0 / (2.0 * h * r[1:-1])
-        main[0] = 4.0 / h**2 + diag[0]
-        upper[0] = -4.0 / h**2
-        main[-1] = 3.0 / (2.0 * h) + kappa
-        lower[-1] = -4.0 / (2.0 * h)
-        jac = sp.diags([lower, main, upper], [-1, 0, 1], format="lil")
-        jac[-1, -3] = 1.0 / (2.0 * h)
-        step = spla.spsolve(jac.tocsc(), f)
+        vals = np.concatenate((lower, 2.0 / h**2 + diag[1:-1], upper,
+                               [4.0 / h**2 + diag[0]], edges))
+        jac = sp.csc_matrix((vals, (rows, cols)), shape=(n, n))
+        jac.sort_indices()
+        step = spla.spsolve(jac, f)
         lam = 1.0
         while lam > 1e-12:
             trial = u - lam * step
@@ -274,38 +280,41 @@ def _full_residual(u: RadialFunction, q: float, model: NonlinearityModel) -> np.
     return f
 
 
+def _linearization(u: RadialFunction, q: float, model: NonlinearityModel):
+    """Exact linearization of _full_residual at u, as the map z -> J(u) z.
+
+    V(u) = 2q A_u + q h_u^2/r^2 is differentiated through the cumulative
+    quadrature that defines it, so J is exact to roundoff.  Terms in u alone
+    are computed once here; each application costs two quadratures.  The
+    Robin rate kappa is frozen, which perturbs only the last row of J.
+    """
+    g = u.grid
+    r, uv = g.nodes, u.values
+    h = r[1] - r[0]
+    h_u = prefix_h(u).values
+    v_pot = _frozen_potential(u, q)
+    gp = _gprime(model, uv)
+    kappa = _decay_rate(model, float(v_pot[-1]))
+
+    def apply(z: np.ndarray) -> np.ndarray:
+        dh = cumulative_integral(g, 2.0 * r * uv * z)
+        f2 = np.zeros(g.n)
+        f2[1:] = (2.0 * uv[1:] * z[1:] * h_u[1:] + uv[1:] ** 2 * dh[1:]) / r[1:]
+        cs = cumulative_integral(g, f2)
+        dv = 2.0 * q * (cs[-1] - cs)
+        if q != 0.0:
+            dv[1:] += 2.0 * q * h_u[1:] * dh[1:] / r[1:] ** 2
+        out = -laplacian_radial(RadialFunction(g, z)) + v_pot * z + dv * uv - gp * z
+        out[-1] = (3.0 * z[-1] - 4.0 * z[-2] + z[-3]) / (2.0 * h) + kappa * z[-1]
+        return out
+
+    return apply
+
+
 def _jacobian_apply(u: RadialFunction, q: float, model: NonlinearityModel,
                     z: np.ndarray) -> np.ndarray:
-    """Exact linearization of _full_residual at u, applied to z.
-
-    The gauge potential V(u) = 2q A_u + q h_u^2/r^2 is differentiated through
-    the same cumulative quadrature that defines it, so the Jacobian action is
-    exact to roundoff (no finite-difference noise).  The Robin rate kappa is
-    treated as frozen; that only perturbs the last row's linearization.
-    """
-    from .grid import cumulative_integral
-
-    g = u.grid
-    r = g.nodes
-    uv = u.values
-    h_u = prefix_h(u).values
-    a_u = suffix_a(u).values
-    dh = cumulative_integral(g, 2.0 * r * uv * z)
-    f2 = np.zeros(g.n)
-    f2[1:] = (2.0 * uv[1:] * z[1:] * h_u[1:] + uv[1:] ** 2 * dh[1:]) / r[1:]
-    cs = cumulative_integral(g, f2)
-    da = cs[-1] - cs
-    v_pot = 2.0 * q * a_u
-    dv = 2.0 * q * da
-    if q != 0.0:
-        v_pot[1:] += q * (h_u[1:] / r[1:]) ** 2
-        dv[1:] += 2.0 * q * h_u[1:] * dh[1:] / r[1:] ** 2
-    out = (-laplacian_radial(RadialFunction(g, z)) + v_pot * z + dv * uv
-           - _gprime(model, uv) * z)
-    h = r[1] - r[0]
-    kappa = _decay_rate(model, float(v_pot[-1]))
-    out[-1] = (3.0 * z[-1] - 4.0 * z[-2] + z[-3]) / (2.0 * h) + kappa * z[-1]
-    return out
+    """_linearization(u, q, model) applied to the single vector z."""
+    return _linearization(u, q, model)(z)
 
 
 def newton_refine(u: RadialFunction, q: float, model: NonlinearityModel,
@@ -321,7 +330,7 @@ def newton_refine(u: RadialFunction, q: float, model: NonlinearityModel,
     if g.grading != "uniform":
         raise ValueError("newton_refine requires a uniform grid")
     n, h = g.n, g.nodes[1] - g.nodes[0]
-    floor = 3e3 * np.finfo(float).eps / h**2
+    floor = _residual_floor(g)
 
     # banded preconditioner: second-order -Laplacian + 2 m0, Robin outer row
     kappa0 = math.sqrt(2.0 * model.m0)
@@ -346,11 +355,7 @@ def newton_refine(u: RadialFunction, q: float, model: NonlinearityModel,
         if nf < tol:
             break
         iterations = it + 1
-
-        def jv(z, cur=cur):
-            return _jacobian_apply(cur, q, model, z)
-
-        op = spla.LinearOperator((n, n), matvec=jv)
+        op = spla.LinearOperator((n, n), matvec=_linearization(cur, q, model))
         step, info = spla.lgmres(op, f, M=precond, rtol=1e-8, atol=0.0, maxiter=200)
         if info != 0:
             break
@@ -373,10 +378,8 @@ def newton_refine(u: RadialFunction, q: float, model: NonlinearityModel,
 def _report(u: RadialFunction, q: float, model: NonlinearityModel,
             iterations: int, cfg: MinimaxConfig, converged: Optional[bool] = None) -> SolveReport:
     sup, _ = residual_pde(u, q, model)
-    h = u.grid.nodes[1] - u.grid.nodes[0] if u.grid.grading == "uniform" else None
     if converged is None:
-        scale = max(1.0, float(np.max(np.abs(u.values))))
-        floor = 3e3 * np.finfo(float).eps / h**2 * scale if h else 0.0
+        floor = _residual_floor(u.grid) * max(1.0, float(np.max(np.abs(u.values))))
         converged = sup < max(10.0 * cfg.newton_tol, 10.0 * floor)
     # the zero profile satisfies the equation exactly but is not a solution
     if converged and float(np.max(np.abs(u.values))) < 1e-8:

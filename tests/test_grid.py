@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cssolve.grid import (
     RadialFunction,
@@ -23,6 +25,47 @@ from cssolve.grid import (
 @pytest.fixture(scope="module")
 def uniform():
     return make_grid(8.0, 4097)
+
+
+def _reference_increments(grid):
+    """The cumulative rule as per-interval (index, coefficient) triples.
+
+    An independent gather form of the rule; the slice form in cssolve.grid
+    must reproduce it bit for bit.
+    """
+    n, x = grid.n, grid.nodes
+    ks = np.arange(1, n)
+    idx = np.empty((n - 1, 3), dtype=np.intp)
+    coef = np.empty((n - 1, 3))
+    if grid.grading == "uniform":
+        h = x[1] - x[0]
+        fwd = (ks % 2 == 1) & (ks < n - 1)
+        kf, kb = ks[fwd], ks[~fwd]
+        idx[fwd] = np.stack([kf - 1, kf, kf + 1], axis=1)
+        coef[fwd] = h / 12.0 * np.array([5.0, 8.0, -1.0])
+        idx[~fwd] = np.stack([kb - 2, kb - 1, kb], axis=1)
+        coef[~fwd] = h / 12.0 * np.array([-1.0, 8.0, 5.0])
+    else:
+        d = np.diff(x)
+        idx[:] = np.stack([ks - 1, ks - 1, ks], axis=1)
+        coef[:, 0] = 0.0
+        coef[:, 1] = coef[:, 2] = d / 2.0
+    return idx, coef
+
+
+def _reference_cumulative(grid, f):
+    idx, coef = _reference_increments(grid)
+    out = np.zeros(grid.n)
+    np.cumsum(np.sum(coef * f[idx], axis=1), out=out[1:])
+    return out
+
+
+def _reference_adjoint(grid, z):
+    idx, coef = _reference_increments(grid)
+    s = np.cumsum(z[::-1])[::-1]
+    out = np.zeros(grid.n)
+    np.add.at(out, idx, coef * s[1:, None])  # unbuffered, in interval order
+    return out
 
 
 def gauss(grid):
@@ -83,6 +126,36 @@ class TestIntegration:
         lhs = np.dot(z, cumulative_integral(uniform, f))
         rhs = np.dot(cumulative_adjoint(uniform, z), f)
         assert abs(lhs - rhs) < 1e-10 * max(abs(lhs), 1.0)
+
+    @pytest.mark.parametrize("grid", [make_grid(8.0, 4096),
+                                      make_grid(8.0, 1025, "geometric", 1.003)],
+                             ids=["uniform_even_n", "geometric"])
+    def test_cumulative_adjoint_transpose_even_and_graded(self, grid):
+        # an even n closes with a backward interval; a graded grid is trapezoid
+        rng = np.random.default_rng(11)
+        f = rng.standard_normal(grid.n)
+        z = rng.standard_normal(grid.n)
+        lhs = np.dot(z, cumulative_integral(grid, f))
+        rhs = np.dot(cumulative_adjoint(grid, z), f)
+        assert abs(lhs - rhs) < 1e-10 * max(abs(lhs), 1.0)
+
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(n=st.integers(16, 3000), grading=st.sampled_from(["uniform", "geometric"]),
+           seed=st.integers(0, 2**32 - 1))
+    @example(n=16, grading="uniform", seed=1)
+    @example(n=17, grading="uniform", seed=2)
+    @example(n=4096, grading="uniform", seed=3)
+    @example(n=4097, grading="uniform", seed=4)
+    @example(n=16, grading="geometric", seed=5)
+    @example(n=17, grading="geometric", seed=6)
+    @example(n=4096, grading="geometric", seed=7)
+    @example(n=4097, grading="geometric", seed=8)
+    def test_slice_form_matches_reference_bitwise(self, n, grading, seed):
+        rng = np.random.default_rng(seed)
+        grid = make_grid(rng.uniform(1.0, 30.0), n, grading, 1.0 + 3.0 / n)
+        f = rng.standard_normal(n) * 10.0 ** rng.uniform(-6.0, 6.0)
+        assert np.array_equal(cumulative_integral(grid, f), _reference_cumulative(grid, f))
+        assert np.array_equal(cumulative_adjoint(grid, f), _reference_adjoint(grid, f))
 
 
 class TestDerivatives:

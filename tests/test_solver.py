@@ -8,6 +8,9 @@ from cssolve.grid import RadialFunction, integrate_plane, make_grid
 from cssolve.nonlinearity import power_model
 from cssolve.solver import (
     MinimaxConfig,
+    _full_residual,
+    _jacobian_apply,
+    _linearization,
     continuation_in_q,
     count_nodes,
     initial_path,
@@ -95,6 +98,14 @@ class TestNodalShoot:
         rep = nodal_shoot(1.0, model, g, 0)
         assert not (rep.converged and rep.truncation_inactive)
 
+    def test_warm_step_pins_certified_numbers(self, model, grid, ground_state):
+        # the continuation step; a speed-up must leave its certified numbers
+        rep = nodal_shoot(5.9e-5, model, grid, 0, warm_start=ground_state.u)
+        assert rep.converged
+        assert rep.iterations == 1
+        assert rep.level == pytest.approx(7.754114926920636, rel=1e-12)
+        assert rep.u.values[0] == pytest.approx(2.3929637952167195, rel=1e-12)
+
 
 class TestMountainPass:
     def test_agrees_with_nodal_shoot(self, mp_ground_state, ground_state, grid):
@@ -152,6 +163,35 @@ class TestNewtonRefine:
         assert rep.converged
         assert rep.residual_pde < 1e-6
         assert np.max(np.abs(rep.u.values - ground_state.u.values)) < 1e-7
+
+
+class TestLinearization:
+    Q = 1e-3
+
+    @pytest.fixture(scope="class")
+    def point(self):
+        g = make_grid(24.0, 1025)
+        u = RadialFunction(g, 2.4 * np.exp(-g.nodes**2 / 3.0))
+        z = np.cos(g.nodes) * np.exp(-g.nodes**2 / 8.0)
+        return u, z
+
+    def test_frozen_closure_equals_jacobian_apply(self, point, model):
+        u, z = point
+        lin = _linearization(u, self.Q, model)
+        # reused across directions, as LGMRES reuses it within a Newton step
+        for w in (z, z**2, np.sin(3.0 * u.grid.nodes) * z, z):
+            assert np.array_equal(lin(w), _jacobian_apply(u, self.Q, model, w))
+
+    def test_matches_central_difference(self, point, model):
+        u, z = point
+        eps = 1e-4
+        plus = _full_residual(RadialFunction(u.grid, u.values + eps * z), self.Q, model)
+        minus = _full_residual(RadialFunction(u.grid, u.values - eps * z), self.Q, model)
+        fd = (plus - minus) / (2.0 * eps)
+        jz = _linearization(u, self.Q, model)(z)
+        # the last row is left out: kappa is frozen there (see the docstring)
+        err = np.max(np.abs(jz[:-1] - fd[:-1]))
+        assert err < 1e-6 * np.max(np.abs(fd[:-1]))
 
 
 class TestCountNodes:
