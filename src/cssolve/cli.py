@@ -2,6 +2,7 @@
 
 Subcommands: solve | multiplicity | sweep | gauge | hypotheses, all taking
 ``--config <json> --out <dir>`` plus optional ``--seed`` and ``--threads``.
+The solvers are deterministic, so ``--seed`` is accepted and ignored.
 Exit codes: 0 success, 1 numerical failure, 2 usage or configuration error.
 """
 
@@ -77,7 +78,9 @@ CONFIG_SCHEMA = {
             "properties": {
                 "r_max": {"type": "number", "exclusiveMinimum": 0},
                 "n": {"type": "integer", "minimum": 16},
-                "grading": {"enum": ["uniform", "geometric"]},
+                # the solvers need equispaced nodes; make_grid still builds
+                # geometric grids for library use
+                "grading": {"enum": ["uniform"]},
             },
         },
         "solver": {
@@ -89,8 +92,6 @@ CONFIG_SCHEMA = {
                 "max_outer_iters": {"type": "integer", "minimum": 1},
                 "max_inner_iters": {"type": "integer", "minimum": 1},
                 "grad_tol": {"type": "number", "exclusiveMinimum": 0},
-                "theta_window": {"type": "number", "exclusiveMinimum": 0},
-                "seed": {"type": "integer"},
                 "newton_tol": {"type": "number", "exclusiveMinimum": 0},
                 "distinct_tol": {"type": "number", "exclusiveMinimum": 0},
             },
@@ -126,7 +127,6 @@ CONFIG_SCHEMA = {
                 "kappa": {"type": "number", "exclusiveMinimum": 0},
                 "mass": {"type": "number", "exclusiveMinimum": 0},
                 "c_light": {"type": "number", "exclusiveMinimum": 0},
-                "hbar": {"type": "number", "exclusiveMinimum": 0},
             },
         },
         "output_dir": {"type": "string"},
@@ -160,14 +160,11 @@ def build_model(cfg: dict):
 
 def build_grid(cfg: dict):
     g = cfg["grid"]
-    return make_grid(g["r_max"], g["n"], g.get("grading", "uniform"))
+    return make_grid(g["r_max"], g["n"])
 
 
-def build_solver_config(cfg: dict, seed=None) -> MinimaxConfig:
-    kwargs = dict(cfg.get("solver", {}))
-    if seed is not None:
-        kwargs["seed"] = seed
-    return MinimaxConfig(**kwargs)
+def build_solver_config(cfg: dict) -> MinimaxConfig:
+    return MinimaxConfig(**cfg.get("solver", {}))
 
 
 def _scalar_q(cfg: dict) -> float:
@@ -200,9 +197,9 @@ def _write_solution(out: Path, stem: str, rep: SolveReport, model, q: float) -> 
         verification_report(rep.u, q, model).to_json() + "\n")
 
 
-def cmd_solve(cfg: dict, out: Path, seed, threads) -> int:
+def cmd_solve(cfg: dict, out: Path, threads) -> int:
     model, grid = build_model(cfg), build_grid(cfg)
-    scfg = build_solver_config(cfg, seed)
+    scfg = build_solver_config(cfg)
     q = _scalar_q(cfg)
     nodes = cfg.get("nodes", 0)
     if not isinstance(nodes, int):
@@ -222,9 +219,9 @@ def cmd_solve(cfg: dict, out: Path, seed, threads) -> int:
     return 0
 
 
-def cmd_multiplicity(cfg: dict, out: Path, seed, threads) -> int:
+def cmd_multiplicity(cfg: dict, out: Path, threads) -> int:
     model, grid = build_model(cfg), build_grid(cfg)
-    scfg = build_solver_config(cfg, seed)
+    scfg = build_solver_config(cfg)
     q = _scalar_q(cfg)
     nodes = cfg.get("nodes", 1)
     n = (max(nodes) + 1) if isinstance(nodes, list) else int(nodes)
@@ -247,9 +244,9 @@ def cmd_multiplicity(cfg: dict, out: Path, seed, threads) -> int:
     return 0
 
 
-def cmd_sweep(cfg: dict, out: Path, seed, threads) -> int:
+def cmd_sweep(cfg: dict, out: Path, threads) -> int:
     model, grid = build_model(cfg), build_grid(cfg)
-    scfg = build_solver_config(cfg, seed)
+    scfg = build_solver_config(cfg)
     qspec = cfg.get("q")
     if not isinstance(qspec, dict):
         raise ConfigError("sweep needs q as {start, end, steps}")
@@ -276,14 +273,14 @@ def cmd_sweep(cfg: dict, out: Path, seed, threads) -> int:
     return 0
 
 
-def cmd_gauge(cfg: dict, out: Path, seed, threads) -> int:
+def cmd_gauge(cfg: dict, out: Path, threads) -> int:
     model, grid = build_model(cfg), build_grid(cfg)
     consts = PhysicalConstants(**cfg.get("constants", {}))
     if "profile_csv" in cfg:
-        u = load_profile_csv(cfg["profile_csv"], cfg["grid"].get("grading", "uniform"))
+        u = load_profile_csv(cfg["profile_csv"])
     else:
         rep = nodal_shoot(_scalar_q(cfg), model, grid,
-                          int(cfg.get("nodes", 0)), build_solver_config(cfg, seed))
+                          int(cfg.get("nodes", 0)), build_solver_config(cfg))
         if not rep.converged:
             print("gauge: underlying solve did not converge", file=sys.stderr)
             return 1
@@ -294,7 +291,7 @@ def cmd_gauge(cfg: dict, out: Path, seed, threads) -> int:
     return 0
 
 
-def cmd_hypotheses(cfg: dict, out: Path, seed, threads) -> int:
+def cmd_hypotheses(cfg: dict, out: Path, threads) -> int:
     model = build_model(cfg)
     report = check_hypotheses(model)
     (out / "hypotheses.json").write_text(report.to_json() + "\n")
@@ -319,7 +316,8 @@ def main(argv=None) -> int:
     parser.add_argument("command", choices=sorted(COMMANDS))
     parser.add_argument("--config", required=True, help="JSON configuration file")
     parser.add_argument("--out", default=".", help="output directory")
-    parser.add_argument("--seed", type=int, default=None)
+    parser.add_argument("--seed", type=int, default=None,
+                        help="accepted and ignored: the solvers are deterministic")
     parser.add_argument("--threads", type=int, default=1)
     args = parser.parse_args(argv)
 
@@ -327,7 +325,7 @@ def main(argv=None) -> int:
         cfg = load_config(args.config)
         out = Path(cfg.get("output_dir", args.out) if args.out == "." else args.out)
         out.mkdir(parents=True, exist_ok=True)
-        return COMMANDS[args.command](cfg, out, args.seed, args.threads)
+        return COMMANDS[args.command](cfg, out, args.threads)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

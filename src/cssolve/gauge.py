@@ -35,10 +35,9 @@ class PhysicalConstants:
     kappa: float = 1.0
     mass: float = 1.0
     c_light: float = 1.0
-    hbar: float = 1.0
 
     def __post_init__(self):
-        for name in ("e_coupling", "kappa", "mass", "c_light", "hbar"):
+        for name in ("e_coupling", "kappa", "mass", "c_light"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
 
@@ -71,12 +70,16 @@ def suffix_a(u: RadialFunction) -> RadialFunction:
 
     The integrand has the analytic limit 0 at s = 0 since h_u = O(s^2).
     """
+    return RadialFunction(u.grid, suffix_from_prefix(u, prefix_h(u).values))
+
+
+def suffix_from_prefix(u: RadialFunction, hu: np.ndarray) -> np.ndarray:
+    """The values of suffix_a(u), given hu = prefix_h(u).values."""
     g = u.grid
-    hu = prefix_h(u).values
     f = np.zeros(g.n)
     f[1:] = u.values[1:] ** 2 * hu[1:] / g.nodes[1:]
     cum = cumulative_integral(g, f)
-    return RadialFunction(g, cum[-1] - cum)
+    return cum[-1] - cum
 
 
 def _n_integrand(u: RadialFunction, hu: np.ndarray) -> np.ndarray:
@@ -138,7 +141,7 @@ def gauge_fields(u: RadialFunction, consts: PhysicalConstants = PhysicalConstant
     e, kap = consts.e_coupling, consts.kappa
     h = prefix_h(u)
     a0_scale = consts.e_coupling**3 / (consts.mass * consts.c_light**2 * kap**2)
-    a0 = RadialFunction(g, a0_scale * suffix_a(u).values)
+    a0 = RadialFunction(g, a0_scale * suffix_from_prefix(u, h.values))
     a_tan = np.zeros(g.n)
     a_tan[1:] = (e / kap) * h.values[1:] / g.nodes[1:]
     b = RadialFunction(g, -(e / kap) * u.values**2)

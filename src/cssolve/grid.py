@@ -9,6 +9,7 @@ geometrically graded grids fall back to trapezoid everywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -58,6 +59,20 @@ class RadialGrid:
     @property
     def spacings(self) -> np.ndarray:
         return np.diff(self.nodes)
+
+    @cached_property
+    def tail_weights(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """(u'', u') weights of the one-sided 6-point stencils at r_{n-2}, r_{n-1}.
+
+        `laplacian_radial` applies them on a uniform grid; computed on first
+        use and then kept, since they depend on the nodes alone.
+        """
+        x = self.nodes[-6:]
+        weights = tuple((_fornberg(x, x0, 2), _fornberg(x, x0, 1)) for x0 in x[-2:])
+        for w in weights:
+            for a in w:
+                a.setflags(write=False)
+        return weights
 
 
 @dataclass(frozen=True)
@@ -365,11 +380,11 @@ def laplacian_radial(u: RadialFunction) -> np.ndarray:
         h = x[1] - x[0]
         h2 = 12.0 * h * h
         h1 = 12.0 * h
-        # interior, 5-point centered
-        i = np.arange(2, n - 2)
-        upp = (-v[i - 2] + 16 * v[i - 1] - 30 * v[i] + 16 * v[i + 1] - v[i + 2]) / h2
-        up = (v[i - 2] - 8 * v[i - 1] + 8 * v[i + 1] - v[i + 2]) / h1
-        out[2 : n - 2] = upp + up / x[i]
+        # interior, 5-point centered: v[i-2], ..., v[i+2] for i = 2, ..., n-3
+        vm2, vm1, v0, vp1, vp2 = (v[k : n - 4 + k] for k in range(5))
+        upp = (-vm2 + 16 * vm1 - 30 * v0 + 16 * vp1 - vp2) / h2
+        up = (vm2 - 8 * vm1 + 8 * vp1 - vp2) / h1
+        out[2 : n - 2] = upp + up / x[2 : n - 2]
         # r = 0: Delta u = 2 u''(0), even extension
         out[0] = 2.0 * (-30 * v[0] + 32 * v[1] - 2 * v[2]) / h2
         # r = h: even extension supplies the ghost value u(-h) = u(h)
@@ -377,11 +392,9 @@ def laplacian_radial(u: RadialFunction) -> np.ndarray:
         up1 = (-8 * v[0] + v[1] + 8 * v[2] - v[3]) / h1
         out[1] = upp1 + up1 / x[1]
         # last two nodes: one-sided 6-point stencils
-        for i in (n - 2, n - 1):
-            sl = slice(n - 6, n)
-            w2 = _fornberg(x[sl], x[i], 2)
-            w1 = _fornberg(x[sl], x[i], 1)
-            out[i] = np.dot(w2, v[sl]) + np.dot(w1, v[sl]) / x[i]
+        tail = v[n - 6 :]
+        for i, (w2, w1) in zip((n - 2, n - 1), g.tail_weights):
+            out[i] = np.dot(w2, tail) + np.dot(w1, tail) / x[i]
     else:
         for i in range(n):
             if i == 0:

@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -27,10 +28,10 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.integrate import solve_ivp
 from scipy.interpolate import PchipInterpolator
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .energy import j_trunc, riesz_gradient
-from .gauge import big_n, prefix_h, suffix_a
+from .gauge import big_n, prefix_h, suffix_from_prefix
 from .grid import (RadialFunction, RadialGrid, cumulative_integral, dilate, integrate_plane,
                    laplacian_radial, norm_sobolev)
 from .nonlinearity import NonlinearityModel
@@ -46,15 +47,13 @@ class MinimaxConfig:
     max_outer_iters: int = 400
     max_inner_iters: int = 60
     grad_tol: float = 1e-3
-    theta_window: float = 0.5
-    seed: int = 0
     newton_tol: float = 1e-9
     distinct_tol: float = 0.1
 
     def __post_init__(self):
         if self.path_points < 8:
             raise ValueError("path_points must be at least 8")
-        if min(self.descent_step, self.grad_tol, self.theta_window, self.newton_tol) <= 0:
+        if min(self.descent_step, self.grad_tol, self.newton_tol) <= 0:
             raise ValueError("tolerances and steps must be positive")
 
 
@@ -122,14 +121,16 @@ def _gprime(model: NonlinearityModel, u: np.ndarray) -> np.ndarray:
     return (model.g(u + eps) - model.g(u - eps)) / (2.0 * eps)
 
 
-def _frozen_potential(u: RadialFunction, q: float) -> np.ndarray:
-    """V(r) = 2q A_u(r) + q h_u(r)^2 / r^2; the h^2/r^2 term vanishes at 0."""
+def _gauge_terms(u: RadialFunction, q: float) -> tuple[np.ndarray, np.ndarray]:
+    """(h_u, V) with V(r) = 2q A_u(r) + q h_u(r)^2 / r^2, from one prefix integral.
+
+    V is the frozen gauge potential; the h^2/r^2 term vanishes at 0.
+    """
     g = u.grid
-    a = suffix_a(u).values
     h = prefix_h(u).values
-    v = 2.0 * q * a
+    v = 2.0 * q * suffix_from_prefix(u, h)
     v[1:] += q * (h[1:] / g.nodes[1:]) ** 2
-    return v
+    return h, v
 
 
 def _decay_rate(model: NonlinearityModel, v_end: float) -> float:
@@ -211,6 +212,26 @@ def _shoot(grid: RadialGrid, v_pot: np.ndarray, model: NonlinearityModel, k: int
     return u
 
 
+@lru_cache(maxsize=8)
+def _newton_pattern(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """CSC layout of the inner-Newton Jacobian on n nodes: (order, indices, indptr).
+
+    Values listed as (lower, diagonal, upper, origin row, Robin row) go to CSC
+    order as vals[order], column by column with rows ascending.
+    """
+    # origin row (0; 0, 1), tridiagonal interior, Robin row (n-1; n-3..n-1)
+    i = np.arange(1, n - 1)
+    rows = np.concatenate((i, i, i, [0, 0, n - 1, n - 1, n - 1]))
+    cols = np.concatenate((i - 1, i, i + 1, [0, 1, n - 3, n - 2, n - 1]))
+    order = np.lexsort((rows, cols))
+    indices = rows[order].astype(np.int32)
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(np.bincount(cols, minlength=n), out=indptr[1:])
+    for a in (order, indices, indptr):
+        a.setflags(write=False)
+    return order, indices, indptr
+
+
 def _inner_newton(grid: RadialGrid, v_pot: np.ndarray, model: NonlinearityModel,
                   u0: np.ndarray, max_iters: int):
     """Damped Newton for the frozen-coefficient BVP on second-order stencils.
@@ -222,10 +243,7 @@ def _inner_newton(grid: RadialGrid, v_pot: np.ndarray, model: NonlinearityModel,
     kappa = _decay_rate(model, float(v_pot[-1]))
     u = u0.copy()
     floor = _residual_floor(grid)
-    # Jacobian pattern: origin row, tridiagonal interior, Robin row (n-1; n-3..n-1)
-    i = np.arange(1, n - 1)
-    rows = np.concatenate((i, i, i, [0, 0, n - 1, n - 1, n - 1]))
-    cols = np.concatenate((i - 1, i, i + 1, [0, 1, n - 3, n - 2, n - 1]))
+    order, indices, indptr = _newton_pattern(n)
     lower = -1.0 / h**2 + 1.0 / (2.0 * h * r[1:-1])
     upper = -1.0 / h**2 - 1.0 / (2.0 * h * r[1:-1])
     edges = [-4.0 / h**2, 1.0 / (2.0 * h), -4.0 / (2.0 * h), 3.0 / (2.0 * h) + kappa]
@@ -249,9 +267,9 @@ def _inner_newton(grid: RadialGrid, v_pot: np.ndarray, model: NonlinearityModel,
         diag = v_pot - _gprime(model, u)
         vals = np.concatenate((lower, 2.0 / h**2 + diag[1:-1], upper,
                                [4.0 / h**2 + diag[0]], edges))
-        jac = sp.csc_matrix((vals, (rows, cols)), shape=(n, n))
-        jac.sort_indices()
-        step = spla.spsolve(jac, f)
+        jac = sp.csc_matrix((vals[order], indices, indptr), shape=(n, n))
+        # COLAMD returns the identity ordering on this pattern; skip computing it
+        step = spla.spsolve(jac, f, permc_spec="NATURAL")
         lam = 1.0
         while lam > 1e-12:
             trial = u - lam * step
@@ -270,9 +288,11 @@ def _inner_newton(grid: RadialGrid, v_pot: np.ndarray, model: NonlinearityModel,
 # ---------------------------------------------------------------------------
 
 
-def _full_residual(u: RadialFunction, q: float, model: NonlinearityModel) -> np.ndarray:
+def _full_residual(u: RadialFunction, q: float, model: NonlinearityModel,
+                   terms: Optional[tuple[np.ndarray, np.ndarray]] = None) -> np.ndarray:
+    """Strong-form residual with the Robin outer row; terms = _gauge_terms(u, q)."""
     g = u.grid
-    v_pot = _frozen_potential(u, q)
+    _, v_pot = _gauge_terms(u, q) if terms is None else terms
     f = -laplacian_radial(u) + v_pot * u.values - model.g(u.values)
     h = g.nodes[1] - g.nodes[0]
     kappa = _decay_rate(model, float(v_pot[-1]))
@@ -280,19 +300,20 @@ def _full_residual(u: RadialFunction, q: float, model: NonlinearityModel) -> np.
     return f
 
 
-def _linearization(u: RadialFunction, q: float, model: NonlinearityModel):
+def _linearization(u: RadialFunction, q: float, model: NonlinearityModel,
+                   terms: Optional[tuple[np.ndarray, np.ndarray]] = None):
     """Exact linearization of _full_residual at u, as the map z -> J(u) z.
 
     V(u) = 2q A_u + q h_u^2/r^2 is differentiated through the cumulative
     quadrature that defines it, so J is exact to roundoff.  Terms in u alone
-    are computed once here; each application costs two quadratures.  The
-    Robin rate kappa is frozen, which perturbs only the last row of J.
+    are computed once here, or passed in as terms = _gauge_terms(u, q); each
+    application costs two quadratures.  The Robin rate kappa is frozen, which
+    perturbs only the last row of J.
     """
     g = u.grid
     r, uv = g.nodes, u.values
     h = r[1] - r[0]
-    h_u = prefix_h(u).values
-    v_pot = _frozen_potential(u, q)
+    h_u, v_pot = _gauge_terms(u, q) if terms is None else terms
     gp = _gprime(model, uv)
     kappa = _decay_rate(model, float(v_pot[-1]))
 
@@ -317,6 +338,28 @@ def _jacobian_apply(u: RadialFunction, q: float, model: NonlinearityModel,
     return _linearization(u, q, model)(z)
 
 
+def _preconditioner(grid: RadialGrid, m0: float) -> spla.LinearOperator:
+    """Inverse of the second-order -Delta_r + 2 m0 with the Robin outer row.
+
+    The matrix is tridiagonal; it is factored once with LAPACK gttrf and each
+    application is one gttrs solve, the elimination solve_banded's gtsv does.
+    """
+    n, h, r = grid.n, grid.nodes[1] - grid.nodes[0], grid.nodes
+    kappa0 = math.sqrt(2.0 * m0)
+    ab = np.zeros((3, n))  # rows: superdiagonal, diagonal, subdiagonal
+    ab[1, 1:-1] = 2.0 / h**2 + 2.0 * m0
+    ab[0, 2:] = -1.0 / h**2 - 1.0 / (2.0 * h * r[1:-1])
+    ab[2, :-2] = -1.0 / h**2 + 1.0 / (2.0 * h * r[1:-1])
+    ab[1, 0] = 4.0 / h**2 + 2.0 * m0
+    ab[0, 1] = -4.0 / h**2
+    ab[1, -1] = 3.0 / (2.0 * h) + kappa0
+    ab[2, -2] = -2.0 / h
+    *factors, info = dgttrf(ab[2, :-1], ab[1], ab[0, 1:])
+    if info != 0:
+        raise np.linalg.LinAlgError("singular preconditioner")
+    return spla.LinearOperator((n, n), matvec=lambda z: dgttrs(*factors, z)[0])
+
+
 def newton_refine(u: RadialFunction, q: float, model: NonlinearityModel,
                   cfg: MinimaxConfig = MinimaxConfig()) -> SolveReport:
     """Matrix-free damped Newton on the full nonlocal strong-form system.
@@ -329,33 +372,24 @@ def newton_refine(u: RadialFunction, q: float, model: NonlinearityModel,
     g = u.grid
     if g.grading != "uniform":
         raise ValueError("newton_refine requires a uniform grid")
-    n, h = g.n, g.nodes[1] - g.nodes[0]
+    n = g.n
     floor = _residual_floor(g)
-
-    # banded preconditioner: second-order -Laplacian + 2 m0, Robin outer row
-    kappa0 = math.sqrt(2.0 * model.m0)
-    ab = np.zeros((3, n))
-    ab[1, 1:-1] = 2.0 / h**2 + 2.0 * model.m0
-    ab[0, 2:] = -1.0 / h**2 - 1.0 / (2.0 * h * g.nodes[1:-1])
-    ab[2, :-2] = -1.0 / h**2 + 1.0 / (2.0 * h * g.nodes[1:-1])
-    ab[1, 0] = 4.0 / h**2 + 2.0 * model.m0
-    ab[0, 1] = -4.0 / h**2
-    ab[1, -1] = 3.0 / (2.0 * h) + kappa0
-    ab[2, -2] = -2.0 / h
-    precond = spla.LinearOperator((n, n), matvec=lambda z: solve_banded((1, 1), ab, z))
+    precond = _preconditioner(g, model.m0)
 
     vals = u.values.copy()
     iterations = 0
     for it in range(cfg.max_inner_iters):
         cur = RadialFunction(g, vals)
-        f = _full_residual(cur, q, model)
+        # the gauge terms of the iterate serve its residual and its linearization
+        terms = _gauge_terms(cur, q)
+        f = _full_residual(cur, q, model, terms)
         nf = float(np.max(np.abs(f)))
         scale = max(1.0, float(np.max(np.abs(vals))))
         tol = max(cfg.newton_tol, floor * scale)
         if nf < tol:
             break
         iterations = it + 1
-        op = spla.LinearOperator((n, n), matvec=_linearization(cur, q, model))
+        op = spla.LinearOperator((n, n), matvec=_linearization(cur, q, model, terms))
         step, info = spla.lgmres(op, f, M=precond, rtol=1e-8, atol=0.0, maxiter=200)
         if info != 0:
             break
@@ -421,7 +455,7 @@ def nodal_shoot(q: float, model: NonlinearityModel, grid: RadialGrid, k: int,
     if warm_start is not None:
         u = warm_start.values.copy()
     else:
-        v0 = _frozen_potential(zero, q)
+        _, v0 = _gauge_terms(zero, q)
         shot = _shoot(grid, v0, model, k)
         if shot is None:
             return _report(zero, q, model, 0, cfg, converged=False)
@@ -431,7 +465,7 @@ def nodal_shoot(q: float, model: NonlinearityModel, grid: RadialGrid, k: int,
 
     start_norm = float(np.max(np.abs(u)))
     for outer in range(cfg.max_outer_iters):
-        v = _frozen_potential(RadialFunction(grid, u), q)
+        _, v = _gauge_terms(RadialFunction(grid, u), q)
         un, ok, _ = _inner_newton(grid, v, model, u, cfg.max_inner_iters)
         if not ok or count_nodes(RadialFunction(grid, un)) != k:
             return _report(RadialFunction(grid, u), q, model, outer, cfg, converged=False)
@@ -470,7 +504,7 @@ def initial_path(model: NonlinearityModel, grid: RadialGrid, n: int,
     if n == 1:
         bump = RadialFunction(grid, np.exp(-grid.nodes**2))
     else:
-        v0 = _frozen_potential(RadialFunction(grid, np.zeros(grid.n)), q)
+        _, v0 = _gauge_terms(RadialFunction(grid, np.zeros(grid.n)), q)
         shot = _shoot(grid, v0, model, n - 1)
         if shot is None:
             raise RuntimeError("no shooting profile available to seed the path")

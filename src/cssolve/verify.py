@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .energy import d_theta_j_tilde, j_tilde, phi, phi_prime, weak_gradient
-from .gauge import big_n, prefix_h, suffix_a
+from .gauge import big_n, prefix_h, suffix_from_prefix
 from .grid import RadialFunction, differentiate, integrate_plane, laplacian_radial, norm_lp
 from .nonlinearity import NonlinearityModel
 
@@ -50,7 +50,7 @@ def residual_pde(u: RadialFunction, q: float, model: NonlinearityModel) -> tuple
     g = u.grid
     lap = laplacian_radial(u)
     h = prefix_h(u).values
-    a = suffix_a(u).values
+    a = suffix_from_prefix(u, h)
     h2_over_r2 = np.zeros(g.n)
     h2_over_r2[1:] = (h[1:] / g.nodes[1:]) ** 2
     res = -lap + q * (2.0 * a + h2_over_r2) * u.values - model.g(u.values)

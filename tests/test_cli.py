@@ -49,6 +49,21 @@ class TestConfigValidation:
         path = write_config(tmp_path, cfg)
         assert main(["solve", "--config", path, "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("command", ["solve", "multiplicity", "sweep"])
+    def test_geometric_grading_rejected_before_solving(self, tmp_path, capsys, monkeypatch,
+                                                       command):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a solver ran on a rejected config")
+
+        for name in ("nodal_shoot", "mountain_pass", "multiplicity_run", "continuation_in_q"):
+            monkeypatch.setattr(f"cssolve.cli.{name}", no_solve)
+        cfg = base_config(n=64)
+        cfg["grid"]["grading"] = "geometric"
+        cfg["q"] = {"start": 0.0, "end": 1e-3, "steps": 3} if command == "sweep" else 0.0
+        path = write_config(tmp_path, cfg)
+        assert main([command, "--config", path, "--out", str(tmp_path)]) == 2
+        assert "invalid config" in capsys.readouterr().err
+
     def test_unknown_command_usage_error(self, tmp_path):
         path = write_config(tmp_path, base_config(n=64))
         with pytest.raises(SystemExit) as exc:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from cssolve.grid import (
     RadialFunction,
+    _fornberg,
     cumulative_adjoint,
     cumulative_integral,
     diff_matrix,
@@ -65,6 +66,48 @@ def _reference_adjoint(grid, z):
     s = np.cumsum(z[::-1])[::-1]
     out = np.zeros(grid.n)
     np.add.at(out, idx, coef * s[1:, None])  # unbuffered, in interval order
+    return out
+
+
+def _reference_laplacian(u):
+    """laplacian_radial in gather form, with its tail weights computed per call.
+
+    An independent copy of the stencils; the slice form and the grid-owned
+    tail weights in cssolve.grid must reproduce it bit for bit.
+    """
+    g = u.grid
+    x, v = g.nodes, u.values
+    n = g.n
+    out = np.empty(n)
+    if g.grading == "uniform":
+        h = x[1] - x[0]
+        h2 = 12.0 * h * h
+        h1 = 12.0 * h
+        i = np.arange(2, n - 2)
+        upp = (-v[i - 2] + 16 * v[i - 1] - 30 * v[i] + 16 * v[i + 1] - v[i + 2]) / h2
+        up = (v[i - 2] - 8 * v[i - 1] + 8 * v[i + 1] - v[i + 2]) / h1
+        out[2 : n - 2] = upp + up / x[i]
+        out[0] = 2.0 * (-30 * v[0] + 32 * v[1] - 2 * v[2]) / h2
+        upp1 = (16 * v[0] - 31 * v[1] + 16 * v[2] - v[3]) / h2
+        up1 = (-8 * v[0] + v[1] + 8 * v[2] - v[3]) / h1
+        out[1] = upp1 + up1 / x[1]
+        for i in (n - 2, n - 1):
+            sl = slice(n - 6, n)
+            w2 = _fornberg(x[sl], x[i], 2)
+            w1 = _fornberg(x[sl], x[i], 1)
+            out[i] = np.dot(w2, v[sl]) + np.dot(w1, v[sl]) / x[i]
+    else:
+        for i in range(n):
+            if i == 0:
+                sl = slice(0, 3)
+                out[0] = 2.0 * np.dot(_fornberg(x[sl], 0.0, 2), v[sl])
+                continue
+            sl = slice(max(0, i - 1), min(n, i + 2))
+            if sl.stop - sl.start < 3:
+                sl = slice(n - 3, n)
+            w2 = _fornberg(x[sl], x[i], 2)
+            w1 = _fornberg(x[sl], x[i], 1)
+            out[i] = np.dot(w2, v[sl]) + np.dot(w1, v[sl]) / x[i]
     return out
 
 
@@ -183,6 +226,35 @@ class TestDerivatives:
         # Delta u (0) = 2 u''(0) = -4 for the Gaussian
         lap = laplacian_radial(gauss(uniform))
         assert abs(lap[0] + 4.0) < 1e-9
+
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(n=st.integers(16, 3000), grading=st.sampled_from(["uniform", "geometric"]),
+           seed=st.integers(0, 2**32 - 1))
+    @example(n=16, grading="uniform", seed=1)
+    @example(n=17, grading="uniform", seed=2)
+    @example(n=4096, grading="uniform", seed=3)
+    @example(n=4097, grading="uniform", seed=4)
+    @example(n=16, grading="geometric", seed=5)
+    @example(n=17, grading="geometric", seed=6)
+    @example(n=4096, grading="geometric", seed=7)
+    @example(n=4097, grading="geometric", seed=8)
+    def test_laplacian_matches_reference_bitwise(self, n, grading, seed):
+        rng = np.random.default_rng(seed)
+        grid = make_grid(rng.uniform(1.0, 30.0), n, grading, 1.0 + 3.0 / n)
+        u = RadialFunction(grid, rng.standard_normal(n) * 10.0 ** rng.uniform(-6.0, 6.0))
+        assert np.array_equal(laplacian_radial(u), _reference_laplacian(u))
+
+    @pytest.mark.parametrize("n", [16, 17, 4096, 4097])
+    def test_tail_weights_cached_and_equal_fresh_fornberg(self, n):
+        grid = make_grid(8.0, n)
+        # computed on first use, not when the grid is built
+        assert "tail_weights" not in vars(grid)
+        weights = grid.tail_weights
+        assert grid.tail_weights is weights
+        x = grid.nodes
+        for i, (w2, w1) in zip((n - 2, n - 1), weights):
+            assert np.array_equal(w2, _fornberg(x[n - 6 :], x[i], 2))
+            assert np.array_equal(w1, _fornberg(x[n - 6 :], x[i], 1))
 
 
 class TestNorms:

@@ -2,15 +2,23 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
+from scipy.linalg import solve_banded
 
 from cssolve.energy import j_trunc
+from cssolve.gauge import prefix_h, suffix_a
 from cssolve.grid import RadialFunction, integrate_plane, make_grid
 from cssolve.nonlinearity import power_model
 from cssolve.solver import (
     MinimaxConfig,
     _full_residual,
+    _gauge_terms,
+    _gprime,
     _jacobian_apply,
     _linearization,
+    _newton_pattern,
+    _preconditioner,
     continuation_in_q,
     count_nodes,
     initial_path,
@@ -192,6 +200,65 @@ class TestLinearization:
         # the last row is left out: kappa is frozen there (see the docstring)
         err = np.max(np.abs(jz[:-1] - fd[:-1]))
         assert err < 1e-6 * np.max(np.abs(fd[:-1]))
+
+
+class TestReorderedKernels:
+    """The once-per-grid and once-per-step forms reproduce the per-call ones bit for bit."""
+
+    @pytest.mark.parametrize("q", [0.0, 1e-3])
+    def test_gauge_terms_match_prefix_and_suffix(self, model, q):
+        g = make_grid(24.0, 1025)
+        u = RadialFunction(g, 2.4 * np.exp(-g.nodes**2 / 3.0))
+        h = prefix_h(u).values
+        v = 2.0 * q * suffix_a(u).values
+        v[1:] += q * (h[1:] / g.nodes[1:]) ** 2
+        h_u, v_pot = _gauge_terms(u, q)
+        assert np.array_equal(h_u, h)
+        assert np.array_equal(v_pot, v)
+
+    @pytest.mark.parametrize("n", [16, 17, 1025, 4096, 4097, 8193])
+    def test_preconditioner_matches_solve_banded(self, model, n):
+        g = make_grid(24.0, n)
+        r, h, m0 = g.nodes, g.nodes[1] - g.nodes[0], model.m0
+        ab = np.zeros((3, n))
+        ab[1, 1:-1] = 2.0 / h**2 + 2.0 * m0
+        ab[0, 2:] = -1.0 / h**2 - 1.0 / (2.0 * h * r[1:-1])
+        ab[2, :-2] = -1.0 / h**2 + 1.0 / (2.0 * h * r[1:-1])
+        ab[1, 0] = 4.0 / h**2 + 2.0 * m0
+        ab[0, 1] = -4.0 / h**2
+        ab[1, -1] = 3.0 / (2.0 * h) + math.sqrt(2.0 * m0)
+        ab[2, -2] = -2.0 / h
+        precond = _preconditioner(g, m0)
+        rng = np.random.default_rng(n)
+        for _ in range(4):
+            z = rng.standard_normal(n) * 10.0 ** rng.uniform(-8.0, 8.0)
+            assert np.array_equal(precond.matvec(z), solve_banded((1, 1), ab, z))
+
+    @pytest.mark.parametrize("n", [16, 17, 1025, 4096, 4097, 8193])
+    def test_newton_matrix_natural_order_matches_colamd(self, model, n):
+        # the inner-Newton Jacobian, assembled as COO -> CSC and from the fixed pattern
+        g = make_grid(24.0, n)
+        r, h = g.nodes, g.nodes[1] - g.nodes[0]
+        u = 2.4 * np.exp(-r**2 / 3.0)
+        _, v_pot = _gauge_terms(RadialFunction(g, u), 1e-3)
+        diag = v_pot - _gprime(model, u)
+        kappa = math.sqrt(2.0 * model.m0 + v_pot[-1])
+        vals = np.concatenate((-1.0 / h**2 + 1.0 / (2.0 * h * r[1:-1]), 2.0 / h**2 + diag[1:-1],
+                               -1.0 / h**2 - 1.0 / (2.0 * h * r[1:-1]), [4.0 / h**2 + diag[0]],
+                               [-4.0 / h**2, 1.0 / (2.0 * h), -4.0 / (2.0 * h),
+                                3.0 / (2.0 * h) + kappa]))
+        i = np.arange(1, n - 1)
+        rows = np.concatenate((i, i, i, [0, 0, n - 1, n - 1, n - 1]))
+        cols = np.concatenate((i - 1, i, i + 1, [0, 1, n - 3, n - 2, n - 1]))
+        ref = sp.csc_matrix((vals, (rows, cols)), shape=(n, n))
+        ref.sort_indices()
+        order, indices, indptr = _newton_pattern(n)
+        jac = sp.csc_matrix((vals[order], indices, indptr), shape=(n, n))
+        assert np.array_equal(jac.indptr, ref.indptr)
+        assert np.array_equal(jac.indices, ref.indices)
+        assert np.array_equal(jac.data, ref.data)
+        f = np.random.default_rng(n).standard_normal(n)
+        assert np.array_equal(spla.spsolve(jac, f, permc_spec="NATURAL"), spla.spsolve(ref, f))
 
 
 class TestCountNodes:
