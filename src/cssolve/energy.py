@@ -13,11 +13,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .gauge import big_n, big_n_gradient
-from .grid import RadialFunction, diff_matrix, differentiate, dilate, integrate_plane
+from .grid import RadialFunction, differentiate, dilate, integrate_plane, sobolev_metric
 from .nonlinearity import NonlinearityModel, capital_lambda_bar
 
 
@@ -170,13 +168,13 @@ def riesz_gradient(
 
         <w, v>_{H1, m0} = weak_gradient(theta, u, q, model, v)  for every grid v,
 
-    realized exactly in the discrete metric by solving the banded system
-    (D^T W D + m0 W) w = rhs, where D is the differentiation matrix and W the
-    plane-measure quadrature weights.
+    realized exactly in the discrete metric by solving (D^T W D + m0 W) w = rhs,
+    D the differentiation matrix and W the plane-measure quadrature weights,
+    with the factors that `sobolev_metric` keeps per (grid, m0).
     """
     g = u.grid
     w_plane = 2.0 * math.pi * g.weights * g.nodes
-    d = diff_matrix(g)
+    d, solve = sobolev_metric(g, model.m0)
     n_val = big_n(u)
     e4, e2 = math.exp(4.0 * theta), math.exp(2.0 * theta)
     s = q * e4 * n_val
@@ -184,10 +182,7 @@ def riesz_gradient(
     rhs = d.T @ (w_plane * (d @ u.values)) - e2 * w_plane * model.g(u.values)
     if coef != 0.0:
         rhs = rhs + coef * big_n_gradient(u)
-    big_w = sp.diags(w_plane)
-    a = (d.T @ big_w @ d + model.m0 * big_w).tocsc()
-    w = spla.spsolve(a, rhs)
-    return RadialFunction(g, w)
+    return RadialFunction(g, solve(rhs))
 
 
 def rescale_omega(u: RadialFunction, omega: float, p: float) -> tuple[RadialFunction, float]:

@@ -13,6 +13,8 @@ from functools import cached_property
 from typing import Optional
 
 import numpy as np
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 TWO_PI = 2.0 * np.pi
 
@@ -74,6 +76,26 @@ class RadialGrid:
                 a.setflags(write=False)
         return weights
 
+    @cached_property
+    def graded_weights(self) -> tuple[np.ndarray, ...]:
+        """(index, u'' weights, u' weights) of the 3-point stencils of a graded grid.
+
+        Row i holds the stencil's nodes and their `_fornberg` weights at r_i;
+        `laplacian_radial` applies them.  Computed on first use and then kept.
+        """
+        x, n = self.nodes, self.n
+        index = np.clip(np.arange(n) - 1, 0, n - 3)[:, None] + np.arange(3)
+        weights = (index,) + tuple(np.array([_fornberg(x[k], x0, m) for k, x0 in zip(index, x)])
+                                   for m in (2, 1))
+        for a in weights:
+            a.setflags(write=False)
+        return weights
+
+    @cached_property
+    def sobolev_metrics(self) -> dict:
+        """{m0: (D, solve)}, filled by `sobolev_metric`."""
+        return {}
+
 
 @dataclass(frozen=True)
 class RadialFunction:
@@ -126,6 +148,12 @@ def _simpson_weights(n: int, h: float) -> np.ndarray:
     return w
 
 
+def _trapezoid_weights(nodes: np.ndarray) -> np.ndarray:
+    """Trapezoid-rule weights on ascending nodes."""
+    half = np.diff(nodes) / 2.0
+    return np.r_[half, 0.0] + np.r_[0.0, half]
+
+
 def make_grid(r_max: float, n: int, grading: str = "uniform", ratio: float = 1.0) -> RadialGrid:
     """Build a radial grid on [0, r_max].
 
@@ -151,11 +179,7 @@ def make_grid(r_max: float, n: int, grading: str = "uniform", ratio: float = 1.0
         nodes = np.concatenate(([0.0], np.cumsum(d)))
         nodes *= r_max / nodes[-1]
         nodes[-1] = r_max
-        dd = np.diff(nodes)
-        weights = np.zeros(n)
-        weights[:-1] += dd / 2.0
-        weights[1:] += dd / 2.0
-        return RadialGrid(nodes, weights, "geometric", float(ratio))
+        return RadialGrid(nodes, _trapezoid_weights(nodes), "geometric", float(ratio))
     raise ValueError(f"unknown grading {grading!r}")
 
 
@@ -228,6 +252,15 @@ def cumulative_adjoint(grid: RadialGrid, z: np.ndarray) -> np.ndarray:
     return out
 
 
+def _diff_weights(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, float]:
+    """(a, b, alpha, beta) of `differentiate`: u'_i = a (u_{i+1} - u_i) - b (u_{i-1} - u_i)
+    inside and u'_{n-1} = alpha (u_{n-1} - u_{n-2}) + beta (u_{n-2} - u_{n-3})."""
+    d = np.diff(x)
+    dl, dr, d1, d2 = d[:-1], d[1:], d[-1], d[-2]
+    return (dl / (dr * (dl + dr)), dr / (dl * (dl + dr)),
+            (2.0 * d1 + d2) / (d1 * (d1 + d2)), -d1 / (d2 * (d1 + d2)))
+
+
 def differentiate(u: RadialFunction) -> RadialFunction:
     """Second-order discrete d/dr; u'(0) = 0 by radial symmetry.
 
@@ -236,49 +269,39 @@ def differentiate(u: RadialFunction) -> RadialFunction:
     exactly zero.
     """
     g = u.grid
-    x, v = g.nodes, u.values
+    v = u.values
     if g.n < 3:
         raise ValueError("need at least 3 nodes to differentiate")
-    d = np.diff(x)
+    a, b, alpha, beta = _diff_weights(g.nodes)
     out = np.empty(g.n)
     out[0] = 0.0
-    dl, dr = d[:-1], d[1:]
-    a = dl / (dr * (dl + dr))
-    b = dr / (dl * (dl + dr))
     out[1:-1] = a * (v[2:] - v[1:-1]) - b * (v[:-2] - v[1:-1])
-    d1, d2 = d[-1], d[-2]
-    # one-sided: alpha*(v[-1]-v[-2]) + beta*(v[-2]-v[-3]), second order
-    alpha = (2.0 * d1 + d2) / (d1 * (d1 + d2))
-    beta = -d1 / (d2 * (d1 + d2))
     out[-1] = alpha * (v[-1] - v[-2]) + beta * (v[-2] - v[-3])
     return RadialFunction(g, out)
 
 
 def diff_matrix(grid: RadialGrid):
     """Sparse matrix realizing `differentiate` (rows match it exactly)."""
-    import scipy.sparse as sp
-
     n = grid.n
-    x = grid.nodes
-    d = np.diff(x)
-    rows, cols, vals = [], [], []
-    dl, dr = d[:-1], d[1:]
-    a = dl / (dr * (dl + dr))
-    b = dr / (dl * (dl + dr))
+    a, b, alpha, beta = _diff_weights(grid.nodes)
     i = np.arange(1, n - 1)
-    rows += [i, i, i]
-    cols += [i + 1, i, i - 1]
-    vals += [a, b - a, -b]
-    d1, d2 = d[-1], d[-2]
-    alpha = (2.0 * d1 + d2) / (d1 * (d1 + d2))
-    beta = -d1 / (d2 * (d1 + d2))
-    rows += [np.array([n - 1] * 3)]
-    cols += [np.array([n - 1, n - 2, n - 3])]
-    vals += [np.array([alpha, beta - alpha, -beta])]
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
-    vals = np.concatenate(vals)
+    rows = np.concatenate((i, i, i, [n - 1] * 3))
+    cols = np.concatenate((i + 1, i, i - 1, [n - 1, n - 2, n - 3]))
+    vals = np.concatenate((a, b - a, -b, [alpha, beta - alpha, -beta]))
     return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+
+
+def sobolev_metric(grid: RadialGrid, m0: float):
+    """(D, solve): D = `diff_matrix(grid)` and solve(b) = (D^T W D + m0 W)^{-1} b, W = 2 pi w r.
+
+    The discrete metric of `norm_sobolev`, factored by SuperLU on first use
+    for each (grid, m0) and kept on the grid.
+    """
+    if m0 not in grid.sobolev_metrics:
+        d = diff_matrix(grid)
+        big_w = sp.diags(TWO_PI * grid.weights * grid.nodes)
+        grid.sobolev_metrics[m0] = d, spla.splu((d.T @ big_w @ d + m0 * big_w).tocsc()).solve
+    return grid.sobolev_metrics[m0]
 
 
 def norm_lp(u: RadialFunction, p: float) -> float:
@@ -396,17 +419,13 @@ def laplacian_radial(u: RadialFunction) -> np.ndarray:
         for i, (w2, w1) in zip((n - 2, n - 1), g.tail_weights):
             out[i] = np.dot(w2, tail) + np.dot(w1, tail) / x[i]
     else:
-        for i in range(n):
-            if i == 0:
-                sl = slice(0, 3)
-                out[0] = 2.0 * np.dot(_fornberg(x[sl], 0.0, 2), v[sl])
-                continue
-            sl = slice(max(0, i - 1), min(n, i + 2))
-            if sl.stop - sl.start < 3:
-                sl = slice(n - 3, n)
-            w2 = _fornberg(x[sl], x[i], 2)
-            w1 = _fornberg(x[sl], x[i], 1)
-            out[i] = np.dot(w2, v[sl]) + np.dot(w1, v[sl]) / x[i]
+        index, w2, w1 = g.graded_weights
+        # row-wise dot products; matmul forms each as np.dot does
+        vs = v[index][:, :, None]
+        upp = (w2[:, None, :] @ vs)[:, 0, 0]
+        up = (w1[:, None, :] @ vs)[:, 0, 0]
+        out[0] = 2.0 * upp[0]
+        out[1:] = upp[1:] + up[1:] / x[1:]
     return out
 
 
@@ -422,13 +441,8 @@ def load_profile_csv(path, grading: str = "uniform") -> RadialFunction:
     """Read a profile CSV written by save_profile_csv, rebuilding the grid."""
     data = np.loadtxt(path, delimiter=",", skiprows=1)
     nodes = data[:, 0]
-    n = len(nodes)
     if grading == "uniform":
-        grid = make_grid(nodes[-1], n, "uniform")
+        grid = make_grid(nodes[-1], len(nodes), "uniform")
     else:
-        d = np.diff(nodes)
-        weights = np.zeros(n)
-        weights[:-1] += d / 2
-        weights[1:] += d / 2
-        grid = RadialGrid(nodes, weights, grading)
+        grid = RadialGrid(nodes, _trapezoid_weights(nodes), grading)
     return RadialFunction(grid, data[:, 1])

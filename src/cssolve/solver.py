@@ -20,11 +20,9 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
 from typing import Optional
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.integrate import solve_ivp
 from scipy.interpolate import PchipInterpolator
@@ -212,24 +210,40 @@ def _shoot(grid: RadialGrid, v_pot: np.ndarray, model: NonlinearityModel, k: int
     return u
 
 
-@lru_cache(maxsize=8)
-def _newton_pattern(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """CSC layout of the inner-Newton Jacobian on n nodes: (order, indices, indptr).
+def _robin_row(v: np.ndarray, h: float, kappa: float) -> float:
+    """Outer row u'(R) + kappa u(R) of v, with the one-sided second-order u'(R)."""
+    return (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * h) + kappa * v[-1]
 
-    Values listed as (lower, diagonal, upper, origin row, Robin row) go to CSC
-    order as vals[order], column by column with rows ascending.
+
+def _local_solver(grid: RadialGrid, diag: np.ndarray, kappa: float):
+    """solve(b) = A^{-1} b for the second-order -Delta_r + diag, or None if A is singular.
+
+    Rows of A: the smooth limit -4 (u_1 - u_0) / h^2 at r = 0, the 3-point
+    -u'' - u'/r inside, and the Robin row u'(R) + kappa u(R) at the outer
+    edge.  The Robin row's (n-1, n-3) entry is eliminated with row n-2 (the
+    right-hand side takes the same row operation), which leaves A
+    tridiagonal; LAPACK gttrf factors it once and each solve is one gttrs.
     """
-    # origin row (0; 0, 1), tridiagonal interior, Robin row (n-1; n-3..n-1)
-    i = np.arange(1, n - 1)
-    rows = np.concatenate((i, i, i, [0, 0, n - 1, n - 1, n - 1]))
-    cols = np.concatenate((i - 1, i, i + 1, [0, 1, n - 3, n - 2, n - 1]))
-    order = np.lexsort((rows, cols))
-    indices = rows[order].astype(np.int32)
-    indptr = np.zeros(n + 1, dtype=np.int32)
-    np.cumsum(np.bincount(cols, minlength=n), out=indptr[1:])
-    for a in (order, indices, indptr):
-        a.setflags(write=False)
-    return order, indices, indptr
+    r, h = grid.nodes, grid.nodes[1] - grid.nodes[0]
+    lower = -1.0 / h**2 + 1.0 / (2.0 * h * r[1:-1])
+    upper = -1.0 / h**2 - 1.0 / (2.0 * h * r[1:-1])
+    d = 2.0 / h**2 + diag
+    d[0] = 4.0 / h**2 + diag[0]
+    # Robin row (1, -4, 3 + 2 h kappa) / 2h on nodes n-3, n-2, n-1, minus c times row n-2
+    c = 1.0 / (2.0 * h) / lower[-1]
+    dl = np.append(lower, -4.0 / (2.0 * h) - c * d[-2])
+    d[-1] = 3.0 / (2.0 * h) + kappa - c * upper[-1]
+    du = np.concatenate(([-4.0 / h**2], upper))
+    *factors, info = dgttrf(dl, d, du)
+    if info != 0:
+        return None
+
+    def solve(b: np.ndarray) -> np.ndarray:
+        rhs = np.array(b, dtype=float)
+        rhs[-1] -= c * rhs[-2]
+        return dgttrs(*factors, rhs, overwrite_b=True)[0]
+
+    return solve
 
 
 def _inner_newton(grid: RadialGrid, v_pot: np.ndarray, model: NonlinearityModel,
@@ -238,15 +252,13 @@ def _inner_newton(grid: RadialGrid, v_pot: np.ndarray, model: NonlinearityModel,
 
     Rows: smooth-limit Laplacian at r = 0, centered stencils inside, and the
     asymptotic Robin condition u'(R) + kappa u(R) = 0 at the outer edge.
+    Returns (u, ok, iterations); ok is False on a singular Jacobian, a
+    non-finite step or a failed line search.
     """
     r, h, n = grid.nodes, grid.nodes[1] - grid.nodes[0], grid.n
     kappa = _decay_rate(model, float(v_pot[-1]))
     u = u0.copy()
     floor = _residual_floor(grid)
-    order, indices, indptr = _newton_pattern(n)
-    lower = -1.0 / h**2 + 1.0 / (2.0 * h * r[1:-1])
-    upper = -1.0 / h**2 - 1.0 / (2.0 * h * r[1:-1])
-    edges = [-4.0 / h**2, 1.0 / (2.0 * h), -4.0 / (2.0 * h), 3.0 / (2.0 * h) + kappa]
 
     def resid(u):
         f = np.empty(n)
@@ -255,27 +267,26 @@ def _inner_newton(grid: RadialGrid, v_pot: np.ndarray, model: NonlinearityModel,
         gu = model.g(u)
         f[1:-1] = -upp - up / r[1:-1] + v_pot[1:-1] * u[1:-1] - gu[1:-1]
         f[0] = -4.0 * (u[1] - u[0]) / h**2 + v_pot[0] * u[0] - gu[0]
-        f[-1] = (3.0 * u[-1] - 4.0 * u[-2] + u[-3]) / (2.0 * h) + kappa * u[-1]
+        f[-1] = _robin_row(u, h, kappa)
         return f
 
+    f = resid(u)
     for it in range(max_iters):
-        f = resid(u)
         nf = float(np.max(np.abs(f)))
         tol = max(1e-11, floor * max(1.0, float(np.max(np.abs(u)))))
         if nf < tol:
             return u, True, it
-        diag = v_pot - _gprime(model, u)
-        vals = np.concatenate((lower, 2.0 / h**2 + diag[1:-1], upper,
-                               [4.0 / h**2 + diag[0]], edges))
-        jac = sp.csc_matrix((vals[order], indices, indptr), shape=(n, n))
-        # COLAMD returns the identity ordering on this pattern; skip computing it
-        step = spla.spsolve(jac, f, permc_spec="NATURAL")
+        solve = _local_solver(grid, v_pot - _gprime(model, u), kappa)
+        step = None if solve is None else solve(f)
+        if step is None or not np.all(np.isfinite(step)):
+            return u, False, it
         lam = 1.0
         while lam > 1e-12:
             trial = u - lam * step
-            nt = float(np.max(np.abs(resid(trial))))
+            ft = resid(trial)
+            nt = float(np.max(np.abs(ft)))
             if nt < nf * (1.0 - 0.25 * lam) or nt < tol:
-                u = trial
+                u, f = trial, ft
                 break
             lam *= 0.5
         else:
@@ -294,9 +305,7 @@ def _full_residual(u: RadialFunction, q: float, model: NonlinearityModel,
     g = u.grid
     _, v_pot = _gauge_terms(u, q) if terms is None else terms
     f = -laplacian_radial(u) + v_pot * u.values - model.g(u.values)
-    h = g.nodes[1] - g.nodes[0]
-    kappa = _decay_rate(model, float(v_pot[-1]))
-    f[-1] = (3.0 * u.values[-1] - 4.0 * u.values[-2] + u.values[-3]) / (2.0 * h) + kappa * u.values[-1]
+    f[-1] = _robin_row(u.values, g.nodes[1] - g.nodes[0], _decay_rate(model, float(v_pot[-1])))
     return f
 
 
@@ -326,7 +335,7 @@ def _linearization(u: RadialFunction, q: float, model: NonlinearityModel,
         if q != 0.0:
             dv[1:] += 2.0 * q * h_u[1:] * dh[1:] / r[1:] ** 2
         out = -laplacian_radial(RadialFunction(g, z)) + v_pot * z + dv * uv - gp * z
-        out[-1] = (3.0 * z[-1] - 4.0 * z[-2] + z[-3]) / (2.0 * h) + kappa * z[-1]
+        out[-1] = _robin_row(z, h, kappa)
         return out
 
     return apply
@@ -338,28 +347,6 @@ def _jacobian_apply(u: RadialFunction, q: float, model: NonlinearityModel,
     return _linearization(u, q, model)(z)
 
 
-def _preconditioner(grid: RadialGrid, m0: float) -> spla.LinearOperator:
-    """Inverse of the second-order -Delta_r + 2 m0 with the Robin outer row.
-
-    The matrix is tridiagonal; it is factored once with LAPACK gttrf and each
-    application is one gttrs solve, the elimination solve_banded's gtsv does.
-    """
-    n, h, r = grid.n, grid.nodes[1] - grid.nodes[0], grid.nodes
-    kappa0 = math.sqrt(2.0 * m0)
-    ab = np.zeros((3, n))  # rows: superdiagonal, diagonal, subdiagonal
-    ab[1, 1:-1] = 2.0 / h**2 + 2.0 * m0
-    ab[0, 2:] = -1.0 / h**2 - 1.0 / (2.0 * h * r[1:-1])
-    ab[2, :-2] = -1.0 / h**2 + 1.0 / (2.0 * h * r[1:-1])
-    ab[1, 0] = 4.0 / h**2 + 2.0 * m0
-    ab[0, 1] = -4.0 / h**2
-    ab[1, -1] = 3.0 / (2.0 * h) + kappa0
-    ab[2, -2] = -2.0 / h
-    *factors, info = dgttrf(ab[2, :-1], ab[1], ab[0, 1:])
-    if info != 0:
-        raise np.linalg.LinAlgError("singular preconditioner")
-    return spla.LinearOperator((n, n), matvec=lambda z: dgttrs(*factors, z)[0])
-
-
 def newton_refine(u: RadialFunction, q: float, model: NonlinearityModel,
                   cfg: MinimaxConfig = MinimaxConfig()) -> SolveReport:
     """Matrix-free damped Newton on the full nonlocal strong-form system.
@@ -367,46 +354,53 @@ def newton_refine(u: RadialFunction, q: float, model: NonlinearityModel,
     Jacobian action applied matrix-free through the exact linearization of
     the residual map (finite-difference directional derivatives carry an
     h^-2-amplified noise floor that stalls the Krylov solver); linear solves
-    by LGMRES preconditioned with the banded (-Delta_r + 2 m0) factorization.
+    by LGMRES, preconditioned with the second-order local part of J: the
+    3-point -Delta_r + V - g'(u) with the Robin row (`_local_solver`), built
+    once per Newton step.  A singular preconditioner or a non-finite step
+    stops the iteration with converged=False.
     """
     g = u.grid
     if g.grading != "uniform":
         raise ValueError("newton_refine requires a uniform grid")
-    n = g.n
     floor = _residual_floor(g)
-    precond = _preconditioner(g, model.m0)
-
-    vals = u.values.copy()
+    # the gauge terms of an iterate serve its residual and its linearization
+    terms = _gauge_terms(u, q)
+    f = _full_residual(u, q, model, terms)
     iterations = 0
+    converged = None
     for it in range(cfg.max_inner_iters):
-        cur = RadialFunction(g, vals)
-        # the gauge terms of the iterate serve its residual and its linearization
-        terms = _gauge_terms(cur, q)
-        f = _full_residual(cur, q, model, terms)
         nf = float(np.max(np.abs(f)))
-        scale = max(1.0, float(np.max(np.abs(vals))))
-        tol = max(cfg.newton_tol, floor * scale)
+        tol = max(cfg.newton_tol, floor * max(1.0, float(np.max(np.abs(u.values)))))
         if nf < tol:
             break
         iterations = it + 1
-        op = spla.LinearOperator((n, n), matvec=_linearization(cur, q, model, terms))
+        v_pot = terms[1]
+        solve = _local_solver(g, v_pot - _gprime(model, u.values),
+                              _decay_rate(model, float(v_pot[-1])))
+        if solve is None:
+            converged = False
+            break
+        op = spla.LinearOperator((g.n, g.n), matvec=_linearization(u, q, model, terms))
+        precond = spla.LinearOperator((g.n, g.n), matvec=solve)
         step, info = spla.lgmres(op, f, M=precond, rtol=1e-8, atol=0.0, maxiter=200)
         if info != 0:
             break
+        if not np.all(np.isfinite(step)):
+            converged = False
+            break
         lam = 1.0
-        accepted = False
         while lam > 1e-12:
-            trial = vals - lam * step
-            nt = float(np.max(np.abs(_full_residual(RadialFunction(g, trial), q, model))))
+            trial = RadialFunction(g, u.values - lam * step)
+            trial_terms = _gauge_terms(trial, q)
+            ft = _full_residual(trial, q, model, trial_terms)
+            nt = float(np.max(np.abs(ft)))
             if nt < nf * (1.0 - 0.25 * lam) or nt < tol:
-                vals = trial
-                accepted = True
+                u, terms, f = trial, trial_terms, ft
                 break
             lam *= 0.5
-        if not accepted:
+        else:
             break
-    out = RadialFunction(g, vals)
-    return _report(out, q, model, iterations, cfg)
+    return _report(u, q, model, iterations, cfg, converged)
 
 
 def _report(u: RadialFunction, q: float, model: NonlinearityModel,

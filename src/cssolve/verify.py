@@ -80,11 +80,7 @@ def ledger_identity(theta: float, u: RadialFunction, q: float, model: Nonlineari
     with s = q e^{4 theta} N(u). Returns the absolute defect, which is pure
     roundoff for any input. Equivalently ||grad u||^2 = (2 Jt - dJt) + C + D.
     """
-    n_val = big_n(u)
-    e4 = math.exp(4.0 * theta)
-    s = q * e4 * n_val
-    c = q * e4 * phi(s) * n_val
-    d = 2.0 * q * q * e4 * e4 * phi_prime(s) * n_val**2
+    c, d = truncation_bounds(theta, u, q)
     grad2 = integrate_plane(u.grid, differentiate(u).values ** 2)
     lhs = 2.0 * j_tilde(theta, u, q, model).total - d_theta_j_tilde(theta, u, q, model)
     return abs(lhs - (grad2 - c - d))

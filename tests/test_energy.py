@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from cssolve.energy import (
     d_theta_j_tilde,
@@ -17,7 +19,8 @@ from cssolve.energy import (
     weak_gradient,
 )
 from cssolve.gauge import big_n
-from cssolve.grid import RadialFunction, differentiate, dilate, integrate_plane, make_grid
+from cssolve.grid import (RadialFunction, diff_matrix, differentiate, dilate, integrate_plane,
+                          make_grid, sobolev_metric)
 from cssolve.nonlinearity import power_model
 
 
@@ -196,6 +199,26 @@ class TestRieszGradient:
     def test_zero_profile(self, grid, model):
         w = riesz_gradient(0.0, RadialFunction(grid, np.zeros(grid.n)), 1.0, model)
         assert np.max(np.abs(w.values)) < 1e-14
+
+    @pytest.mark.parametrize("n", [1025, 4096, 8193])
+    def test_cached_metric_solve_equals_fresh_spsolve(self, model, n):
+        g = make_grid(24.0, n)
+        # factored on first use, not when the grid is built, and then kept
+        assert "sobolev_metrics" not in vars(g)
+        d, solve = sobolev_metric(g, model.m0)
+        assert sobolev_metric(g, model.m0)[1] is solve
+        w_plane = 2.0 * math.pi * g.weights * g.nodes
+        big_w = sp.diags(w_plane)
+        fresh = diff_matrix(g)
+        a = (fresh.T @ big_w @ fresh + model.m0 * big_w).tocsc()
+        rng = np.random.default_rng(n)
+        for _ in range(3):
+            b = rng.standard_normal(n) * 10.0 ** rng.uniform(-6.0, 6.0)
+            assert np.array_equal(solve(b), spla.spsolve(a, b))
+        # the whole gradient, against the per-call factorization it replaces
+        u = RadialFunction(g, 2.4 * np.exp(-g.nodes**2 / 3.0))
+        rhs = (fresh.T @ (w_plane * (fresh @ u.values)) - w_plane * model.g(u.values))
+        assert np.array_equal(riesz_gradient(0.0, u, 0.0, model).values, spla.spsolve(a, rhs))
 
 
 class TestRescaleOmega:

@@ -256,6 +256,22 @@ class TestDerivatives:
             assert np.array_equal(w2, _fornberg(x[n - 6 :], x[i], 2))
             assert np.array_equal(w1, _fornberg(x[n - 6 :], x[i], 1))
 
+    @pytest.mark.parametrize("n", [16, 17, 1025])
+    def test_graded_weights_cached_and_equal_fresh_fornberg(self, n):
+        grid = make_grid(8.0, n, "geometric", 1.0 + 3.0 / n)
+        assert "graded_weights" not in vars(grid)
+        index, w2, w1 = grid.graded_weights
+        assert grid.graded_weights[0] is index
+        x = grid.nodes
+        assert np.array_equal(w2[0], _fornberg(x[:3], 0.0, 2))
+        for i in range(1, n):
+            sl = slice(max(0, i - 1), min(n, i + 2))
+            if sl.stop - sl.start < 3:
+                sl = slice(n - 3, n)
+            assert np.array_equal(index[i], np.arange(sl.start, sl.stop))
+            assert np.array_equal(w2[i], _fornberg(x[sl], x[i], 2))
+            assert np.array_equal(w1[i], _fornberg(x[sl], x[i], 1))
+
 
 class TestNorms:
     def test_l2_norm_of_gaussian(self, uniform):

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 from scipy.linalg import solve_banded
 
+from cssolve import solver
 from cssolve.energy import j_trunc
 from cssolve.gauge import prefix_h, suffix_a
 from cssolve.grid import RadialFunction, integrate_plane, make_grid
@@ -17,8 +17,7 @@ from cssolve.solver import (
     _gprime,
     _jacobian_apply,
     _linearization,
-    _newton_pattern,
-    _preconditioner,
+    _local_solver,
     continuation_in_q,
     count_nodes,
     initial_path,
@@ -218,47 +217,103 @@ class TestReorderedKernels:
 
     @pytest.mark.parametrize("n", [16, 17, 1025, 4096, 4097, 8193])
     def test_preconditioner_matches_solve_banded(self, model, n):
-        g = make_grid(24.0, n)
-        r, h, m0 = g.nodes, g.nodes[1] - g.nodes[0], model.m0
-        ab = np.zeros((3, n))
-        ab[1, 1:-1] = 2.0 / h**2 + 2.0 * m0
-        ab[0, 2:] = -1.0 / h**2 - 1.0 / (2.0 * h * r[1:-1])
-        ab[2, :-2] = -1.0 / h**2 + 1.0 / (2.0 * h * r[1:-1])
-        ab[1, 0] = 4.0 / h**2 + 2.0 * m0
-        ab[0, 1] = -4.0 / h**2
-        ab[1, -1] = 3.0 / (2.0 * h) + math.sqrt(2.0 * m0)
-        ab[2, -2] = -2.0 / h
-        precond = _preconditioner(g, m0)
-        rng = np.random.default_rng(n)
-        for _ in range(4):
-            z = rng.standard_normal(n) * 10.0 ** rng.uniform(-8.0, 8.0)
-            assert np.array_equal(precond.matvec(z), solve_banded((1, 1), ab, z))
-
-    @pytest.mark.parametrize("n", [16, 17, 1025, 4096, 4097, 8193])
-    def test_newton_matrix_natural_order_matches_colamd(self, model, n):
-        # the inner-Newton Jacobian, assembled as COO -> CSC and from the fixed pattern
+        # newton_refine's preconditioner, -Delta_r + V - g'(u) with the Robin row,
+        # against LAPACK gtsv on the banded form with the (n-1, n-3) corner eliminated
         g = make_grid(24.0, n)
         r, h = g.nodes, g.nodes[1] - g.nodes[0]
         u = 2.4 * np.exp(-r**2 / 3.0)
         _, v_pot = _gauge_terms(RadialFunction(g, u), 1e-3)
         diag = v_pot - _gprime(model, u)
         kappa = math.sqrt(2.0 * model.m0 + v_pot[-1])
-        vals = np.concatenate((-1.0 / h**2 + 1.0 / (2.0 * h * r[1:-1]), 2.0 / h**2 + diag[1:-1],
-                               -1.0 / h**2 - 1.0 / (2.0 * h * r[1:-1]), [4.0 / h**2 + diag[0]],
-                               [-4.0 / h**2, 1.0 / (2.0 * h), -4.0 / (2.0 * h),
-                                3.0 / (2.0 * h) + kappa]))
+        ab = np.zeros((3, n))
+        ab[1, 1:-1] = 2.0 / h**2 + diag[1:-1]
+        ab[0, 2:] = -1.0 / h**2 - 1.0 / (2.0 * h * r[1:-1])
+        ab[2, :-2] = -1.0 / h**2 + 1.0 / (2.0 * h * r[1:-1])
+        ab[1, 0] = 4.0 / h**2 + diag[0]
+        ab[0, 1] = -4.0 / h**2
+        # Robin row (1/2h, -2/h, 3/2h + kappa) minus c times row n-2
+        c = 1.0 / (2.0 * h) / ab[2, -3]
+        ab[2, -2] = -4.0 / (2.0 * h) - c * ab[1, -2]
+        ab[1, -1] = 3.0 / (2.0 * h) + kappa - c * ab[0, -1]
+        solve = _local_solver(g, diag, kappa)
+        rng = np.random.default_rng(n)
+        for _ in range(4):
+            z = rng.standard_normal(n) * 10.0 ** rng.uniform(-8.0, 8.0)
+            rhs = z.copy()
+            rhs[-1] -= c * rhs[-2]
+            assert np.array_equal(solve(z), solve_banded((1, 1), ab, rhs))
+
+    @pytest.mark.parametrize("n", [16, 17, 1025, 4096, 4097, 8193])
+    def test_local_solver_matches_sparse_assembly(self, model, n):
+        # the 3-point -Delta_r + diag, assembled independently with the Robin row's
+        # (n-1, n-3) corner that _local_solver eliminates
+        g = make_grid(24.0, n)
+        r, h = g.nodes, g.nodes[1] - g.nodes[0]
+        u = 2.4 * np.exp(-r**2 / 3.0)
+        _, v_pot = _gauge_terms(RadialFunction(g, u), 1e-3)
+        diag = v_pot - _gprime(model, u)
+        kappa = math.sqrt(2.0 * model.m0 + v_pot[-1])
         i = np.arange(1, n - 1)
         rows = np.concatenate((i, i, i, [0, 0, n - 1, n - 1, n - 1]))
         cols = np.concatenate((i - 1, i, i + 1, [0, 1, n - 3, n - 2, n - 1]))
-        ref = sp.csc_matrix((vals, (rows, cols)), shape=(n, n))
-        ref.sort_indices()
-        order, indices, indptr = _newton_pattern(n)
-        jac = sp.csc_matrix((vals[order], indices, indptr), shape=(n, n))
-        assert np.array_equal(jac.indptr, ref.indptr)
-        assert np.array_equal(jac.indices, ref.indices)
-        assert np.array_equal(jac.data, ref.data)
-        f = np.random.default_rng(n).standard_normal(n)
-        assert np.array_equal(spla.spsolve(jac, f, permc_spec="NATURAL"), spla.spsolve(ref, f))
+        vals = np.concatenate((-1.0 / h**2 + 1.0 / (2.0 * h * r[1:-1]), 2.0 / h**2 + diag[1:-1],
+                               -1.0 / h**2 - 1.0 / (2.0 * h * r[1:-1]),
+                               [4.0 / h**2 + diag[0], -4.0 / h**2],
+                               [1.0 / (2.0 * h), -2.0 / h, 3.0 / (2.0 * h) + kappa]))
+        a = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+        solve = _local_solver(g, diag, kappa)
+        rng = np.random.default_rng(n)
+        for _ in range(4):
+            b = rng.standard_normal(n) * 10.0 ** rng.uniform(-8.0, 8.0)
+            x = solve(b)
+            # normwise backward error: |A x - b| against |A| |x|
+            assert np.max(np.abs(a @ x - b)) <= 1e-12 * np.max(abs(a) @ np.abs(x))
+
+    def test_warm_step_matvec_count(self, model, grid, ground_state, monkeypatch):
+        applications = []
+
+        def counted(*args, **kwargs):
+            apply = _linearization(*args, **kwargs)
+
+            def wrapper(z):
+                applications.append(1)
+                return apply(z)
+
+            return wrapper
+
+        monkeypatch.setattr(solver, "_linearization", counted)
+        rep = nodal_shoot(5.9e-5, model, grid, 0, warm_start=ground_state.u)
+        assert rep.converged
+        # the -Delta_2 + 2 m0 preconditioner, blind to V - g'(u), needed 24
+        assert 0 < len(applications) <= 16
+
+
+class TestFailurePaths:
+    @staticmethod
+    def _zero_pivot(dl, d, du):
+        return dl, d, du, np.zeros(d.size - 2), np.arange(1, d.size + 1, dtype=np.int32), 1
+
+    def test_singular_local_solver_fails_nodal_shoot(self, model, grid, ground_state, monkeypatch):
+        monkeypatch.setattr(solver, "dgttrf", self._zero_pivot)
+        start = RadialFunction(grid, ground_state.u.values * (1 + 1e-4))
+        rep = nodal_shoot(5.9e-5, model, grid, 0, warm_start=start)
+        assert not rep.converged
+
+    def test_singular_preconditioner_fails_newton_refine(self, model, grid, ground_state,
+                                                         monkeypatch):
+        monkeypatch.setattr(solver, "dgttrf", self._zero_pivot)
+        rough = RadialFunction(grid, ground_state.u.values * (1 + 1e-4))
+        rep = newton_refine(rough, 0.0, model)
+        assert not rep.converged
+        assert rep.iterations == 1
+
+    def test_non_finite_step_fails_newton_refine(self, model, grid, ground_state, monkeypatch):
+        monkeypatch.setattr(solver.spla, "lgmres",
+                            lambda op, f, **kwargs: (np.full(f.size, np.nan), 0))
+        rough = RadialFunction(grid, ground_state.u.values * (1 + 1e-4))
+        rep = newton_refine(rough, 0.0, model)
+        assert not rep.converged
+        assert np.array_equal(rep.u.values, rough.values)
 
 
 class TestCountNodes:
