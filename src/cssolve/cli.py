@@ -2,7 +2,8 @@
 
 Subcommands: solve | multiplicity | sweep | gauge | hypotheses, all taking
 ``--config <json> --out <dir>`` plus optional ``--seed`` and ``--threads``.
-The solvers are deterministic, so ``--seed`` is accepted and ignored.
+The solvers are deterministic, so ``--seed`` is accepted and ignored; so is
+``--threads``, since everything runs on one thread.
 Exit codes: 0 success, 1 numerical failure, 2 usage or configuration error.
 """
 
@@ -11,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import jsonschema
@@ -197,7 +197,7 @@ def _write_solution(out: Path, stem: str, rep: SolveReport, model, q: float) -> 
         verification_report(rep.u, q, model).to_json() + "\n")
 
 
-def cmd_solve(cfg: dict, out: Path, threads) -> int:
+def cmd_solve(cfg: dict, out: Path) -> int:
     model, grid = build_model(cfg), build_grid(cfg)
     scfg = build_solver_config(cfg)
     q = _scalar_q(cfg)
@@ -219,7 +219,7 @@ def cmd_solve(cfg: dict, out: Path, threads) -> int:
     return 0
 
 
-def cmd_multiplicity(cfg: dict, out: Path, threads) -> int:
+def cmd_multiplicity(cfg: dict, out: Path) -> int:
     model, grid = build_model(cfg), build_grid(cfg)
     scfg = build_solver_config(cfg)
     q = _scalar_q(cfg)
@@ -244,7 +244,7 @@ def cmd_multiplicity(cfg: dict, out: Path, threads) -> int:
     return 0
 
 
-def cmd_sweep(cfg: dict, out: Path, threads) -> int:
+def cmd_sweep(cfg: dict, out: Path) -> int:
     model, grid = build_model(cfg), build_grid(cfg)
     scfg = build_solver_config(cfg)
     qspec = cfg.get("q")
@@ -253,19 +253,10 @@ def cmd_sweep(cfg: dict, out: Path, threads) -> int:
     nodes = cfg.get("nodes", 0)
     ks = nodes if isinstance(nodes, list) else [int(nodes)]
 
-    def run(k: int):
-        return k, continuation_in_q(model, grid, k, qspec["start"], qspec["end"],
-                                    qspec["steps"], scfg)
-
-    if threads and threads > 1 and len(ks) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = dict(pool.map(run, ks))
-    else:
-        results = dict(run(k) for k in ks)
-
     summary = {}
     for k in ks:
-        branch, q_star = results[k]
+        branch, q_star = continuation_in_q(model, grid, k, qspec["start"], qspec["end"],
+                                           qspec["steps"], scfg)
         save_branch_csv(out / f"branch_k{k}.csv", branch)
         summary[str(k)] = {"q_star": q_star, "points": len(branch)}
     (out / "sweep.json").write_text(json.dumps(summary, indent=2) + "\n")
@@ -273,7 +264,7 @@ def cmd_sweep(cfg: dict, out: Path, threads) -> int:
     return 0
 
 
-def cmd_gauge(cfg: dict, out: Path, threads) -> int:
+def cmd_gauge(cfg: dict, out: Path) -> int:
     model, grid = build_model(cfg), build_grid(cfg)
     consts = PhysicalConstants(**cfg.get("constants", {}))
     if "profile_csv" in cfg:
@@ -291,7 +282,7 @@ def cmd_gauge(cfg: dict, out: Path, threads) -> int:
     return 0
 
 
-def cmd_hypotheses(cfg: dict, out: Path, threads) -> int:
+def cmd_hypotheses(cfg: dict, out: Path) -> int:
     model = build_model(cfg)
     report = check_hypotheses(model)
     (out / "hypotheses.json").write_text(report.to_json() + "\n")
@@ -318,14 +309,15 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default=".", help="output directory")
     parser.add_argument("--seed", type=int, default=None,
                         help="accepted and ignored: the solvers are deterministic")
-    parser.add_argument("--threads", type=int, default=1)
+    parser.add_argument("--threads", type=int, default=None,
+                        help="accepted and ignored: the solvers run on one thread")
     args = parser.parse_args(argv)
 
     try:
         cfg = load_config(args.config)
         out = Path(cfg.get("output_dir", args.out) if args.out == "." else args.out)
         out.mkdir(parents=True, exist_ok=True)
-        return COMMANDS[args.command](cfg, out, args.threads)
+        return COMMANDS[args.command](cfg, out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -58,10 +58,6 @@ class RadialGrid:
     def r_max(self) -> float:
         return float(self.nodes[-1])
 
-    @property
-    def spacings(self) -> np.ndarray:
-        return np.diff(self.nodes)
-
     @cached_property
     def tail_weights(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
         """(u'', u') weights of the one-sided 6-point stencils at r_{n-2}, r_{n-1}.
@@ -115,9 +111,6 @@ class RadialFunction:
             raise ValueError("values must match the grid size")
         if not np.all(np.isfinite(values)):
             raise ValueError("values must be finite")
-
-    def with_values(self, values: np.ndarray) -> "RadialFunction":
-        return RadialFunction(self.grid, values)
 
 
 def _simpson_weights(n: int, h: float) -> np.ndarray:

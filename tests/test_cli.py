@@ -137,6 +137,17 @@ class TestSweep:
         assert summary["0"]["q_star"] is None
         assert summary["0"]["points"] == 3
 
+    def test_threads_flag_ignored(self, tmp_path):
+        cfg = base_config(n=1025)
+        cfg["q"] = {"start": 1e-4, "end": 1e-3, "steps": 3}
+        cfg["nodes"] = [0, 1]
+        path = write_config(tmp_path, cfg)
+        outs = [tmp_path / f"threads{t}" for t in (2, 1)]
+        for t, out in zip((2, 1), outs):
+            assert main(["sweep", "--config", path, "--out", str(out), "--threads", str(t)]) == 0
+        for name in ("sweep.json", "branch_k0.csv", "branch_k1.csv"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
 
 class TestGauge:
     def test_flux_charge_relation_from_profile(self, tmp_path):

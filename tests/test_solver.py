@@ -15,9 +15,11 @@ from cssolve.solver import (
     _full_residual,
     _gauge_terms,
     _gprime,
+    _inner_newton,
     _jacobian_apply,
     _linearization,
     _local_solver,
+    _shoot,
     continuation_in_q,
     count_nodes,
     initial_path,
@@ -112,6 +114,30 @@ class TestNodalShoot:
         assert rep.iterations == 1
         assert rep.level == pytest.approx(7.754114926920636, rel=1e-12)
         assert rep.u.values[0] == pytest.approx(2.3929637952167195, rel=1e-12)
+
+
+class TestShoot:
+    """The cold shot marches the q = 0 rows that _inner_newton solves."""
+
+    @pytest.mark.parametrize("n", [1025, 2049, 4097])
+    def test_origin_value_second_order(self, model, n):
+        g = make_grid(24.0, n)
+        h = g.nodes[1] - g.nodes[0]
+        # measured 0.146 h^2 at each n: the 3-point scheme's O(h^2) error
+        assert abs(_shoot(g, model, 0)[0] - BL_U0) < 0.2 * h**2
+
+    def test_is_the_discrete_fixed_point(self, model):
+        g = make_grid(24.0, 1025)
+        shot = _shoot(g, model, 0)
+        u, ok, _ = _inner_newton(g, np.zeros(g.n), model, shot, 60)
+        assert ok
+        assert abs(shot[0] - u[0]) <= 1e-11 * u[0]
+
+    def test_no_bracket_reports_nonconvergence(self, model):
+        g = make_grid(24.0, 1025)
+        assert _shoot(g, model, 40) is None
+        rep = nodal_shoot(0.0, model, g, 40)
+        assert not rep.converged
 
 
 class TestMountainPass:
