@@ -73,6 +73,27 @@ class RadialGrid:
         return weights
 
     @cached_property
+    def laplacian_band(self) -> np.ndarray:
+        """`laplacian_radial` as a matrix L in LAPACK band storage, L_ij = band[2 + i - j, j].
+
+        Row i reaches from column i - 5 (the last row's one-sided stencil) to
+        i + 2, so the 8 comb vectors e_j, j = c (mod 8), separate every entry:
+        the band is read off `laplacian_radial` itself, on first use, and kept.
+        """
+        kl, ku = 5, 2
+        width = kl + ku + 1
+        n, j = self.n, np.arange(self.n)
+        band = np.zeros((width, n))
+        for c in range(width):
+            lap = laplacian_radial(RadialFunction(self, (j % width == c).astype(float)))
+            # row i meets comb c in the one column i - kl + ((c - i + kl) mod width)
+            col = j - kl + (c - j + kl) % width
+            ok = (col >= 0) & (col < n)
+            band[ku + j[ok] - col[ok], col[ok]] = lap[ok]
+        band.setflags(write=False)
+        return band
+
+    @cached_property
     def graded_weights(self) -> tuple[np.ndarray, ...]:
         """(index, u'' weights, u' weights) of the 3-point stencils of a graded grid.
 

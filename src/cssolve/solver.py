@@ -10,7 +10,8 @@ Three complementary engines:
   is solved by a banded Newton iteration on the same rows, and the potential
   is refreshed until the fixed point is reached.
 * ``newton_refine`` — matrix-free Newton--Krylov polish of the full
-  nonlocal strong-form system.
+  nonlocal strong-form system, preconditioned by the banded LU of its
+  exact local part on the 5-point rows.
 
 ``continuation_in_q`` and ``multiplicity_run`` orchestrate these to trace
 branches in the coupling q and to produce n distinct solutions at small q.
@@ -27,7 +28,7 @@ import numpy as np
 import scipy.sparse.linalg as spla
 # not called: the benchmark's tracer counts calls through this binding
 from scipy.integrate import solve_ivp  # noqa: F401
-from scipy.linalg.lapack import dgttrf, dgttrs
+from scipy.linalg.lapack import dgbtrf, dgbtrs, dgttrf, dgttrs
 
 from .energy import j_trunc, riesz_gradient
 from .gauge import big_n, prefix_h, suffix_from_prefix
@@ -171,27 +172,32 @@ def _march(grid: RadialGrid, model: NonlinearityModel, amps: np.ndarray) -> np.n
     u = np.empty((grid.n, amps.size))
     u[0] = amps
     u[1] = amps - h**2 * model.g(amps) / 4.0
-    for i, (c_prev, c_mid, c_g) in enumerate(rows, start=1):
-        u[i + 1] = c_prev * u[i - 1] + c_mid * u[i] + c_g * model.g(u[i])
+    # on coarse grids a large amplitude runs past the finite range; _shoot
+    # counts that as an overshoot, so the overflow is expected here
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, (c_prev, c_mid, c_g) in enumerate(rows, start=1):
+            u[i + 1] = c_prev * u[i - 1] + c_mid * u[i] + c_g * model.g(u[i])
     return u
 
 
 def _shoot(grid: RadialGrid, model: NonlinearityModel, k: int) -> Optional[np.ndarray]:
     """k-node profile of the q = 0 local problem by shooting on its 3-point rows.
 
-    A shot with more than k sign changes overshoots; otherwise its sign at
-    r = R decides: holding the sign it has after its changes means the
-    amplitude is too small.  The first overshooting rung of the amplitude
-    ladder 1.5^j (j < 11) brackets u(0); each pass then cuts the bracket into
-    33 parts, marched together, until it is 1e-13 wide relative to u(0).
-    Returns the profile with an exponential tail patch, or None if no rung
-    overshoots.
+    A shot that leaves the finite range or has more than k sign changes
+    overshoots; otherwise its sign at r = R decides: holding the sign it has
+    after its changes means the amplitude is too small.  The first
+    overshooting rung of the amplitude ladder 1.5^j (j < 11) brackets u(0);
+    each pass then cuts the bracket into 33 parts, marched together, until
+    it is 1e-13 wide relative to u(0).  Returns the profile with an
+    exponential tail patch, or None if no rung overshoots or the profile at
+    the bracket's midpoint is not finite.
     """
 
     def overshoots(amps):
         u = _march(grid, model, amps)
         crossings = np.count_nonzero(np.diff(np.signbit(u), axis=0), axis=0)
-        return (crossings > k) | (u[-1] * (-1.0) ** crossings <= 0)
+        # a march that overflows stays inf or NaN to r = R
+        return (crossings > k) | (u[-1] * (-1.0) ** crossings <= 0) | ~np.isfinite(u[-1])
 
     ladder = 1.5 ** np.arange(11)
     over = overshoots(ladder)
@@ -205,6 +211,8 @@ def _shoot(grid: RadialGrid, model: NonlinearityModel, k: int) -> Optional[np.nd
         i = int(np.argmax(np.append(overshoots(edges[1:-1]), True)))
         lo, hi = edges[i], edges[i + 1]
     u = _march(grid, model, np.array([0.5 * (lo + hi)]))[:, 0]
+    if not np.isfinite(u[-1]):
+        return None
     # beyond the resolvable decay the trajectory blows up; patch with the
     # linearized exponential tail from the first tiny-and-growing node.
     kappa = _decay_rate(model, 0.0)
@@ -217,8 +225,11 @@ def _shoot(grid: RadialGrid, model: NonlinearityModel, k: int) -> Optional[np.nd
     return u
 
 
-def _robin_row(v: np.ndarray, h: float, kappa: float) -> float:
-    """Outer row u'(R) + kappa u(R) of v, with the one-sided second-order u'(R)."""
+def _robin_row(v: np.ndarray, h: float, kappa: float) -> float | np.ndarray:
+    """Outer row u'(R) + kappa u(R) of v, with the one-sided second-order u'(R).
+
+    Applied to np.eye(3) it returns the row's coefficients of u_{n-3}, u_{n-2}, u_{n-1}.
+    """
     return (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * h) + kappa * v[-1]
 
 
@@ -235,10 +246,11 @@ def _local_solver(grid: RadialGrid, diag: np.ndarray, kappa: float):
     lower, upper = _bands(grid)
     d = 2.0 / h**2 + diag
     d[0] = 4.0 / h**2 + diag[0]
-    # Robin row (1, -4, 3 + 2 h kappa) / 2h on nodes n-3, n-2, n-1, minus c times row n-2
-    c = 1.0 / (2.0 * h) / lower[-1]
-    dl = np.append(lower, -4.0 / (2.0 * h) - c * d[-2])
-    d[-1] = 3.0 / (2.0 * h) + kappa - c * upper[-1]
+    # the Robin row on nodes n-3, n-2, n-1, minus c times row n-2
+    robin = _robin_row(np.eye(3), h, kappa)
+    c = robin[0] / lower[-1]
+    dl = np.append(lower, robin[1] - c * d[-2])
+    d[-1] = robin[2] - c * upper[-1]
     du = np.concatenate(([-4.0 / h**2], upper))
     *factors, info = dgttrf(dl, d, du)
     if info != 0:
@@ -248,6 +260,35 @@ def _local_solver(grid: RadialGrid, diag: np.ndarray, kappa: float):
         rhs = np.array(b, dtype=float)
         rhs[-1] -= c * rhs[-2]
         return dgttrs(*factors, rhs, overwrite_b=True)[0]
+
+    return solve
+
+
+def _band_solver(grid: RadialGrid, diag: np.ndarray, kappa: float):
+    """solve(b) = A^{-1} b for the fourth-order -laplacian_radial + diag, or None if A is singular.
+
+    A is the local part of `newton_refine`'s Jacobian: the rows of
+    -`laplacian_radial` (the grid's `laplacian_band`) plus diag inside, and
+    the Robin row u'(R) + kappa u(R) at the outer edge.  With the last
+    Laplacian row replaced, A has 4 sub- and 2 superdiagonals; LAPACK gbtrf
+    factors it once and each solve is one gbtrs.
+    """
+    n, h = grid.n, grid.nodes[1] - grid.nodes[0]
+    kl, ku = 4, 2
+    # gbtrf storage: A_ij at ab[kl + ku + i - j, j], with kl rows of room for the fill-in
+    ab = np.empty((2 * kl + ku + 1, n), order="F")
+    ab[:kl] = 0.0
+    np.negative(grid.laplacian_band[: kl + ku + 1], out=ab[kl:])
+    ab[kl + ku] += diag
+    # the Robin row replaces the last Laplacian row (its entry 5 left of the diagonal is dropped)
+    cols = np.arange(n - 1 - kl, n)
+    ab[kl + ku + n - 1 - cols, cols] = np.r_[np.zeros(kl - 2), _robin_row(np.eye(3), h, kappa)]
+    lu, piv, info = dgbtrf(ab, kl, ku, overwrite_ab=1)
+    if info != 0:
+        return None
+
+    def solve(b: np.ndarray) -> np.ndarray:
+        return dgbtrs(lu, kl, ku, b, piv)[0]
 
     return solve
 
@@ -360,9 +401,10 @@ def newton_refine(u: RadialFunction, q: float, model: NonlinearityModel,
     Jacobian action applied matrix-free through the exact linearization of
     the residual map (finite-difference directional derivatives carry an
     h^-2-amplified noise floor that stalls the Krylov solver); linear solves
-    by LGMRES, preconditioned with the second-order local part of J: the
-    3-point -Delta_r + V - g'(u) with the Robin row (`_local_solver`), built
-    once per Newton step.  A singular preconditioner or a non-finite step
+    by LGMRES, preconditioned with the exact local part of J: the 5-point
+    -laplacian_radial + V - g'(u) with the Robin row (`_band_solver`),
+    factored once per Newton step.  Only the nonlocal gauge term is left to
+    the Krylov iteration.  A singular preconditioner or a non-finite step
     stops the iteration with converged=False.
     """
     g = u.grid
@@ -381,13 +423,15 @@ def newton_refine(u: RadialFunction, q: float, model: NonlinearityModel,
             break
         iterations = it + 1
         v_pot = terms[1]
-        solve = _local_solver(g, v_pot - _gprime(model, u.values),
-                              _decay_rate(model, float(v_pot[-1])))
+        solve = _band_solver(g, v_pot - _gprime(model, u.values),
+                             _decay_rate(model, float(v_pot[-1])))
         if solve is None:
             converged = False
             break
-        op = spla.LinearOperator((g.n, g.n), matvec=_linearization(u, q, model, terms))
-        precond = spla.LinearOperator((g.n, g.n), matvec=solve)
+        # dtype given, so LinearOperator does not probe matvec with a zero vector
+        op = spla.LinearOperator((g.n, g.n), matvec=_linearization(u, q, model, terms),
+                                 dtype=float)
+        precond = spla.LinearOperator((g.n, g.n), matvec=solve, dtype=float)
         step, info = spla.lgmres(op, f, M=precond, rtol=1e-8, atol=0.0, maxiter=200)
         if info != 0:
             break

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from cssolve import grid as grid_module
 from cssolve.grid import (
     RadialFunction,
     _fornberg,
@@ -255,6 +256,36 @@ class TestDerivatives:
         for i, (w2, w1) in zip((n - 2, n - 1), weights):
             assert np.array_equal(w2, _fornberg(x[n - 6 :], x[i], 2))
             assert np.array_equal(w1, _fornberg(x[n - 6 :], x[i], 1))
+
+    @pytest.mark.parametrize("n", [16, 17, 1025, 4096, 4097])
+    def test_laplacian_band_cached_and_reproduces_laplacian(self, n, monkeypatch):
+        grid = make_grid(24.0, n)
+        assert "laplacian_band" not in vars(grid)
+        calls = []
+
+        def counted(u):
+            calls.append(1)
+            return laplacian_radial(u)
+
+        monkeypatch.setattr(grid_module, "laplacian_radial", counted)
+        band = grid.laplacian_band
+        built = len(calls)
+        assert built > 0
+        assert grid.laplacian_band is band
+        assert len(calls) == built
+        assert not band.flags.writeable
+        monkeypatch.undo()
+        rng = np.random.default_rng(n)
+        for _ in range(4):
+            v = rng.standard_normal(n) * 10.0 ** rng.uniform(-6.0, 6.0)
+            out, mag = np.zeros(n), np.zeros(n)
+            for d in range(-2, 6):  # band[2 + d, j] is L_{j+d, j}
+                j = np.arange(max(0, -d), min(n, n - d))
+                out[j + d] += band[2 + d, j] * v[j]
+                mag[j + d] += np.abs(band[2 + d, j] * v[j])
+            ref = laplacian_radial(RadialFunction(grid, v))
+            # normwise: |B v - L v| against |B| |v|
+            assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(mag)
 
     @pytest.mark.parametrize("n", [16, 17, 1025])
     def test_graded_weights_cached_and_equal_fresh_fornberg(self, n):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from cssolve.grid import RadialFunction, integrate_plane, make_grid
 from cssolve.nonlinearity import power_model
 from cssolve.solver import (
     MinimaxConfig,
+    _band_solver,
     _full_residual,
     _gauge_terms,
     _gprime,
@@ -139,6 +141,17 @@ class TestShoot:
         rep = nodal_shoot(0.0, model, g, 40)
         assert not rep.converged
 
+    @pytest.mark.parametrize("n", [16, 33, 64])
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_coarse_grid_overflow_is_an_overshoot(self, model, n, k):
+        # the top rungs of the ladder march past the finite range on these grids
+        g = make_grid(24.0, n)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            shot = _shoot(g, model, k)
+            nodal_shoot(0.0, model, g, k)
+        assert shot is None or np.all(np.isfinite(shot))
+
 
 class TestMountainPass:
     def test_agrees_with_nodal_shoot(self, mp_ground_state, ground_state, grid):
@@ -243,7 +256,7 @@ class TestReorderedKernels:
 
     @pytest.mark.parametrize("n", [16, 17, 1025, 4096, 4097, 8193])
     def test_preconditioner_matches_solve_banded(self, model, n):
-        # newton_refine's preconditioner, -Delta_r + V - g'(u) with the Robin row,
+        # the inner-Newton solver, the 3-point -Delta_r + V - g'(u) with the Robin row,
         # against LAPACK gtsv on the banded form with the (n-1, n-3) corner eliminated
         g = make_grid(24.0, n)
         r, h = g.nodes, g.nodes[1] - g.nodes[0]
@@ -295,6 +308,24 @@ class TestReorderedKernels:
             # normwise backward error: |A x - b| against |A| |x|
             assert np.max(np.abs(a @ x - b)) <= 1e-12 * np.max(abs(a) @ np.abs(x))
 
+    @pytest.mark.parametrize("n", [16, 17, 1025, 4096, 4097])
+    def test_band_solver_inverts_local_jacobian(self, model, n):
+        # at q = 0 the gauge terms vanish and J is exactly the local part that
+        # newton_refine's preconditioner factors
+        g = make_grid(24.0, n)
+        u = RadialFunction(g, 2.4 * np.exp(-g.nodes**2 / 3.0))
+        jac = _linearization(u, 0.0, model)
+        solve = _band_solver(g, -_gprime(model, u.values), math.sqrt(2.0 * model.m0))
+        # J is banded, so combs of period 8 split it column by column: |J| |x| from J alone
+        combs = np.arange(n) % 8 == np.arange(8)[:, None]
+        rng = np.random.default_rng(n)
+        for _ in range(4):
+            b = rng.standard_normal(n) * 10.0 ** rng.uniform(-8.0, 8.0)
+            x = solve(b)
+            abs_jx = sum(np.abs(jac(np.where(comb, x, 0.0))) for comb in combs)
+            # normwise backward error: |J x - b| against |J| |x|
+            assert np.max(np.abs(jac(x) - b)) <= 1e-12 * np.max(abs_jx)
+
     def test_warm_step_matvec_count(self, model, grid, ground_state, monkeypatch):
         applications = []
 
@@ -310,14 +341,19 @@ class TestReorderedKernels:
         monkeypatch.setattr(solver, "_linearization", counted)
         rep = nodal_shoot(5.9e-5, model, grid, 0, warm_start=ground_state.u)
         assert rep.converged
-        # the -Delta_2 + 2 m0 preconditioner, blind to V - g'(u), needed 24
-        assert 0 < len(applications) <= 16
+        # the -Delta_2 + 2 m0 preconditioner, blind to V - g'(u), needed 24, and
+        # the 3-point local part 10-14
+        assert 0 < len(applications) <= 7
 
 
 class TestFailurePaths:
     @staticmethod
     def _zero_pivot(dl, d, du):
         return dl, d, du, np.zeros(d.size - 2), np.arange(1, d.size + 1, dtype=np.int32), 1
+
+    @staticmethod
+    def _band_zero_pivot(ab, kl, ku, **kwargs):
+        return ab, np.arange(1, ab.shape[1] + 1, dtype=np.int32), 1
 
     def test_singular_local_solver_fails_nodal_shoot(self, model, grid, ground_state, monkeypatch):
         monkeypatch.setattr(solver, "dgttrf", self._zero_pivot)
@@ -327,7 +363,7 @@ class TestFailurePaths:
 
     def test_singular_preconditioner_fails_newton_refine(self, model, grid, ground_state,
                                                          monkeypatch):
-        monkeypatch.setattr(solver, "dgttrf", self._zero_pivot)
+        monkeypatch.setattr(solver, "dgbtrf", self._band_zero_pivot)
         rough = RadialFunction(grid, ground_state.u.values * (1 + 1e-4))
         rep = newton_refine(rough, 0.0, model)
         assert not rep.converged
