@@ -85,16 +85,8 @@ def j_q(u: RadialFunction, q: float, model: NonlinearityModel) -> EnergyBreakdow
 
 
 def j_trunc(u: RadialFunction, q: float, model: NonlinearityModel) -> EnergyBreakdown:
-    """Truncated action: the gauge term is weighted by phi(q N(u))."""
-    if q < 0:
-        raise ValueError("q must be non-negative")
-    dirichlet, n_val, big_g_int = _pieces(u, model)
-    nonlocal_term = 0.5 * q * phi(q * n_val) * n_val
-    potential = -big_g_int
-    return EnergyBreakdown(
-        dirichlet, nonlocal_term, potential, dirichlet + nonlocal_term + potential,
-        q, 0.0, bool(q * n_val > 1.0),
-    )
+    """Truncated action: the gauge term is weighted by phi(q N(u)); j_tilde at theta = 0."""
+    return j_tilde(0.0, u, q, model)
 
 
 def i_comparison(u: RadialFunction, model: NonlinearityModel) -> float:

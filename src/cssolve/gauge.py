@@ -82,6 +82,18 @@ def suffix_from_prefix(u: RadialFunction, hu: np.ndarray) -> np.ndarray:
     return cum[-1] - cum
 
 
+def gauge_potential(u: RadialFunction, q: float) -> tuple[np.ndarray, np.ndarray]:
+    """(h_u, V) with V(r) = 2q A_u(r) + q h_u(r)^2 / r^2, from one prefix integral.
+
+    V is the gauge potential of the strong form; the h^2/r^2 term vanishes at 0.
+    """
+    g = u.grid
+    h = prefix_h(u).values
+    v = 2.0 * q * suffix_from_prefix(u, h)
+    v[1:] += q * (h[1:] / g.nodes[1:]) ** 2
+    return h, v
+
+
 def _n_integrand(u: RadialFunction, hu: np.ndarray) -> np.ndarray:
     g = u.grid
     f = np.zeros(g.n)

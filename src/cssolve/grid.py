@@ -3,7 +3,9 @@
 A radial function u(r) stands for the planar field u(|x|); all integrals
 are plane integrals, i.e. carry the measure 2*pi*r*dr.  Uniform grids get
 composite-Simpson weights and a Simpson-consistent cumulative rule;
-geometrically graded grids fall back to trapezoid everywhere.
+geometrically graded grids fall back to trapezoid everywhere.  The
+cumulative rule is written once, as the grid's increment matrix
+`RadialGrid.cumulative_increments`; its adjoint is that matrix's transpose.
 """
 
 from __future__ import annotations
@@ -94,6 +96,31 @@ class RadialGrid:
         return band
 
     @cached_property
+    def cumulative_increments(self) -> sp.csr_matrix:
+        """The cumulative rule as a read-only CSR matrix B, shape (n - 1, n).
+
+        Row k - 1 is the integral over [r_{k-1}, r_k].  On a uniform grid it
+        is the quadratic through r_{k-1..k+1} for odd k, and through
+        r_{k-2..k} for even k and for the last interval of an even n; on a
+        graded grid, the trapezoid.  Built on first use and then kept.
+        """
+        n = self.n
+        k = np.arange(1, n)
+        if self.grading == "uniform":
+            c = (self.nodes[1] - self.nodes[0]) / 12.0
+            fwd = (k % 2 == 1) & (k < n - 1)
+            cols = np.where(fwd, k - 1, k - 2)[:, None] + np.arange(3)
+            data = np.where(fwd[:, None], [c * 5.0, c * 8.0, -c], [-c, c * 8.0, c * 5.0])
+        else:
+            cols = (k - 1)[:, None] + np.arange(2)
+            data = np.repeat(np.diff(self.nodes)[:, None] / 2.0, 2, axis=1)
+        b = sp.csr_matrix((data.ravel(), cols.ravel(), np.arange(n) * cols.shape[1]),
+                          shape=(n - 1, n))
+        for a in (b.data, b.indices, b.indptr):
+            a.setflags(write=False)
+        return b
+
+    @cached_property
     def graded_weights(self) -> tuple[np.ndarray, ...]:
         """(index, u'' weights, u' weights) of the 3-point stencils of a graded grid.
 
@@ -181,11 +208,7 @@ def make_grid(r_max: float, n: int, grading: str = "uniform", ratio: float = 1.0
         raise ValueError(f"need n >= {MIN_NODES}")
     if grading == "uniform":
         nodes = np.linspace(0.0, r_max, n)
-        nodes = nodes.copy()
-        nodes[0] = 0.0
-        nodes[-1] = r_max
-        weights = _simpson_weights(n, r_max / (n - 1))
-        return RadialGrid(nodes, weights, "uniform", 1.0)
+        return RadialGrid(nodes, _simpson_weights(n, r_max / (n - 1)), "uniform", 1.0)
     if grading == "geometric":
         if ratio <= 0:
             raise ValueError("ratio must be positive")
@@ -210,28 +233,9 @@ def integrate_plane(f, values: Optional[np.ndarray] = None) -> float:
 
 
 def cumulative_integral(grid: RadialGrid, f: np.ndarray) -> np.ndarray:
-    """C_i = int_0^{r_i} f dr with the grid's cumulative rule (C_0 = 0).
-
-    On a uniform grid interval k = [r_{k-1}, r_k] takes the quadratic through
-    r_{k-1..k+1} for odd k, and through r_{k-2..k} for even k and for the
-    last interval of an even n; on a graded grid, the trapezoid.
-    """
-    f = np.asarray(f)
-    n = grid.n
-    inc = np.empty(n - 1)  # inc[k-1] is the integral over interval k
-    if grid.grading == "uniform":
-        c = (grid.nodes[1] - grid.nodes[0]) / 12.0
-        c5, c8 = c * 5.0, c * 8.0
-        f0, f1, f2 = f[0 : n - 2 : 2], f[1 : n - 1 : 2], f[2:n:2]
-        inc[0 : n - 2 : 2] = c5 * f0 + c8 * f1 - c * f2
-        inc[1 : n - 1 : 2] = -c * f0 + c8 * f1 + c5 * f2
-        if n % 2 == 0:
-            inc[-1] = -c * f[-3] + c8 * f[-2] + c5 * f[-1]
-    else:
-        half = np.diff(grid.nodes) / 2.0
-        inc[:] = half * f[:-1] + half * f[1:]
-    out = np.zeros(n)
-    np.cumsum(inc, out=out[1:])
+    """C_i = int_0^{r_i} f dr with the grid's cumulative rule (C_0 = 0)."""
+    out = np.zeros(grid.n)
+    np.cumsum(grid.cumulative_increments @ f, out=out[1:])
     return out
 
 
@@ -239,31 +243,12 @@ def cumulative_adjoint(grid: RadialGrid, z: np.ndarray) -> np.ndarray:
     """Transpose of cumulative_integral: returns C^T z.
 
     Needed to assemble exact discrete gradients of prefix-built functionals.
-    Each node sums its terms in interval order, as a loop over intervals would.
+    C_i sums increments k <= i, so increment k is weighted by the suffix sum
+    s_k = sum_{i>=k} z_i; the CSC matvec of B^T adds each node's terms in
+    interval order.
     """
-    z = np.asarray(z)
-    n = grid.n
-    # C_i = sum_{k<=i} inc_k, so C^T z weights increment k by suffix sums of z
-    s = np.cumsum(z[::-1])[::-1]  # s[k] = sum_{i>=k} z_i
-    out = np.zeros(n)
-    if grid.grading == "uniform":
-        c = (grid.nodes[1] - grid.nodes[0]) / 12.0
-        c5, c8 = c * 5.0, c * 8.0
-        m = 2 * ((n - 1) // 2)  # nodes 0..m carry the odd/even interval pairs
-        sf, sb = s[1 : n - 1 : 2], s[2:n:2]  # forward and backward interval weights
-        out[2 : m + 1 : 2] = -c * sf + c5 * sb  # right end of pair, then left end
-        out[0:m:2] += c5 * sf
-        out[0:m:2] -= c * sb
-        out[1:m:2] = c8 * sf + c8 * sb
-        if n % 2 == 0:
-            out[-3] -= c * s[-1]
-            out[-2] += c8 * s[-1]
-            out[-1] = c5 * s[-1]
-    else:
-        t = np.diff(grid.nodes) / 2.0 * s[1:]
-        out[1:] = t
-        out[:-1] += t
-    return out
+    s = np.cumsum(np.asarray(z)[::-1])[::-1]
+    return grid.cumulative_increments.T @ s[1:]
 
 
 def _diff_weights(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, float]:
@@ -403,14 +388,15 @@ def _fornberg(x: np.ndarray, x0: float, m: int) -> np.ndarray:
     return c[:, m]
 
 
-def laplacian_radial(u: RadialFunction) -> np.ndarray:
+def laplacian_radial(u, values: Optional[np.ndarray] = None) -> np.ndarray:
     """Radial Laplacian u'' + u'/r, with the smooth limit 2u''(0) at r = 0.
 
     Fourth-order stencils on uniform grids (even extension through the
-    origin), second-order 3-point stencils on graded grids.
+    origin), second-order 3-point stencils on graded grids.  Accepts either
+    a RadialFunction or a (grid, values) pair.
     """
-    g = u.grid
-    x, v = g.nodes, u.values
+    g, v = (u.grid, u.values) if values is None else (u, values)
+    x = g.nodes
     n = g.n
     out = np.empty(n)
     if g.grading == "uniform":

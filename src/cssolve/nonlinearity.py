@@ -13,7 +13,7 @@ smallest odd majorant of lambda with lambda_bar(xi)/xi^{p0} non-decreasing.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -205,17 +205,7 @@ class HypothesisReport:
         )
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "odd_violation": self.odd_violation,
-                "m0": self.m0,
-                "delta0": self.delta0,
-                "zeta0": self.zeta0,
-                "growth_ok": self.growth_ok,
-                "g2prime_ok": self.g2prime_ok,
-            },
-            indent=2,
-        )
+        return json.dumps(asdict(self), indent=2)
 
 
 def check_hypotheses(model: NonlinearityModel, xi_max: float = 30.0, samples: int = 2000) -> HypothesisReport:

@@ -31,7 +31,7 @@ from scipy.integrate import solve_ivp  # noqa: F401
 from scipy.linalg.lapack import dgbtrf, dgbtrs, dgttrf, dgttrs
 
 from .energy import j_trunc, riesz_gradient
-from .gauge import big_n, prefix_h, suffix_from_prefix
+from .gauge import big_n, gauge_potential
 from .grid import (RadialFunction, RadialGrid, cumulative_integral, dilate, integrate_plane,
                    laplacian_radial, norm_sobolev)
 from .nonlinearity import NonlinearityModel
@@ -119,18 +119,6 @@ def _gprime(model: NonlinearityModel, u: np.ndarray) -> np.ndarray:
         return model.gprime(u)
     eps = 1e-7 * max(1.0, float(np.max(np.abs(u))))
     return (model.g(u + eps) - model.g(u - eps)) / (2.0 * eps)
-
-
-def _gauge_terms(u: RadialFunction, q: float) -> tuple[np.ndarray, np.ndarray]:
-    """(h_u, V) with V(r) = 2q A_u(r) + q h_u(r)^2 / r^2, from one prefix integral.
-
-    V is the frozen gauge potential; the h^2/r^2 term vanishes at 0.
-    """
-    g = u.grid
-    h = prefix_h(u).values
-    v = 2.0 * q * suffix_from_prefix(u, h)
-    v[1:] += q * (h[1:] / g.nodes[1:]) ** 2
-    return h, v
 
 
 def _decay_rate(model: NonlinearityModel, v_end: float) -> float:
@@ -348,9 +336,9 @@ def _inner_newton(grid: RadialGrid, v_pot: np.ndarray, model: NonlinearityModel,
 
 def _full_residual(u: RadialFunction, q: float, model: NonlinearityModel,
                    terms: Optional[tuple[np.ndarray, np.ndarray]] = None) -> np.ndarray:
-    """Strong-form residual with the Robin outer row; terms = _gauge_terms(u, q)."""
+    """Strong-form residual with the Robin outer row; terms = gauge_potential(u, q)."""
     g = u.grid
-    _, v_pot = _gauge_terms(u, q) if terms is None else terms
+    _, v_pot = gauge_potential(u, q) if terms is None else terms
     f = -laplacian_radial(u) + v_pot * u.values - model.g(u.values)
     f[-1] = _robin_row(u.values, g.nodes[1] - g.nodes[0], _decay_rate(model, float(v_pot[-1])))
     return f
@@ -362,14 +350,14 @@ def _linearization(u: RadialFunction, q: float, model: NonlinearityModel,
 
     V(u) = 2q A_u + q h_u^2/r^2 is differentiated through the cumulative
     quadrature that defines it, so J is exact to roundoff.  Terms in u alone
-    are computed once here, or passed in as terms = _gauge_terms(u, q); each
+    are computed once here, or passed in as terms = gauge_potential(u, q); each
     application costs two quadratures.  The Robin rate kappa is frozen, which
     perturbs only the last row of J.
     """
     g = u.grid
     r, uv = g.nodes, u.values
     h = r[1] - r[0]
-    h_u, v_pot = _gauge_terms(u, q) if terms is None else terms
+    h_u, v_pot = gauge_potential(u, q) if terms is None else terms
     gp = _gprime(model, uv)
     kappa = _decay_rate(model, float(v_pot[-1]))
 
@@ -381,7 +369,7 @@ def _linearization(u: RadialFunction, q: float, model: NonlinearityModel,
         dv = 2.0 * q * (cs[-1] - cs)
         if q != 0.0:
             dv[1:] += 2.0 * q * h_u[1:] * dh[1:] / r[1:] ** 2
-        out = -laplacian_radial(RadialFunction(g, z)) + v_pot * z + dv * uv - gp * z
+        out = -laplacian_radial(g, z) + v_pot * z + dv * uv - gp * z
         out[-1] = _robin_row(z, h, kappa)
         return out
 
@@ -412,7 +400,7 @@ def newton_refine(u: RadialFunction, q: float, model: NonlinearityModel,
         raise ValueError("newton_refine requires a uniform grid")
     floor = _residual_floor(g)
     # the gauge terms of an iterate serve its residual and its linearization
-    terms = _gauge_terms(u, q)
+    terms = gauge_potential(u, q)
     f = _full_residual(u, q, model, terms)
     iterations = 0
     converged = None
@@ -441,7 +429,7 @@ def newton_refine(u: RadialFunction, q: float, model: NonlinearityModel,
         lam = 1.0
         while lam > 1e-12:
             trial = RadialFunction(g, u.values - lam * step)
-            trial_terms = _gauge_terms(trial, q)
+            trial_terms = gauge_potential(trial, q)
             ft = _full_residual(trial, q, model, trial_terms)
             nt = float(np.max(np.abs(ft)))
             if nt < nf * (1.0 - 0.25 * lam) or nt < tol:
@@ -505,7 +493,7 @@ def nodal_shoot(q: float, model: NonlinearityModel, grid: RadialGrid, k: int,
 
     start_norm = float(np.max(np.abs(u)))
     for outer in range(cfg.max_outer_iters):
-        _, v = _gauge_terms(RadialFunction(grid, u), q)
+        _, v = gauge_potential(RadialFunction(grid, u), q)
         un, ok, _ = _inner_newton(grid, v, model, u, cfg.max_inner_iters)
         if not ok or count_nodes(RadialFunction(grid, un)) != k:
             return _report(RadialFunction(grid, u), q, model, outer, cfg, converged=False)
@@ -529,26 +517,15 @@ def nodal_shoot(q: float, model: NonlinearityModel, grid: RadialGrid, k: int,
 # ---------------------------------------------------------------------------
 
 
-def initial_path(model: NonlinearityModel, grid: RadialGrid, n: int,
+def initial_path(model: NonlinearityModel, grid: RadialGrid,
                  cfg: MinimaxConfig = MinimaxConfig(), q: float = 0.0) -> list[RadialFunction]:
     """Discrete path from 0 to a negative-energy profile.
 
-    The endpoint bump is first amplified until int G > 0, then spatially
-    spread (dilation doubling, at most 60 times) until its truncated energy
-    is negative.  For n >= 2 the same construction seeds the odd cone over
-    k-node profiles (k < n): the path is through the k = n-1 shooting
-    profile scaled the same way.
+    The endpoint bump exp(-r^2) is first amplified until int G > 0, then
+    spatially spread (dilation doubling, at most 60 times) until its
+    truncated energy is negative.
     """
-    if n < 1:
-        raise ValueError("level index must be at least 1")
-    if n == 1:
-        bump = RadialFunction(grid, np.exp(-grid.nodes**2))
-    else:
-        shot = _shoot(grid, model, n - 1)
-        if shot is None:
-            raise RuntimeError("no shooting profile available to seed the path")
-        bump = RadialFunction(grid, shot / np.max(np.abs(shot)))
-
+    bump = RadialFunction(grid, np.exp(-grid.nodes**2))
     amp = 1.0
     for _ in range(60):
         if integrate_plane(grid, model.big_g(amp * bump.values)) > 0:
@@ -579,7 +556,7 @@ def mountain_pass(q: float, model: NonlinearityModel, grid: RadialGrid,
     """
     if q < 0:
         raise ValueError("q must be non-negative")
-    path = initial_path(model, grid, 1, cfg, q)
+    path = initial_path(model, grid, cfg, q)
     direction = path[-1]
 
     def ray_max(w: RadialFunction):

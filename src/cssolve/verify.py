@@ -7,12 +7,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .energy import d_theta_j_tilde, j_tilde, phi, phi_prime, weak_gradient
-from .gauge import big_n, prefix_h, suffix_from_prefix
+from .gauge import big_n, gauge_potential
 from .grid import RadialFunction, differentiate, integrate_plane, laplacian_radial, norm_lp
 from .nonlinearity import NonlinearityModel
 
@@ -28,18 +28,7 @@ class VerificationReport:
     ledger_identity_err: float
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "residual_pde_sup": self.residual_pde_sup,
-                "residual_pde_l2": self.residual_pde_l2,
-                "nehari": self.nehari,
-                "pohozaev": self.pohozaev,
-                "q_n_check": self.q_n_check,
-                "bhs_inequality_ok": self.bhs_inequality_ok,
-                "ledger_identity_err": self.ledger_identity_err,
-            },
-            indent=2,
-        )
+        return json.dumps(asdict(self), indent=2)
 
 
 def residual_pde(u: RadialFunction, q: float, model: NonlinearityModel) -> tuple[float, float]:
@@ -48,12 +37,8 @@ def residual_pde(u: RadialFunction, q: float, model: NonlinearityModel) -> tuple
     Returns (sup norm, plane L^2 norm).
     """
     g = u.grid
-    lap = laplacian_radial(u)
-    h = prefix_h(u).values
-    a = suffix_from_prefix(u, h)
-    h2_over_r2 = np.zeros(g.n)
-    h2_over_r2[1:] = (h[1:] / g.nodes[1:]) ** 2
-    res = -lap + q * (2.0 * a + h2_over_r2) * u.values - model.g(u.values)
+    _, v_pot = gauge_potential(u, q)
+    res = -laplacian_radial(u) + v_pot * u.values - model.g(u.values)
     sup = float(np.max(np.abs(res)))
     l2 = math.sqrt(max(integrate_plane(g, res**2), 0.0))
     return sup, l2

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -32,8 +33,8 @@ def uniform():
 def _reference_increments(grid):
     """The cumulative rule as per-interval (index, coefficient) triples.
 
-    An independent gather form of the rule; the slice form in cssolve.grid
-    must reproduce it bit for bit.
+    An independent gather form of the rule; the grid's increment matrix in
+    cssolve.grid must reproduce it bit for bit.
     """
     n, x = grid.n, grid.nodes
     ks = np.arange(1, n)
@@ -182,6 +183,22 @@ class TestIntegration:
         lhs = np.dot(z, cumulative_integral(grid, f))
         rhs = np.dot(cumulative_adjoint(grid, z), f)
         assert abs(lhs - rhs) < 1e-10 * max(abs(lhs), 1.0)
+
+    @pytest.mark.parametrize("n, grading", [(16, "uniform"), (17, "uniform"), (4096, "uniform"),
+                                            (4097, "uniform"), (1025, "geometric")])
+    def test_cumulative_increments_cached_and_read_only(self, n, grading):
+        grid = make_grid(8.0, n, grading, 1.0 + 3.0 / n)
+        # built on first use, not when the grid is built
+        assert "cumulative_increments" not in vars(grid)
+        b = grid.cumulative_increments
+        assert grid.cumulative_increments is b
+        assert b.shape == (n - 1, n)
+        for a in (b.data, b.indices, b.indptr):
+            assert not a.flags.writeable
+        idx, coef = _reference_increments(grid)
+        rows = np.repeat(np.arange(n - 1), 3)
+        ref = sp.csr_matrix((coef.ravel(), (rows, idx.ravel())), shape=(n - 1, n))
+        assert (b != ref).nnz == 0
 
     @settings(max_examples=40, deadline=None, database=None)
     @given(n=st.integers(16, 3000), grading=st.sampled_from(["uniform", "geometric"]),
