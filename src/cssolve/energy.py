@@ -11,10 +11,11 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .gauge import big_n, big_n_gradient
+from .gauge import big_n, big_n_gradient, prefix_h
 from .grid import RadialFunction, differentiate, dilate, integrate_plane, sobolev_metric
 from .nonlinearity import NonlinearityModel, capital_lambda_bar
 
@@ -64,18 +65,33 @@ class EnergyBreakdown:
         )
 
 
-def _pieces(u: RadialFunction, model: NonlinearityModel):
-    dirichlet = 0.5 * integrate_plane(u.grid, differentiate(u).values ** 2)
-    n_val = big_n(u)
-    big_g_int = integrate_plane(u.grid, model.big_g(u.values))
-    return dirichlet, n_val, big_g_int
+class Pieces(NamedTuple):
+    """What the action and its derivatives read of u, from `energy_pieces`."""
+
+    du: np.ndarray
+    hu: np.ndarray
+    dirichlet: float
+    n_val: float
+    big_g_int: float
+
+
+def energy_pieces(u: RadialFunction, model: NonlinearityModel,
+                  hu: Optional[np.ndarray] = None) -> Pieces:
+    """u' = differentiate(u), h_u, (1/2)||grad u||^2, N(u) and int G(u), each once.
+
+    hu = prefix_h(u).values, e.g. the h_u of gauge_potential(u, q).
+    """
+    du = differentiate(u).values
+    hu = prefix_h(u).values if hu is None else hu
+    return Pieces(du, hu, 0.5 * integrate_plane(u.grid, du**2), big_n(u, hu),
+                  integrate_plane(u.grid, model.big_g(u.values)))
 
 
 def j_q(u: RadialFunction, q: float, model: NonlinearityModel) -> EnergyBreakdown:
     """Full action: (1/2)||grad u||^2 + (q/2)N(u) - int G(u)."""
     if q < 0:
         raise ValueError("q must be non-negative")
-    dirichlet, n_val, big_g_int = _pieces(u, model)
+    _, _, dirichlet, n_val, big_g_int = energy_pieces(u, model)
     nonlocal_term = 0.5 * q * n_val
     potential = -big_g_int
     return EnergyBreakdown(
@@ -84,9 +100,10 @@ def j_q(u: RadialFunction, q: float, model: NonlinearityModel) -> EnergyBreakdow
     )
 
 
-def j_trunc(u: RadialFunction, q: float, model: NonlinearityModel) -> EnergyBreakdown:
+def j_trunc(u: RadialFunction, q: float, model: NonlinearityModel,
+            pieces: Optional[Pieces] = None) -> EnergyBreakdown:
     """Truncated action: the gauge term is weighted by phi(q N(u)); j_tilde at theta = 0."""
-    return j_tilde(0.0, u, q, model)
+    return j_tilde(0.0, u, q, model, pieces)
 
 
 def i_comparison(u: RadialFunction, model: NonlinearityModel) -> float:
@@ -95,16 +112,19 @@ def i_comparison(u: RadialFunction, model: NonlinearityModel) -> float:
     return dirichlet - integrate_plane(u.grid, capital_lambda_bar(model, u.values))
 
 
-def j_tilde(theta: float, u: RadialFunction, q: float, model: NonlinearityModel) -> EnergyBreakdown:
+def j_tilde(theta: float, u: RadialFunction, q: float, model: NonlinearityModel,
+            pieces: Optional[Pieces] = None) -> EnergyBreakdown:
     """Closed form of j_trunc(u(e^{-theta} .)):
 
         (1/2)||grad u||^2 + (q/2) e^{4 theta} phi(q e^{4 theta} N) N - e^{2 theta} int G(u).
+
+    pieces = energy_pieces(u, model) when the caller already has them.
     """
     if not math.isfinite(theta):
         raise ValueError("theta must be finite")
     if q < 0:
         raise ValueError("q must be non-negative")
-    dirichlet, n_val, big_g_int = _pieces(u, model)
+    _, _, dirichlet, n_val, big_g_int = energy_pieces(u, model) if pieces is None else pieces
     s = q * math.exp(4.0 * theta) * n_val
     nonlocal_term = 0.5 * q * math.exp(4.0 * theta) * phi(s) * n_val
     potential = -math.exp(2.0 * theta) * big_g_int
@@ -114,7 +134,8 @@ def j_tilde(theta: float, u: RadialFunction, q: float, model: NonlinearityModel)
     )
 
 
-def d_theta_j_tilde(theta: float, u: RadialFunction, q: float, model: NonlinearityModel) -> float:
+def d_theta_j_tilde(theta: float, u: RadialFunction, q: float, model: NonlinearityModel,
+                    pieces: Optional[Pieces] = None) -> float:
     """theta-derivative of j_tilde:
 
         2 q e^{4 theta} phi(s) N + 2 q^2 e^{8 theta} phi'(s) N^2 - 2 e^{2 theta} int G(u),
@@ -122,34 +143,37 @@ def d_theta_j_tilde(theta: float, u: RadialFunction, q: float, model: Nonlineari
 
     At theta = 0 with inactive truncation this is the scale-invariance
     (Pohozaev) residual 2qN - 2 int G, which vanishes at solutions.
+    pieces = energy_pieces(u, model) when the caller already has them.
     """
     if not math.isfinite(theta):
         raise ValueError("theta must be finite")
-    n_val = big_n(u)
-    big_g_int = integrate_plane(u.grid, model.big_g(u.values))
+    *_, n_val, big_g_int = energy_pieces(u, model) if pieces is None else pieces
     e4, e2 = math.exp(4.0 * theta), math.exp(2.0 * theta)
     s = q * e4 * n_val
     return 2.0 * q * e4 * phi(s) * n_val + 2.0 * q * q * e4 * e4 * phi_prime(s) * n_val**2 - 2.0 * e2 * big_g_int
 
 
 def weak_gradient(
-    theta: float, u: RadialFunction, q: float, model: NonlinearityModel, v: RadialFunction
+    theta: float, u: RadialFunction, q: float, model: NonlinearityModel, v: RadialFunction,
+    pieces: Optional[Pieces] = None,
 ) -> float:
     """Directional u-derivative of j_tilde at (theta, u) in direction v:
 
         int grad u . grad v
         + [(q/2) e^{4 theta} phi(s) + (q^2/2) e^{8 theta} phi'(s) N] N'(u)[v]
         - e^{2 theta} int g(u) v,    s = q e^{4 theta} N(u).
+
+    pieces = energy_pieces(u, model) when the caller already has them.
     """
     if u.grid is not v.grid and not np.array_equal(u.grid.nodes, v.grid.nodes):
         raise ValueError("u and v must live on the same grid")
     g = u.grid
-    dirich = integrate_plane(g, differentiate(u).values * differentiate(v).values)
-    n_val = big_n(u)
+    du, hu, _, n_val, _ = energy_pieces(u, model) if pieces is None else pieces
+    dirich = integrate_plane(g, du * (du if v is u else differentiate(v).values))
     e4, e2 = math.exp(4.0 * theta), math.exp(2.0 * theta)
     s = q * e4 * n_val
     coef = 0.5 * q * e4 * phi(s) + 0.5 * q * q * e4 * e4 * phi_prime(s) * n_val
-    nprime = float(np.dot(big_n_gradient(u), v.values)) if coef != 0.0 else 0.0
+    nprime = float(np.dot(big_n_gradient(u, hu), v.values)) if coef != 0.0 else 0.0
     return dirich + coef * nprime - e2 * integrate_plane(g, model.g(u.values) * v.values)
 
 
@@ -167,13 +191,14 @@ def riesz_gradient(
     g = u.grid
     w_plane = 2.0 * math.pi * g.weights * g.nodes
     d, solve = sobolev_metric(g, model.m0)
-    n_val = big_n(u)
+    hu = prefix_h(u).values
+    n_val = big_n(u, hu)
     e4, e2 = math.exp(4.0 * theta), math.exp(2.0 * theta)
     s = q * e4 * n_val
     coef = 0.5 * q * e4 * phi(s) + 0.5 * q * q * e4 * e4 * phi_prime(s) * n_val
     rhs = d.T @ (w_plane * (d @ u.values)) - e2 * w_plane * model.g(u.values)
     if coef != 0.0:
-        rhs = rhs + coef * big_n_gradient(u)
+        rhs = rhs + coef * big_n_gradient(u, hu)
     return RadialFunction(g, solve(rhs))
 
 

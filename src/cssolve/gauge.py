@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -101,10 +102,10 @@ def _n_integrand(u: RadialFunction, hu: np.ndarray) -> np.ndarray:
     return f
 
 
-def big_n(u: RadialFunction) -> float:
-    """Nonlocal energy N(u) = 2*pi int u^2 h_u^2 / r dr >= 0."""
+def big_n(u: RadialFunction, hu: Optional[np.ndarray] = None) -> float:
+    """Nonlocal energy N(u) = 2*pi int u^2 h_u^2 / r dr >= 0; hu = prefix_h(u).values."""
     g = u.grid
-    hu = prefix_h(u).values
+    hu = prefix_h(u).values if hu is None else hu
     return TWO_PI * float(np.sum(g.weights * _n_integrand(u, hu)))
 
 
@@ -127,14 +128,14 @@ def big_n_prime(u: RadialFunction, v: RadialFunction) -> float:
     return TWO_PI * float(np.sum(g.weights * (2.0 * t1 + 4.0 * t2)))
 
 
-def big_n_gradient(u: RadialFunction) -> np.ndarray:
+def big_n_gradient(u: RadialFunction, hu: Optional[np.ndarray] = None) -> np.ndarray:
     """Vector f with N'(u)[v] = f . v for every grid vector v.
 
     Exact transpose of the discrete big_n_prime, assembled with the
-    cumulative rule's adjoint.
+    cumulative rule's adjoint; hu = prefix_h(u).values.
     """
     g = u.grid
-    hu = prefix_h(u).values
+    hu = prefix_h(u).values if hu is None else hu
     w = TWO_PI * g.weights
     t1 = np.zeros(g.n)
     t1[1:] = u.values[1:] * hu[1:] ** 2 / g.nodes[1:]

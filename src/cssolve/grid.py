@@ -121,6 +121,27 @@ class RadialGrid:
         return b
 
     @cached_property
+    def cumulative_increments_t(self) -> sp.csc_matrix:
+        """B^T, the CSC transpose of `cumulative_increments`, read-only; built on first use."""
+        bt = self.cumulative_increments.T
+        for a in (bt.data, bt.indices, bt.indptr):
+            a.setflags(write=False)
+        return bt
+
+    @cached_property
+    def three_point_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """(lower, upper) of the 3-point -u'' - u'/r at the interior nodes of a uniform grid.
+
+        Row i is lower_i u_{i-1} + (2/h^2) u_i + upper_i u_{i+1}, with
+        lower/upper = -1/h^2 +/- 1/(2 h r_i).  Read-only; built on first use.
+        """
+        r, h = self.nodes[1:-1], self.nodes[1] - self.nodes[0]
+        rows = -1.0 / h**2 + 1.0 / (2.0 * h * r), -1.0 / h**2 - 1.0 / (2.0 * h * r)
+        for a in rows:
+            a.setflags(write=False)
+        return rows
+
+    @cached_property
     def graded_weights(self) -> tuple[np.ndarray, ...]:
         """(index, u'' weights, u' weights) of the 3-point stencils of a graded grid.
 
@@ -244,11 +265,11 @@ def cumulative_adjoint(grid: RadialGrid, z: np.ndarray) -> np.ndarray:
 
     Needed to assemble exact discrete gradients of prefix-built functionals.
     C_i sums increments k <= i, so increment k is weighted by the suffix sum
-    s_k = sum_{i>=k} z_i; the CSC matvec of B^T adds each node's terms in
-    interval order.
+    s_k = sum_{i>=k} z_i; the CSC matvec of B^T (the grid's
+    `cumulative_increments_t`) adds each node's terms in interval order.
     """
     s = np.cumsum(np.asarray(z)[::-1])[::-1]
-    return grid.cumulative_increments.T @ s[1:]
+    return grid.cumulative_increments_t @ s[1:]
 
 
 def _diff_weights(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, float]:

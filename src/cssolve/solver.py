@@ -30,8 +30,8 @@ import scipy.sparse.linalg as spla
 from scipy.integrate import solve_ivp  # noqa: F401
 from scipy.linalg.lapack import dgbtrf, dgbtrs, dgttrf, dgttrs
 
-from .energy import j_trunc, riesz_gradient
-from .gauge import big_n, gauge_potential
+from .energy import energy_pieces, j_trunc, riesz_gradient
+from .gauge import gauge_potential
 from .grid import (RadialFunction, RadialGrid, cumulative_integral, dilate, integrate_plane,
                    laplacian_radial, norm_sobolev)
 from .nonlinearity import NonlinearityModel
@@ -137,16 +137,6 @@ def _residual_floor(grid: RadialGrid) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _bands(grid: RadialGrid) -> tuple[np.ndarray, np.ndarray]:
-    """(lower, upper) of the 3-point -u'' - u'/r at the interior nodes.
-
-    Row i is lower_i u_{i-1} + (2/h^2) u_i + upper_i u_{i+1}, with
-    lower/upper = -1/h^2 +/- 1/(2 h r_i).
-    """
-    r, h = grid.nodes[1:-1], grid.nodes[1] - grid.nodes[0]
-    return -1.0 / h**2 + 1.0 / (2.0 * h * r), -1.0 / h**2 - 1.0 / (2.0 * h * r)
-
-
 def _march(grid: RadialGrid, model: NonlinearityModel, amps: np.ndarray) -> np.ndarray:
     """Profiles u[:, j] with u(0) = amps[j] that satisfy the q = 0 rows from r = 0 out.
 
@@ -154,7 +144,7 @@ def _march(grid: RadialGrid, model: NonlinearityModel, amps: np.ndarray) -> np.n
     u_{i+1} from u_i and u_{i-1}; all amplitudes advance together.
     """
     h = grid.nodes[1] - grid.nodes[0]
-    lower, upper = _bands(grid)
+    lower, upper = grid.three_point_rows
     # row i solved for u_{i+1}: -(lower_i u_{i-1} + (2/h^2) u_i - g(u_i)) / upper_i
     rows = zip((-lower / upper).tolist(), (-2.0 / h**2 / upper).tolist(), (1.0 / upper).tolist())
     u = np.empty((grid.n, amps.size))
@@ -231,7 +221,7 @@ def _local_solver(grid: RadialGrid, diag: np.ndarray, kappa: float):
     tridiagonal; LAPACK gttrf factors it once and each solve is one gttrs.
     """
     h = grid.nodes[1] - grid.nodes[0]
-    lower, upper = _bands(grid)
+    lower, upper = grid.three_point_rows
     d = 2.0 / h**2 + diag
     d[0] = 4.0 / h**2 + diag[0]
     # the Robin row on nodes n-3, n-2, n-1, minus c times row n-2
@@ -291,7 +281,7 @@ def _inner_newton(grid: RadialGrid, v_pot: np.ndarray, model: NonlinearityModel,
     non-finite step or a failed line search.
     """
     h, n = grid.nodes[1] - grid.nodes[0], grid.n
-    lower, upper = _bands(grid)
+    lower, upper = grid.three_point_rows
     kappa = _decay_rate(model, float(v_pot[-1]))
     u = u0.copy()
     floor = _residual_floor(grid)
@@ -416,9 +406,14 @@ def newton_refine(u: RadialFunction, q: float, model: NonlinearityModel,
         if solve is None:
             converged = False
             break
+        jac = _linearization(u, q, model, terms)
+
+        def matvec(z):
+            # LGMRES starts from x0 = 0, so its first product is J 0 = 0
+            return jac(z) if z.any() else np.zeros(g.n)
+
         # dtype given, so LinearOperator does not probe matvec with a zero vector
-        op = spla.LinearOperator((g.n, g.n), matvec=_linearization(u, q, model, terms),
-                                 dtype=float)
+        op = spla.LinearOperator((g.n, g.n), matvec=matvec, dtype=float)
         precond = spla.LinearOperator((g.n, g.n), matvec=solve, dtype=float)
         step, info = spla.lgmres(op, f, M=precond, rtol=1e-8, atol=0.0, maxiter=200)
         if info != 0:
@@ -438,12 +433,16 @@ def newton_refine(u: RadialFunction, q: float, model: NonlinearityModel,
             lam *= 0.5
         else:
             break
-    return _report(u, q, model, iterations, cfg, converged)
+    return _report(u, q, model, iterations, cfg, converged, terms)
 
 
 def _report(u: RadialFunction, q: float, model: NonlinearityModel,
-            iterations: int, cfg: MinimaxConfig, converged: Optional[bool] = None) -> SolveReport:
-    sup, _ = residual_pde(u, q, model)
+            iterations: int, cfg: MinimaxConfig, converged: Optional[bool] = None,
+            terms: Optional[tuple[np.ndarray, np.ndarray]] = None) -> SolveReport:
+    """The certificate of u, each piece evaluated once; terms = gauge_potential(u, q)."""
+    terms = gauge_potential(u, q) if terms is None else terms
+    pieces = energy_pieces(u, model, terms[0])
+    sup, _ = residual_pde(u, q, model, terms)
     if converged is None:
         floor = _residual_floor(u.grid) * max(1.0, float(np.max(np.abs(u.values))))
         converged = sup < max(10.0 * cfg.newton_tol, 10.0 * floor)
@@ -452,13 +451,13 @@ def _report(u: RadialFunction, q: float, model: NonlinearityModel,
         converged = False
     return SolveReport(
         u=u,
-        level=j_trunc(u, q, model).total,
+        level=j_trunc(u, q, model, pieces).total,
         q=q,
         node_count=count_nodes(u),
         residual_pde=sup,
-        residual_nehari=nehari_residual(u, q, model),
-        residual_pohozaev=pohozaev_residual(u, q, model),
-        truncation_inactive=bool(q * big_n(u) <= 1.0),
+        residual_nehari=nehari_residual(u, q, model, pieces),
+        residual_pohozaev=pohozaev_residual(u, q, model, pieces),
+        truncation_inactive=bool(q * pieces.n_val <= 1.0),
         iterations=iterations,
         converged=bool(converged),
     )

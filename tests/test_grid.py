@@ -190,6 +190,7 @@ class TestIntegration:
         grid = make_grid(8.0, n, grading, 1.0 + 3.0 / n)
         # built on first use, not when the grid is built
         assert "cumulative_increments" not in vars(grid)
+        assert "cumulative_increments_t" not in vars(grid)
         b = grid.cumulative_increments
         assert grid.cumulative_increments is b
         assert b.shape == (n - 1, n)
@@ -199,6 +200,12 @@ class TestIntegration:
         rows = np.repeat(np.arange(n - 1), 3)
         ref = sp.csr_matrix((coef.ravel(), (rows, idx.ravel())), shape=(n - 1, n))
         assert (b != ref).nnz == 0
+        # the adjoint's transpose is kept next to it
+        bt = grid.cumulative_increments_t
+        assert grid.cumulative_increments_t is bt
+        for a in (bt.data, bt.indices, bt.indptr):
+            assert not a.flags.writeable
+        assert (bt != b.T).nnz == 0
 
     @settings(max_examples=40, deadline=None, database=None)
     @given(n=st.integers(16, 3000), grading=st.sampled_from(["uniform", "geometric"]),

@@ -6,9 +6,9 @@ import pytest
 import scipy.sparse as sp
 from scipy.linalg import solve_banded
 
-from cssolve import solver
+from cssolve import energy, gauge, solver, verify
 from cssolve.energy import j_trunc
-from cssolve.gauge import gauge_potential, prefix_h, suffix_a
+from cssolve.gauge import big_n, gauge_potential, prefix_h, suffix_a
 from cssolve.grid import RadialFunction, integrate_plane, make_grid
 from cssolve.nonlinearity import power_model
 from cssolve.solver import (
@@ -30,7 +30,8 @@ from cssolve.solver import (
     nodal_shoot,
     save_branch_csv,
 )
-from cssolve.verify import residual_pde
+from cssolve.verify import (nehari_residual, pohozaev_residual, residual_pde,
+                            verification_report)
 
 from oracles import BL_LEVEL, BL_U0, bl_ground_state
 
@@ -335,9 +336,82 @@ class TestReorderedKernels:
         monkeypatch.setattr(solver, "_linearization", counted)
         rep = nodal_shoot(5.9e-5, model, grid, 0, warm_start=ground_state.u)
         assert rep.converged
-        # the -Delta_2 + 2 m0 preconditioner, blind to V - g'(u), needed 24, and
-        # the 3-point local part 10-14
-        assert 0 < len(applications) <= 7
+        # the -Delta_2 + 2 m0 preconditioner, blind to V - g'(u), needed 24, the
+        # 3-point local part 10-14, and the exact local part 5 while J 0 was applied
+        assert 0 < len(applications) <= 6
+
+    def test_polish_never_applies_jacobian_to_zero(self, model, grid, ground_state, monkeypatch):
+        directions = []
+
+        def recorded(*args, **kwargs):
+            apply = _linearization(*args, **kwargs)
+
+            def wrapper(z):
+                directions.append(np.array(z))
+                return apply(z)
+
+            return wrapper
+
+        monkeypatch.setattr(solver, "_linearization", recorded)
+        for q in (5.9e-5, 1e-3):
+            assert nodal_shoot(q, model, grid, 0, warm_start=ground_state.u).converged
+        assert directions
+        # LGMRES starts from x0 = 0; J 0 = 0 needs no application
+        assert all(z.any() for z in directions)
+
+    def test_warm_step_certificate_evaluates_once(self, model, grid, ground_state, monkeypatch):
+        calls = {"big_n": 0, "residual_pde": 0}
+        for name in calls:
+            fn = getattr(verify if name == "residual_pde" else gauge, name)
+
+            def counted(*args, _fn=fn, _name=name, **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+
+            for mod in (gauge, energy, verify, solver):
+                if getattr(mod, name, None) is fn:
+                    monkeypatch.setattr(mod, name, counted)
+        rep = nodal_shoot(5.9e-5, model, grid, 0, warm_start=ground_state.u)
+        assert rep.converged
+        # N(u) feeds the level, Nehari, Pohozaev and the truncation check
+        assert calls == {"big_n": 1, "residual_pde": 1}
+
+    def test_three_point_rows_cached_and_read_only(self):
+        g = make_grid(24.0, 1025)
+        assert "three_point_rows" not in vars(g)
+        rows = g.three_point_rows
+        assert g.three_point_rows is rows
+        r, h = g.nodes[1:-1], g.nodes[1] - g.nodes[0]
+        for a, sign in zip(rows, (1.0, -1.0)):
+            assert not a.flags.writeable
+            assert np.array_equal(a, -1.0 / h**2 + sign / (2.0 * h * r))
+
+
+class TestCertificate:
+    """Certificates built from once-evaluated pieces equal the standalone functions."""
+
+    @pytest.mark.parametrize("coupling", [("q", 0.0), ("q", 1e-3), ("qN", 1.5), ("qN", 3.0)],
+                             ids=["q=0", "q=1e-3", "qN=1.5", "qN=3"])
+    def test_report_equals_standalone_values(self, model, ground_state, coupling):
+        u = ground_state.u
+        kind, value = coupling
+        q = value if kind == "q" else value / big_n(u)
+        rep = solver._report(u, q, model, 0, MinimaxConfig(), terms=gauge_potential(u, q))
+        assert rep.level == j_trunc(u, q, model).total
+        assert rep.residual_nehari == nehari_residual(u, q, model)
+        assert rep.residual_pohozaev == pohozaev_residual(u, q, model)
+        assert rep.residual_pde == residual_pde(u, q, model)[0]
+        assert rep.truncation_inactive == (q * big_n(u) <= 1.0)
+
+    def test_verification_report_matches_warm_step(self, model, grid, ground_state):
+        q = 5.9e-5
+        rep = nodal_shoot(q, model, grid, 0, warm_start=ground_state.u)
+        assert rep.converged
+        ver = verification_report(rep.u, q, model)
+        assert ver.residual_pde_sup == rep.residual_pde
+        assert ver.nehari == rep.residual_nehari
+        assert ver.pohozaev == rep.residual_pohozaev
+        assert ver.q_n_check == rep.truncation_inactive
 
 
 class TestFailurePaths:
