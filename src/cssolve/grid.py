@@ -36,7 +36,6 @@ class RadialGrid:
     nodes: np.ndarray
     weights: np.ndarray
     grading: str = "uniform"
-    ratio: float = 1.0
 
     def __post_init__(self):
         nodes = np.asarray(self.nodes, dtype=float)
@@ -229,7 +228,7 @@ def make_grid(r_max: float, n: int, grading: str = "uniform", ratio: float = 1.0
         raise ValueError(f"need n >= {MIN_NODES}")
     if grading == "uniform":
         nodes = np.linspace(0.0, r_max, n)
-        return RadialGrid(nodes, _simpson_weights(n, r_max / (n - 1)), "uniform", 1.0)
+        return RadialGrid(nodes, _simpson_weights(n, r_max / (n - 1)), "uniform")
     if grading == "geometric":
         if ratio <= 0:
             raise ValueError("ratio must be positive")
@@ -237,7 +236,7 @@ def make_grid(r_max: float, n: int, grading: str = "uniform", ratio: float = 1.0
         nodes = np.concatenate(([0.0], np.cumsum(d)))
         nodes *= r_max / nodes[-1]
         nodes[-1] = r_max
-        return RadialGrid(nodes, _trapezoid_weights(nodes), "geometric", float(ratio))
+        return RadialGrid(nodes, _trapezoid_weights(nodes), "geometric")
     raise ValueError(f"unknown grading {grading!r}")
 
 
@@ -328,19 +327,15 @@ def norm_lp(u: RadialFunction, p: float) -> float:
     """Plane L^p norm (2*pi int |u|^p r dr)^{1/p}."""
     if p < 1:
         raise ValueError("p must be >= 1")
-    g = u.grid
-    val = TWO_PI * float(np.sum(g.weights * np.abs(u.values) ** p * g.nodes))
-    return val ** (1.0 / p)
+    return integrate_plane(u.grid, np.abs(u.values) ** p) ** (1.0 / p)
 
 
 def norm_sobolev(u: RadialFunction, m0: float) -> float:
     """sqrt(||u'||_2^2 + m0 ||u||_2^2), both in the plane L^2."""
     if m0 <= 0:
         raise ValueError("m0 must be positive")
-    du = differentiate(u).values
-    g = u.grid
-    grad2 = TWO_PI * float(np.sum(g.weights * du**2 * g.nodes))
-    l22 = TWO_PI * float(np.sum(g.weights * u.values**2 * g.nodes))
+    grad2 = integrate_plane(u.grid, differentiate(u).values ** 2)
+    l22 = integrate_plane(u.grid, u.values**2)
     return float(np.sqrt(grad2 + m0 * l22))
 
 
@@ -458,12 +453,17 @@ def save_profile_csv(path, u: RadialFunction) -> None:
             fh.write(f"{float(r)!r},{float(v)!r}\n")
 
 
-def load_profile_csv(path, grading: str = "uniform") -> RadialFunction:
-    """Read a profile CSV written by save_profile_csv, rebuilding the grid."""
+def load_profile_csv(path) -> RadialFunction:
+    """Read a profile CSV written by save_profile_csv, on the grid it was saved on.
+
+    The nodes are written exactly, so nodes equal to np.linspace(0, R, n)
+    bit for bit rebuild the uniform grid; any others get trapezoid weights
+    and the "geometric" label, as `make_grid` gives a graded grid.
+    """
     data = np.loadtxt(path, delimiter=",", skiprows=1)
     nodes = data[:, 0]
-    if grading == "uniform":
-        grid = make_grid(nodes[-1], len(nodes), "uniform")
+    if np.array_equal(nodes, np.linspace(0.0, nodes[-1], nodes.size)):
+        grid = make_grid(nodes[-1], nodes.size, "uniform")
     else:
-        grid = RadialGrid(nodes, _trapezoid_weights(nodes), grading)
+        grid = RadialGrid(nodes, _trapezoid_weights(nodes), "geometric")
     return RadialFunction(grid, data[:, 1])

@@ -2,8 +2,9 @@
 
 Three complementary engines:
 
-* ``mountain_pass`` — discrete path deformation for the lowest positive
-  level: steepest descent in the Sobolev metric at the path maximizer.
+* ``mountain_pass`` — the lowest positive level: maximize the energy along
+  a ray, take a steepest-descent step in the Sobolev metric from the ray
+  maximizer, repeat on the ray through the descended point, then polish.
 * ``nodal_shoot`` — shooting with nonlocal-coefficient freezing: a cold
   start shoots on the 3-point rows of the q = 0 local problem for a k-node
   profile; then the gauge potential is frozen, the resulting local problem
@@ -29,6 +30,7 @@ import scipy.sparse.linalg as spla
 # not called: the benchmark's tracer counts calls through this binding
 from scipy.integrate import solve_ivp  # noqa: F401
 from scipy.linalg.lapack import dgbtrf, dgbtrs, dgttrf, dgttrs
+from scipy.optimize import minimize_scalar
 
 from .energy import energy_pieces, j_trunc, riesz_gradient
 from .gauge import gauge_potential
@@ -546,51 +548,45 @@ def initial_path(model: NonlinearityModel, grid: RadialGrid,
 
 def mountain_pass(q: float, model: NonlinearityModel, grid: RadialGrid,
                   cfg: MinimaxConfig = MinimaxConfig()) -> SolveReport:
-    """Lowest positive critical level by discrete path deformation.
+    """Lowest positive critical level: ray maximization, Sobolev steepest descent, polish.
 
-    Each sweep finds the energy maximizer along the path, takes a damped
-    steepest-descent step in the Sobolev-gradient metric there, and locally
-    re-interpolates the neighbors; once the gradient at the maximizer is
-    below grad_tol the candidate is handed to newton_refine.
+    Each sweep maximizes j_trunc along the ray t -> t w through the current
+    profile and takes a damped steepest-descent step in the Sobolev-gradient
+    metric from that maximizer; the descended point gives the next ray.  Once
+    the gradient at the maximizer is below grad_tol the candidate is handed
+    to newton_refine.  If no start ray can be built (`initial_path` raises),
+    the zero profile is returned with converged=False.
     """
     if q < 0:
         raise ValueError("q must be non-negative")
-    path = initial_path(model, grid, cfg, q)
-    direction = path[-1]
+    try:
+        direction = initial_path(model, grid, cfg, q)[-1]
+    except RuntimeError:
+        return _report(RadialFunction(grid, np.zeros(grid.n)), q, model, 0, cfg,
+                       converged=False)
 
     def ray_max(w: RadialFunction):
-        """Maximize j_trunc along the path sigma -> sigma * t_hi * w."""
+        """(t* w, j_trunc(t* w)) at the maximum of j_trunc along the ray t -> t w.
+
+        t_hi doubles until j_trunc(t_hi w) < 0; the best of cfg.path_points
+        samples on [0, t_hi] and its two neighbours bracket t*, which Brent's
+        bounded method then locates.
+        """
+
+        def level(t: float) -> float:
+            return j_trunc(RadialFunction(grid, t * w.values), q, model).total
+
         t_hi = 1.0
         for _ in range(60):
-            if j_trunc(RadialFunction(grid, t_hi * w.values), q, model).total < 0:
+            if level(t_hi) < 0:
                 break
             t_hi *= 2.0
-        sigmas = np.linspace(0.0, 1.0, cfg.path_points)
-        vals = [j_trunc(RadialFunction(grid, s * t_hi * w.values), q, model).total
-                for s in sigmas]
-        j = int(np.argmax(vals))
-        lo = sigmas[max(j - 1, 0)]
-        hi = sigmas[min(j + 1, cfg.path_points - 1)]
-        # golden-section refinement between the flanking path nodes
-        gr = 0.5 * (math.sqrt(5.0) - 1.0)
-        a, b = lo, hi
-        c, d = b - gr * (b - a), a + gr * (b - a)
-        fc = j_trunc(RadialFunction(grid, c * t_hi * w.values), q, model).total
-        fd = j_trunc(RadialFunction(grid, d * t_hi * w.values), q, model).total
-        for _ in range(60):
-            if fc > fd:
-                b, d, fd = d, c, fc
-                c = b - gr * (b - a)
-                fc = j_trunc(RadialFunction(grid, c * t_hi * w.values), q, model).total
-            else:
-                a, c, fc = c, d, fd
-                d = a + gr * (b - a)
-                fd = j_trunc(RadialFunction(grid, d * t_hi * w.values), q, model).total
-            if b - a < 1e-12:
-                break
-        s_star = 0.5 * (a + b)
-        u_star = RadialFunction(grid, s_star * t_hi * w.values)
-        return u_star, j_trunc(u_star, q, model).total
+        ts = np.linspace(0.0, t_hi, cfg.path_points)
+        j = int(np.argmax([level(t) for t in ts]))
+        bracket = (ts[max(j - 1, 0)], ts[min(j + 1, cfg.path_points - 1)])
+        best = minimize_scalar(lambda t: -level(t), bounds=bracket, method="bounded",
+                               options={"xatol": 1e-12 * t_hi})
+        return RadialFunction(grid, best.x * w.values), -best.fun
 
     sweeps = 0
     u_star, e_star = ray_max(direction)
@@ -607,7 +603,6 @@ def mountain_pass(q: float, model: NonlinearityModel, grid: RadialGrid,
                 moved = trial
                 break
             step *= 0.5
-        # re-interpolate: the new path is the ray through the descended point
         u_star, e_star = ray_max(moved)
     report = newton_refine(u_star, q, model, cfg)
     # solutions come in (u, -u) pairs; report the peak-positive member

@@ -103,6 +103,21 @@ class TestSolve:
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
 
+class TestMountainPassSolve:
+    def test_unbuildable_start_ray_exit_1(self, tmp_path, capsys):
+        cfg = {
+            "model": {"kind": "custom-table", "samples": [[0, 0], [1, -1], [2, -2], [3, -3]]},
+            "grid": {"r_max": 24.0, "n": 257},
+            "q": 0.0,
+            "method": "mountain-pass",
+        }
+        path = write_config(tmp_path, cfg)
+        assert main(["solve", "--config", path, "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert "solve failed" in err
+        assert "Traceback" not in err
+
+
 class TestMultiplicity:
     def test_single_branch_exit_0(self, tmp_path):
         cfg = base_config()

@@ -387,6 +387,18 @@ class TestSerialization:
         save_profile_csv(path, gauss(uniform))
         assert path.read_text().splitlines()[0] == "r,value"
 
+    @pytest.mark.parametrize("g", [make_grid(8.0, 129, "geometric", 1.02), make_grid(24.0, 8193)],
+                             ids=["geometric", "uniform"])
+    def test_roundtrip_keeps_the_grid(self, g, tmp_path):
+        u = gauss(g)
+        path = tmp_path / "profile.csv"
+        save_profile_csv(path, u)
+        v = load_profile_csv(path)
+        assert np.array_equal(v.grid.nodes, g.nodes)
+        assert np.array_equal(v.grid.weights, g.weights)
+        assert v.grid.grading == g.grading
+        assert np.array_equal(v.values, u.values)
+
 
 class TestRadialFunction:
     def test_rejects_size_mismatch(self, uniform):

@@ -10,7 +10,7 @@ from cssolve import energy, gauge, solver, verify
 from cssolve.energy import j_trunc
 from cssolve.gauge import big_n, gauge_potential, prefix_h, suffix_a
 from cssolve.grid import RadialFunction, integrate_plane, make_grid
-from cssolve.nonlinearity import power_model
+from cssolve.nonlinearity import power_model, table_model
 from cssolve.solver import (
     MinimaxConfig,
     _band_solver,
@@ -172,6 +172,28 @@ class TestMountainPass:
         assert rep.converged
         assert abs(rep.level - mp_ground_state.level) < 0.05 * mp_ground_state.level
         assert rep.level > mp_ground_state.level
+
+
+class TestRaySearch:
+    def test_j_trunc_calls_bounded(self, model, monkeypatch):
+        calls = []
+        counted = solver.j_trunc
+
+        def count(*args, **kwargs):
+            calls.append(1)
+            return counted(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "j_trunc", count)
+        rep = mountain_pass(1e-3, model, make_grid(24.0, 2049))
+        assert rep.converged
+        assert len(calls) <= 1500
+
+    def test_unbuildable_start_ray_fails_the_solve(self):
+        # g(xi) = -xi: int G < 0 for every amplitude, so there is no start ray
+        model = table_model([[0, 0], [1, -1], [2, -2], [3, -3]])
+        rep = mountain_pass(0.0, model, make_grid(24.0, 257))
+        assert not rep.converged
+        assert np.all(rep.u.values == 0.0)
 
 
 class TestInitialPath:
