@@ -11,8 +11,9 @@ Three complementary engines:
   is solved by a banded Newton iteration on the same rows, and the potential
   is refreshed until the fixed point is reached.
 * ``newton_refine`` — matrix-free Newton--Krylov polish of the full
-  nonlocal strong-form system, preconditioned by the banded LU of its
-  exact local part on the 5-point rows.
+  nonlocal strong-form system: each Newton step is solved by flexible
+  GMRES, right-preconditioned by the banded LU of J's exact local part on
+  the 5-point rows, one J application and one banded solve per iteration.
 
 ``continuation_in_q`` and ``multiplicity_run`` orchestrate these to trace
 branches in the coupling q and to produce n distinct solutions at small q.
@@ -26,7 +27,6 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
-import scipy.sparse.linalg as spla
 # not called: the benchmark's tracer counts calls through this binding
 from scipy.integrate import solve_ivp  # noqa: F401
 from scipy.linalg.lapack import dgbtrf, dgbtrs, dgttrf, dgttrs
@@ -37,7 +37,7 @@ from .gauge import gauge_potential
 from .grid import (RadialFunction, RadialGrid, cumulative_integral, dilate, integrate_plane,
                    laplacian_radial, norm_sobolev)
 from .nonlinearity import NonlinearityModel
-from .verify import nehari_residual, pohozaev_residual, residual_pde
+from .verify import nehari_residual, pohozaev_residual, residual_pde, strong_residual
 
 
 @dataclass(frozen=True)
@@ -326,14 +326,25 @@ def _inner_newton(grid: RadialGrid, v_pot: np.ndarray, model: NonlinearityModel,
 # ---------------------------------------------------------------------------
 
 
+def _evaluate(u: RadialFunction, q: float, model: NonlinearityModel,
+              terms: Optional[tuple[np.ndarray, np.ndarray]] = None):
+    """(terms, res, f) of the iterate u, each evaluated once.
+
+    terms = gauge_potential(u, q), res = strong_residual(u, q, model), and f
+    is res with its last entry replaced by the Robin outer row.
+    """
+    terms = gauge_potential(u, q) if terms is None else terms
+    res = strong_residual(u, q, model, terms)
+    f = res.copy()
+    f[-1] = _robin_row(u.values, u.grid.nodes[1] - u.grid.nodes[0],
+                       _decay_rate(model, float(terms[1][-1])))
+    return terms, res, f
+
+
 def _full_residual(u: RadialFunction, q: float, model: NonlinearityModel,
                    terms: Optional[tuple[np.ndarray, np.ndarray]] = None) -> np.ndarray:
     """Strong-form residual with the Robin outer row; terms = gauge_potential(u, q)."""
-    g = u.grid
-    _, v_pot = gauge_potential(u, q) if terms is None else terms
-    f = -laplacian_radial(u) + v_pot * u.values - model.g(u.values)
-    f[-1] = _robin_row(u.values, g.nodes[1] - g.nodes[0], _decay_rate(model, float(v_pot[-1])))
-    return f
+    return _evaluate(u, q, model, terms)[2]
 
 
 def _linearization(u: RadialFunction, q: float, model: NonlinearityModel,
@@ -374,26 +385,89 @@ def _jacobian_apply(u: RadialFunction, q: float, model: NonlinearityModel,
     return _linearization(u, q, model)(z)
 
 
+# Newton-step tolerance ||f - J x||_2 <= rtol ||f||_2 and restart budget
+_KRYLOV_RTOL = 1e-8
+_KRYLOV_RESTART = 30
+_KRYLOV_CYCLES = 200
+
+
+def _fgmres(jac, solve, f: np.ndarray) -> tuple[np.ndarray, int]:
+    """x with ||f - J x||_2 <= 1e-8 ||f||_2 by restarted flexible GMRES (Saad 1993).
+
+    jac(z) = J z and solve(v) = M^{-1} v; the first cycle starts from x = 0.
+    Right-preconditioned: z_j = M^{-1} v_j is kept, so x = x + Z y costs no
+    further solve, and each iteration is one solve and one J application.
+    The basis is orthogonalized by modified Gram--Schmidt and the small
+    least-squares problem updated by Givens rotations.  Once the rotated
+    residual is small, one J application checks the true residual, and a
+    cycle that fails the check restarts from x.  Returns (x, info): info is 0
+    on success, 1 when 200 cycles of 30 iterations run out, and -1 when a
+    value is not finite or the Hessenberg matrix is singular.
+    """
+    target = _KRYLOV_RTOL * float(np.linalg.norm(f))
+    x, r = np.zeros(f.size), f
+    for _ in range(_KRYLOV_CYCLES):
+        beta = float(np.linalg.norm(r))
+        if beta <= target:
+            return x, 0
+        if not math.isfinite(beta):
+            return x, -1
+        basis, zs, cols, rotations, g = [r / beta], [], [], [], [beta]
+        for j in range(_KRYLOV_RESTART):
+            zs.append(solve(basis[-1]))
+            w = jac(zs[-1])
+            col = []
+            for b in basis:  # modified Gram--Schmidt
+                col.append(float(w @ b))
+                w = w - col[-1] * b
+            h_next = float(np.linalg.norm(w))
+            for i, (c, s) in enumerate(rotations):
+                col[i], col[i + 1] = c * col[i] + s * col[i + 1], c * col[i + 1] - s * col[i]
+            diag = math.hypot(col[j], h_next)
+            if not 0.0 < diag < math.inf:
+                return x, -1
+            c, s = col[j] / diag, h_next / diag
+            rotations.append((c, s))
+            col[j] = diag
+            cols.append(col)
+            g.append(-s * g[j])
+            g[j] *= c
+            if abs(g[-1]) <= target:
+                break
+            basis.append(w / h_next)
+        # back substitution on the rotated triangle R y = g
+        y = [0.0] * len(cols)
+        for i in reversed(range(len(cols))):
+            y[i] = (g[i] - sum(cols[l][i] * y[l] for l in range(i + 1, len(cols)))) / cols[i][i]
+        x = x + sum(yi * z for yi, z in zip(y, zs))
+        r = f - jac(x)
+    return x, 0 if float(np.linalg.norm(r)) <= target else 1
+
+
 def newton_refine(u: RadialFunction, q: float, model: NonlinearityModel,
-                  cfg: MinimaxConfig = MinimaxConfig()) -> SolveReport:
+                  cfg: MinimaxConfig = MinimaxConfig(),
+                  terms: Optional[tuple[np.ndarray, np.ndarray]] = None) -> SolveReport:
     """Matrix-free damped Newton on the full nonlocal strong-form system.
 
     Jacobian action applied matrix-free through the exact linearization of
     the residual map (finite-difference directional derivatives carry an
-    h^-2-amplified noise floor that stalls the Krylov solver); linear solves
-    by LGMRES, preconditioned with the exact local part of J: the 5-point
+    h^-2-amplified noise floor that stalls the Krylov solver).  Each Newton
+    step J s = f is solved by flexible GMRES (`_fgmres`) to 1e-8 relative,
+    right-preconditioned with the exact local part of J: the 5-point
     -laplacian_radial + V - g'(u) with the Robin row (`_band_solver`),
-    factored once per Newton step.  Only the nonlocal gauge term is left to
-    the Krylov iteration.  A singular preconditioner or a non-finite step
-    stops the iteration with converged=False.
+    factored once per Newton step.  Each Krylov iteration costs one J
+    application and one banded solve; only the nonlocal gauge term is left to
+    the iteration.  Each iterate's gauge terms and strong residual are
+    evaluated once and handed to the certificate; terms = gauge_potential(u, q)
+    when the caller already has them.  A singular preconditioner or a
+    non-finite step stops the iteration with converged=False.
     """
     g = u.grid
     if g.grading != "uniform":
         raise ValueError("newton_refine requires a uniform grid")
     floor = _residual_floor(g)
     # the gauge terms of an iterate serve its residual and its linearization
-    terms = gauge_potential(u, q)
-    f = _full_residual(u, q, model, terms)
+    terms, res, f = _evaluate(u, q, model, terms)
     iterations = 0
     converged = None
     for it in range(cfg.max_inner_iters):
@@ -408,16 +482,7 @@ def newton_refine(u: RadialFunction, q: float, model: NonlinearityModel,
         if solve is None:
             converged = False
             break
-        jac = _linearization(u, q, model, terms)
-
-        def matvec(z):
-            # LGMRES starts from x0 = 0, so its first product is J 0 = 0
-            return jac(z) if z.any() else np.zeros(g.n)
-
-        # dtype given, so LinearOperator does not probe matvec with a zero vector
-        op = spla.LinearOperator((g.n, g.n), matvec=matvec, dtype=float)
-        precond = spla.LinearOperator((g.n, g.n), matvec=solve, dtype=float)
-        step, info = spla.lgmres(op, f, M=precond, rtol=1e-8, atol=0.0, maxiter=200)
+        step, info = _fgmres(_linearization(u, q, model, terms), solve, f)
         if info != 0:
             break
         if not np.all(np.isfinite(step)):
@@ -426,25 +491,29 @@ def newton_refine(u: RadialFunction, q: float, model: NonlinearityModel,
         lam = 1.0
         while lam > 1e-12:
             trial = RadialFunction(g, u.values - lam * step)
-            trial_terms = gauge_potential(trial, q)
-            ft = _full_residual(trial, q, model, trial_terms)
+            trial_terms, trial_res, ft = _evaluate(trial, q, model)
             nt = float(np.max(np.abs(ft)))
             if nt < nf * (1.0 - 0.25 * lam) or nt < tol:
-                u, terms, f = trial, trial_terms, ft
+                u, terms, res, f = trial, trial_terms, trial_res, ft
                 break
             lam *= 0.5
         else:
             break
-    return _report(u, q, model, iterations, cfg, converged, terms)
+    return _report(u, q, model, iterations, cfg, converged, terms, res)
 
 
 def _report(u: RadialFunction, q: float, model: NonlinearityModel,
             iterations: int, cfg: MinimaxConfig, converged: Optional[bool] = None,
-            terms: Optional[tuple[np.ndarray, np.ndarray]] = None) -> SolveReport:
-    """The certificate of u, each piece evaluated once; terms = gauge_potential(u, q)."""
+            terms: Optional[tuple[np.ndarray, np.ndarray]] = None,
+            res: Optional[np.ndarray] = None) -> SolveReport:
+    """The certificate of u, each piece evaluated once.
+
+    terms = gauge_potential(u, q) and res = strong_residual(u, q, model) when
+    the caller already has them.
+    """
     terms = gauge_potential(u, q) if terms is None else terms
     pieces = energy_pieces(u, model, terms[0])
-    sup, _ = residual_pde(u, q, model, terms)
+    sup, _ = residual_pde(u, q, model, terms, res)
     if converged is None:
         floor = _residual_floor(u.grid) * max(1.0, float(np.max(np.abs(u.values))))
         converged = sup < max(10.0 * cfg.newton_tol, 10.0 * floor)
@@ -475,16 +544,20 @@ def nodal_shoot(q: float, model: NonlinearityModel, grid: RadialGrid, k: int,
                 warm_start: Optional[RadialFunction] = None) -> SolveReport:
     """Find a k-node solution by freezing the gauge potential.
 
-    A cold start takes the k-node q = 0 shot (`_shoot`) as its first iterate.
-    Outer loop: freeze V from the current iterate, solve the local BVP by
-    Newton, refresh V; stop at a fixed point, then polish with the full
-    nonlocal Newton.
+    A cold start takes the k-node q = 0 shot (`_shoot`) as its first iterate;
+    a warm start must live on grid.  Outer loop: freeze V from the current
+    iterate, solve the local BVP by Newton, refresh V; stop at a fixed point,
+    then polish with the full nonlocal Newton.  When the last inner Newton
+    left the iterate as it was, the polish starts from the loop's last gauge
+    terms.
     """
     if k < 0 or q < 0:
         raise ValueError("k and q must be non-negative")
     if not grid.grading == "uniform":
         raise ValueError("nodal_shoot requires a uniform grid")
     if warm_start is not None:
+        if warm_start.grid is not grid and not np.array_equal(warm_start.grid.nodes, grid.nodes):
+            raise ValueError("warm_start and grid must be the same grid")
         u = warm_start.values.copy()
     else:
         u = _shoot(grid, model, k)
@@ -494,10 +567,11 @@ def nodal_shoot(q: float, model: NonlinearityModel, grid: RadialGrid, k: int,
 
     start_norm = float(np.max(np.abs(u)))
     for outer in range(cfg.max_outer_iters):
-        _, v = gauge_potential(RadialFunction(grid, u), q)
-        un, ok, _ = _inner_newton(grid, v, model, u, cfg.max_inner_iters)
+        current = RadialFunction(grid, u)
+        terms = gauge_potential(current, q)
+        un, ok, steps = _inner_newton(grid, terms[1], model, u, cfg.max_inner_iters)
         if not ok or count_nodes(RadialFunction(grid, un)) != k:
-            return _report(RadialFunction(grid, u), q, model, outer, cfg, converged=False)
+            return _report(current, q, model, outer, cfg, converged=False, terms=terms)
         delta = float(np.max(np.abs(un - u)))
         u = 0.5 * (u + un) if delta > 1.0 else un
         if float(np.max(np.abs(u))) > 10.0 * max(start_norm, 1.0):
@@ -507,7 +581,10 @@ def nodal_shoot(q: float, model: NonlinearityModel, grid: RadialGrid, k: int,
     else:
         return _report(RadialFunction(grid, u), q, model, cfg.max_outer_iters, cfg, converged=False)
 
-    report = newton_refine(RadialFunction(grid, u), q, model, cfg)
+    if steps:
+        # the last inner Newton moved u, so the loop's gauge terms are not u's
+        current, terms = RadialFunction(grid, u), None
+    report = newton_refine(current, q, model, cfg, terms)
     if report.node_count != k:
         report = replace(report, converged=False)
     return report

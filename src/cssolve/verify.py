@@ -33,18 +33,24 @@ class VerificationReport:
         return json.dumps(asdict(self), indent=2)
 
 
+def strong_residual(u: RadialFunction, q: float, model: NonlinearityModel,
+                    terms: Optional[tuple[np.ndarray, np.ndarray]] = None) -> np.ndarray:
+    """-Delta u + 2q u A_u + q u h_u^2/r^2 - g(u) at every node; terms = gauge_potential(u, q)."""
+    _, v_pot = gauge_potential(u, q) if terms is None else terms
+    return -laplacian_radial(u) + v_pot * u.values - model.g(u.values)
+
+
 def residual_pde(u: RadialFunction, q: float, model: NonlinearityModel,
-                 terms: Optional[tuple[np.ndarray, np.ndarray]] = None) -> tuple[float, float]:
+                 terms: Optional[tuple[np.ndarray, np.ndarray]] = None,
+                 res: Optional[np.ndarray] = None) -> tuple[float, float]:
     """Strong-form residual of -Delta u + 2q u A_u + q u h_u^2/r^2 - g(u).
 
-    Returns (sup norm, plane L^2 norm); terms = gauge_potential(u, q) when
-    the caller already has them.
+    Returns (sup norm, plane L^2 norm); terms = gauge_potential(u, q) and
+    res = strong_residual(u, q, model) when the caller already has them.
     """
-    g = u.grid
-    _, v_pot = gauge_potential(u, q) if terms is None else terms
-    res = -laplacian_radial(u) + v_pot * u.values - model.g(u.values)
+    res = strong_residual(u, q, model, terms) if res is None else res
     sup = float(np.max(np.abs(res)))
-    l2 = math.sqrt(max(integrate_plane(g, res**2), 0.0))
+    l2 = math.sqrt(max(integrate_plane(u.grid, res**2), 0.0))
     return sup, l2
 
 

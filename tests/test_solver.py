@@ -14,6 +14,7 @@ from cssolve.nonlinearity import power_model, table_model
 from cssolve.solver import (
     MinimaxConfig,
     _band_solver,
+    _fgmres,
     _full_residual,
     _gprime,
     _inner_newton,
@@ -241,7 +242,7 @@ class TestLinearization:
     def test_frozen_closure_equals_jacobian_apply(self, point, model):
         u, z = point
         lin = _linearization(u, self.Q, model)
-        # reused across directions, as LGMRES reuses it within a Newton step
+        # reused across directions, as the Krylov solver reuses it within a Newton step
         for w in (z, z**2, np.sin(3.0 * u.grid.nodes) * z, z):
             assert np.array_equal(lin(w), _jacobian_apply(u, self.Q, model, w))
 
@@ -255,6 +256,53 @@ class TestLinearization:
         # the last row is left out: kappa is frozen there (see the docstring)
         err = np.max(np.abs(jz[:-1] - fd[:-1]))
         assert err < 1e-6 * np.max(np.abs(fd[:-1]))
+
+
+class TestFgmres:
+    """The Newton step's Krylov solve on the polish's own J and preconditioner."""
+
+    @staticmethod
+    def _step(model, q, n=1025):
+        g = make_grid(24.0, n)
+        u = RadialFunction(g, 2.4 * np.exp(-g.nodes**2 / 3.0))
+        terms = gauge_potential(u, q)
+        jac = _linearization(u, q, model, terms)
+        solve = _band_solver(g, terms[1] - _gprime(model, u.values),
+                             math.sqrt(2.0 * model.m0 + terms[1][-1]))
+        return jac, solve, _full_residual(u, q, model, terms)
+
+    @staticmethod
+    def _counted(fn, calls):
+        def wrapper(z):
+            calls.append(1)
+            return fn(z)
+
+        return wrapper
+
+    def test_meets_the_relative_tolerance(self, model):
+        jac, solve, f = self._step(model, 1e-3)
+        x, info = _fgmres(jac, solve, f)
+        assert info == 0
+        assert np.linalg.norm(f - jac(x)) <= 1e-8 * np.linalg.norm(f)
+
+    def test_exact_preconditioner_takes_one_iteration(self, model):
+        # at q = 0, J is its own local part, so M = J^-1 up to rounding
+        applications, solves = [], []
+        jac, solve, f = self._step(model, 0.0)
+        x, info = _fgmres(self._counted(jac, applications), self._counted(solve, solves), f)
+        assert info == 0
+        assert len(solves) == 1
+        # one iteration and the true-residual check
+        assert len(applications) == 2
+        assert np.linalg.norm(f - jac(x)) <= 1e-8 * np.linalg.norm(f)
+
+    def test_stagnation_runs_out_of_budget(self):
+        # GMRES(30) on a cyclic shift of 64 unknowns makes no progress from e_0
+        f = np.zeros(64)
+        f[0] = 1.0
+        x, info = _fgmres(lambda z: np.roll(z, 1), lambda v: v, f)
+        assert info == 1
+        assert np.isfinite(x).all()
 
 
 class TestReorderedKernels:
@@ -344,23 +392,30 @@ class TestReorderedKernels:
             assert np.max(np.abs(jac(x) - b)) <= 1e-12 * np.max(abs_jx)
 
     def test_warm_step_matvec_count(self, model, grid, ground_state, monkeypatch):
-        applications = []
+        applications, solves = [], []
 
-        def counted(*args, **kwargs):
-            apply = _linearization(*args, **kwargs)
+        def counted(make, calls):
+            def wrapped_make(*args, **kwargs):
+                fn = make(*args, **kwargs)
 
-            def wrapper(z):
-                applications.append(1)
-                return apply(z)
+                def wrapper(z):
+                    calls.append(1)
+                    return fn(z)
 
-            return wrapper
+                return wrapper
 
-        monkeypatch.setattr(solver, "_linearization", counted)
+            return wrapped_make
+
+        monkeypatch.setattr(solver, "_linearization", counted(_linearization, applications))
+        monkeypatch.setattr(solver, "_band_solver", counted(_band_solver, solves))
         rep = nodal_shoot(5.9e-5, model, grid, 0, warm_start=ground_state.u)
         assert rep.converged
         # the -Delta_2 + 2 m0 preconditioner, blind to V - g'(u), needed 24, the
-        # 3-point local part 10-14, and the exact local part 5 while J 0 was applied
-        assert 0 < len(applications) <= 6
+        # 3-point local part 10-14, and the exact local part 5 while J 0 was applied;
+        # LGMRES then applied J 4 times and M 4 times, flexible GMRES J 4 times
+        # (3 iterations and the true-residual check) and M 3 times
+        assert 0 < len(applications) <= 5
+        assert 0 < len(solves) <= 3
 
     def test_polish_never_applies_jacobian_to_zero(self, model, grid, ground_state, monkeypatch):
         directions = []
@@ -378,7 +433,7 @@ class TestReorderedKernels:
         for q in (5.9e-5, 1e-3):
             assert nodal_shoot(q, model, grid, 0, warm_start=ground_state.u).converged
         assert directions
-        # LGMRES starts from x0 = 0; J 0 = 0 needs no application
+        # the Krylov solve starts from x0 = 0; J 0 = 0 needs no application
         assert all(z.any() for z in directions)
 
     def test_warm_step_certificate_evaluates_once(self, model, grid, ground_state, monkeypatch):
@@ -397,6 +452,24 @@ class TestReorderedKernels:
         assert rep.converged
         # N(u) feeds the level, Nehari, Pohozaev and the truncation check
         assert calls == {"big_n": 1, "residual_pde": 1}
+
+    def test_warm_step_residual_handed_to_certificate(self, model, grid, ground_state,
+                                                      monkeypatch):
+        handed = []
+
+        def recorded(u, q, model, terms=None, res=None):
+            handed.append((u, q, res))
+            return residual_pde(u, q, model, terms, res)
+
+        monkeypatch.setattr(solver, "residual_pde", recorded)
+        rep = nodal_shoot(5.9e-5, model, grid, 0, warm_start=ground_state.u)
+        assert rep.converged
+        [(u, q, res)] = handed
+        assert u is rep.u and res is not None
+        # the polish's last strong residual, before the Robin row replaced its last entry
+        sup, l2 = residual_pde(u, q, model, res=res)
+        assert (sup, l2) == residual_pde(u, q, model)
+        assert rep.residual_pde == sup
 
     def test_three_point_rows_cached_and_read_only(self):
         g = make_grid(24.0, 1025)
@@ -460,12 +533,41 @@ class TestFailurePaths:
         assert rep.iterations == 1
 
     def test_non_finite_step_fails_newton_refine(self, model, grid, ground_state, monkeypatch):
-        monkeypatch.setattr(solver.spla, "lgmres",
-                            lambda op, f, **kwargs: (np.full(f.size, np.nan), 0))
+        monkeypatch.setattr(solver, "_fgmres",
+                            lambda jac, solve, f: (np.full(f.size, np.nan), 0))
         rough = RadialFunction(grid, ground_state.u.values * (1 + 1e-4))
         rep = newton_refine(rough, 0.0, model)
         assert not rep.converged
         assert np.array_equal(rep.u.values, rough.values)
+
+    def test_non_finite_preconditioner_fails_newton_refine(self, model, grid, ground_state,
+                                                           monkeypatch):
+        solves = []
+
+        def band_solver(*args):
+            solve = _band_solver(*args)
+
+            def nan_on_second_call(b):
+                solves.append(1)
+                return np.full(b.size, np.nan) if len(solves) == 2 else solve(b)
+
+            return nan_on_second_call
+
+        monkeypatch.setattr(solver, "_band_solver", band_solver)
+        rough = RadialFunction(grid, ground_state.u.values * (1 + 1e-4))
+        rep = newton_refine(rough, 1e-3, model)
+        # the first Krylov solve fails, so the polish stops before its first step
+        assert len(solves) == 2
+        assert not rep.converged
+        assert np.array_equal(rep.u.values, rough.values)
+
+    def test_warm_start_on_another_grid_is_rejected(self, model, grid, ground_state):
+        for other in (make_grid(24.0, 4097), make_grid(20.0, 8193)):
+            with pytest.raises(ValueError, match="same grid"):
+                nodal_shoot(5.9e-5, model, other, 0, warm_start=ground_state.u)
+        # a grid with the same nodes is the same grid
+        assert nodal_shoot(5.9e-5, model, make_grid(24.0, 8193), 0,
+                           warm_start=ground_state.u).converged
 
 
 class TestCountNodes:
