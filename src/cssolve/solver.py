@@ -5,15 +5,16 @@ Three complementary engines:
 * ``mountain_pass`` — the lowest positive level: maximize the energy along
   a ray, take a steepest-descent step in the Sobolev metric from the ray
   maximizer, repeat on the ray through the descended point, then polish.
-* ``nodal_shoot`` — shooting with nonlocal-coefficient freezing: a cold
-  start shoots on the 3-point rows of the q = 0 local problem for a k-node
-  profile; then the gauge potential is frozen, the resulting local problem
-  is solved by a banded Newton iteration on the same rows, and the potential
-  is refreshed until the fixed point is reached.
+* ``nodal_shoot`` — a cold start shoots on the 3-point rows of the q = 0
+  local problem for a k-node profile; from it, or from a warm start, a
+  chord iteration solves the full nonlocal system on the 5-point rows with
+  the banded LU of J's local part at the first iterate, factored once, one
+  evaluation and one banded solve per step.
 * ``newton_refine`` — matrix-free Newton--Krylov polish of the full
   nonlocal strong-form system: each Newton step is solved by flexible
   GMRES, right-preconditioned by the banded LU of J's exact local part on
   the 5-point rows, one J application and one banded solve per iteration.
+  It certifies the chord's result, and takes over when the chord stalls.
 
 ``continuation_in_q`` and ``multiplicity_run`` orchestrate these to trace
 branches in the coupling q and to produce n distinct solutions at small q.
@@ -29,7 +30,7 @@ from typing import Optional
 import numpy as np
 # not called: the benchmark's tracer counts calls through this binding
 from scipy.integrate import solve_ivp  # noqa: F401
-from scipy.linalg.lapack import dgbtrf, dgbtrs, dgttrf, dgttrs
+from scipy.linalg.lapack import dgbtrf, dgbtrs
 from scipy.optimize import minimize_scalar
 
 from .energy import energy_pieces, j_trunc, riesz_gradient
@@ -213,41 +214,11 @@ def _robin_row(v: np.ndarray, h: float, kappa: float) -> float | np.ndarray:
     return (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * h) + kappa * v[-1]
 
 
-def _local_solver(grid: RadialGrid, diag: np.ndarray, kappa: float):
-    """solve(b) = A^{-1} b for the second-order -Delta_r + diag, or None if A is singular.
-
-    Rows of A: the smooth limit -4 (u_1 - u_0) / h^2 at r = 0, the 3-point
-    -u'' - u'/r inside, and the Robin row u'(R) + kappa u(R) at the outer
-    edge.  The Robin row's (n-1, n-3) entry is eliminated with row n-2 (the
-    right-hand side takes the same row operation), which leaves A
-    tridiagonal; LAPACK gttrf factors it once and each solve is one gttrs.
-    """
-    h = grid.nodes[1] - grid.nodes[0]
-    lower, upper = grid.three_point_rows
-    d = 2.0 / h**2 + diag
-    d[0] = 4.0 / h**2 + diag[0]
-    # the Robin row on nodes n-3, n-2, n-1, minus c times row n-2
-    robin = _robin_row(np.eye(3), h, kappa)
-    c = robin[0] / lower[-1]
-    dl = np.append(lower, robin[1] - c * d[-2])
-    d[-1] = robin[2] - c * upper[-1]
-    du = np.concatenate(([-4.0 / h**2], upper))
-    *factors, info = dgttrf(dl, d, du)
-    if info != 0:
-        return None
-
-    def solve(b: np.ndarray) -> np.ndarray:
-        rhs = np.array(b, dtype=float)
-        rhs[-1] -= c * rhs[-2]
-        return dgttrs(*factors, rhs, overwrite_b=True)[0]
-
-    return solve
-
-
 def _band_solver(grid: RadialGrid, diag: np.ndarray, kappa: float):
     """solve(b) = A^{-1} b for the fourth-order -laplacian_radial + diag, or None if A is singular.
 
-    A is the local part of `newton_refine`'s Jacobian: the rows of
+    A is the local part of the full system's Jacobian, the chord's M and the
+    polish's preconditioner: the rows of
     -`laplacian_radial` (the grid's `laplacian_band`) plus diag inside, and
     the Robin row u'(R) + kappa u(R) at the outer edge.  With the last
     Laplacian row replaced, A has 4 sub- and 2 superdiagonals; LAPACK gbtrf
@@ -273,68 +244,22 @@ def _band_solver(grid: RadialGrid, diag: np.ndarray, kappa: float):
     return solve
 
 
-def _inner_newton(grid: RadialGrid, v_pot: np.ndarray, model: NonlinearityModel,
-                  u0: np.ndarray, max_iters: int):
-    """Damped Newton for the frozen-coefficient BVP on second-order stencils.
-
-    Rows: smooth-limit Laplacian at r = 0, centered stencils inside, and the
-    asymptotic Robin condition u'(R) + kappa u(R) = 0 at the outer edge.
-    Returns (u, ok, iterations); ok is False on a singular Jacobian, a
-    non-finite step or a failed line search.
-    """
-    h, n = grid.nodes[1] - grid.nodes[0], grid.n
-    lower, upper = grid.three_point_rows
-    kappa = _decay_rate(model, float(v_pot[-1]))
-    u = u0.copy()
-    floor = _residual_floor(grid)
-
-    def resid(u):
-        f = np.empty(n)
-        gu = model.g(u)
-        f[1:-1] = (lower * u[:-2] + 2.0 / h**2 * u[1:-1] + upper * u[2:]
-                   + v_pot[1:-1] * u[1:-1] - gu[1:-1])
-        f[0] = -4.0 * (u[1] - u[0]) / h**2 + v_pot[0] * u[0] - gu[0]
-        f[-1] = _robin_row(u, h, kappa)
-        return f
-
-    f = resid(u)
-    for it in range(max_iters):
-        nf = float(np.max(np.abs(f)))
-        tol = max(1e-11, floor * max(1.0, float(np.max(np.abs(u)))))
-        if nf < tol:
-            return u, True, it
-        solve = _local_solver(grid, v_pot - _gprime(model, u), kappa)
-        step = None if solve is None else solve(f)
-        if step is None or not np.all(np.isfinite(step)):
-            return u, False, it
-        lam = 1.0
-        while lam > 1e-12:
-            trial = u - lam * step
-            ft = resid(trial)
-            nt = float(np.max(np.abs(ft)))
-            if nt < nf * (1.0 - 0.25 * lam) or nt < tol:
-                u, f = trial, ft
-                break
-            lam *= 0.5
-        else:
-            return u, False, it
-    return u, False, max_iters
-
-
 # ---------------------------------------------------------------------------
 # Full nonlocal Newton--Krylov polish
 # ---------------------------------------------------------------------------
 
 
 def _evaluate(u: RadialFunction, q: float, model: NonlinearityModel,
-              terms: Optional[tuple[np.ndarray, np.ndarray]] = None):
+              terms: Optional[tuple[np.ndarray, np.ndarray]] = None,
+              res: Optional[np.ndarray] = None):
     """(terms, res, f) of the iterate u, each evaluated once.
 
     terms = gauge_potential(u, q), res = strong_residual(u, q, model), and f
-    is res with its last entry replaced by the Robin outer row.
+    is res with its last entry replaced by the Robin outer row; terms and res
+    are evaluated only when not passed in.
     """
     terms = gauge_potential(u, q) if terms is None else terms
-    res = strong_residual(u, q, model, terms)
+    res = strong_residual(u, q, model, terms) if res is None else res
     f = res.copy()
     f[-1] = _robin_row(u.values, u.grid.nodes[1] - u.grid.nodes[0],
                        _decay_rate(model, float(terms[1][-1])))
@@ -446,7 +371,8 @@ def _fgmres(jac, solve, f: np.ndarray) -> tuple[np.ndarray, int]:
 
 def newton_refine(u: RadialFunction, q: float, model: NonlinearityModel,
                   cfg: MinimaxConfig = MinimaxConfig(),
-                  terms: Optional[tuple[np.ndarray, np.ndarray]] = None) -> SolveReport:
+                  terms: Optional[tuple[np.ndarray, np.ndarray]] = None,
+                  res: Optional[np.ndarray] = None) -> SolveReport:
     """Matrix-free damped Newton on the full nonlocal strong-form system.
 
     Jacobian action applied matrix-free through the exact linearization of
@@ -459,15 +385,16 @@ def newton_refine(u: RadialFunction, q: float, model: NonlinearityModel,
     application and one banded solve; only the nonlocal gauge term is left to
     the iteration.  Each iterate's gauge terms and strong residual are
     evaluated once and handed to the certificate; terms = gauge_potential(u, q)
-    when the caller already has them.  A singular preconditioner or a
-    non-finite step stops the iteration with converged=False.
+    and res = strong_residual(u, q, model) when the caller already has them.
+    A singular preconditioner or a non-finite step stops the iteration with
+    converged=False.
     """
     g = u.grid
     if g.grading != "uniform":
         raise ValueError("newton_refine requires a uniform grid")
     floor = _residual_floor(g)
     # the gauge terms of an iterate serve its residual and its linearization
-    terms, res, f = _evaluate(u, q, model, terms)
+    terms, res, f = _evaluate(u, q, model, terms, res)
     iterations = 0
     converged = None
     for it in range(cfg.max_inner_iters):
@@ -535,21 +462,62 @@ def _report(u: RadialFunction, q: float, model: NonlinearityModel,
 
 
 # ---------------------------------------------------------------------------
-# Nodal shooting with coefficient freezing
+# Nodal shooting and the chord iteration
 # ---------------------------------------------------------------------------
+
+
+def _inner_newton(u: RadialFunction, q: float, model: NonlinearityModel, k: int,
+                  cfg: MinimaxConfig):
+    """Chord (simplified Newton) iteration for a k-node solution of the full system.
+
+    M is `newton_refine`'s preconditioner at the start iterate, the banded LU
+    of J's local part -laplacian_radial + V - g'(u) with the Robin row,
+    factored once.  Each step evaluates the iterate once (`_evaluate`: gauge
+    terms, strong residual, Robin row) and sets u <- u - M^{-1} f, with the
+    step halved when max|step| > 1.  The nonlocal part of J left out of M
+    sets the rate.  The iteration stops after a step with max|step| < 1e-10;
+    a step not below half the last one, or cfg.max_inner_iters steps, leave
+    u to `newton_refine`.  Returns (u, terms, res, steps, ok) with u's gauge
+    terms and strong residual; ok is False on a singular M, a non-finite
+    step, a changed node count or a blow-up past 10 max(|u_start|, 1).
+    """
+    g = u.grid
+    terms, res, f = _evaluate(u, q, model)
+    v_pot = terms[1]
+    solve = _band_solver(g, v_pot - _gprime(model, u.values), _decay_rate(model, float(v_pot[-1])))
+    if solve is None:
+        return u, terms, res, 0, False
+    bound = 10.0 * max(float(np.max(np.abs(u.values))), 1.0)
+    last = math.inf
+    for steps in range(cfg.max_inner_iters):
+        step = solve(f)
+        size = float(np.max(np.abs(step)))
+        if not math.isfinite(size):
+            return u, terms, res, steps, False
+        if size >= 0.5 * last:
+            return u, terms, res, steps, True
+        trial = RadialFunction(g, u.values - (0.5 * step if size > 1.0 else step))
+        if float(np.max(np.abs(trial.values))) > bound or count_nodes(trial) != k:
+            return u, terms, res, steps, False
+        u, (terms, res, f) = trial, _evaluate(trial, q, model)
+        if size < 1e-10:
+            return u, terms, res, steps + 1, True
+        last = size
+    return u, terms, res, cfg.max_inner_iters, True
 
 
 def nodal_shoot(q: float, model: NonlinearityModel, grid: RadialGrid, k: int,
                 cfg: MinimaxConfig = MinimaxConfig(),
                 warm_start: Optional[RadialFunction] = None) -> SolveReport:
-    """Find a k-node solution by freezing the gauge potential.
+    """Find a k-node solution by a chord iteration and a Newton--Krylov polish.
 
     A cold start takes the k-node q = 0 shot (`_shoot`) as its first iterate;
-    a warm start must live on grid.  Outer loop: freeze V from the current
-    iterate, solve the local BVP by Newton, refresh V; stop at a fixed point,
-    then polish with the full nonlocal Newton.  When the last inner Newton
-    left the iterate as it was, the polish starts from the loop's last gauge
-    terms.
+    a warm start must live on grid.  The chord iteration (`_inner_newton`)
+    solves the full nonlocal 5-point system with the local Jacobian of the
+    first iterate, factored once; `newton_refine` then certifies the result,
+    or polishes it when the chord stalled.  The certificate reads the last
+    iterate's gauge terms and strong residual.  `iterations` counts chord
+    and Newton steps.
     """
     if k < 0 or q < 0:
         raise ValueError("k and q must be non-negative")
@@ -558,36 +526,20 @@ def nodal_shoot(q: float, model: NonlinearityModel, grid: RadialGrid, k: int,
     if warm_start is not None:
         if warm_start.grid is not grid and not np.array_equal(warm_start.grid.nodes, grid.nodes):
             raise ValueError("warm_start and grid must be the same grid")
-        u = warm_start.values.copy()
+        start = RadialFunction(grid, warm_start.values)
     else:
-        u = _shoot(grid, model, k)
-        if u is None:
+        shot = _shoot(grid, model, k)
+        if shot is None:
             return _report(RadialFunction(grid, np.zeros(grid.n)), q, model, 0, cfg,
                            converged=False)
+        start = RadialFunction(grid, shot)
 
-    start_norm = float(np.max(np.abs(u)))
-    for outer in range(cfg.max_outer_iters):
-        current = RadialFunction(grid, u)
-        terms = gauge_potential(current, q)
-        un, ok, steps = _inner_newton(grid, terms[1], model, u, cfg.max_inner_iters)
-        if not ok or count_nodes(RadialFunction(grid, un)) != k:
-            return _report(current, q, model, outer, cfg, converged=False, terms=terms)
-        delta = float(np.max(np.abs(un - u)))
-        u = 0.5 * (u + un) if delta > 1.0 else un
-        if float(np.max(np.abs(u))) > 10.0 * max(start_norm, 1.0):
-            return _report(RadialFunction(grid, u), q, model, outer, cfg, converged=False)
-        if delta < 1e-10:
-            break
-    else:
-        return _report(RadialFunction(grid, u), q, model, cfg.max_outer_iters, cfg, converged=False)
-
-    if steps:
-        # the last inner Newton moved u, so the loop's gauge terms are not u's
-        current, terms = RadialFunction(grid, u), None
-    report = newton_refine(current, q, model, cfg, terms)
-    if report.node_count != k:
-        report = replace(report, converged=False)
-    return report
+    u, terms, res, steps, ok = _inner_newton(start, q, model, k, cfg)
+    if not ok:
+        return _report(u, q, model, steps, cfg, converged=False, terms=terms, res=res)
+    report = newton_refine(u, q, model, cfg, terms, res)
+    return replace(report, iterations=steps + report.iterations,
+                   converged=report.converged and report.node_count == k)
 
 
 # ---------------------------------------------------------------------------
