@@ -3,13 +3,14 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.linalg import lapack
+import scipy.sparse as sp
+from scipy.linalg import lapack, solve_banded
 from scipy.linalg.lapack import dgbtrf
 
 from cssolve import energy, gauge, solver, verify
 from cssolve.energy import j_trunc
 from cssolve.gauge import big_n, gauge_potential, prefix_h, suffix_a
-from cssolve.grid import RadialFunction, integrate_plane, make_grid
+from cssolve.grid import RadialFunction, integrate_plane, laplacian_radial, make_grid
 from cssolve.nonlinearity import power_model, table_model
 from cssolve.solver import (
     MinimaxConfig,
@@ -339,6 +340,77 @@ class TestReorderedKernels:
         h_u, v_pot = gauge_potential(u, q)
         assert np.array_equal(h_u, h)
         assert np.array_equal(v_pot, v)
+
+    @pytest.mark.parametrize("n", [16, 17, 1025, 4096, 4097, 8193])
+    def test_preconditioner_matches_solve_banded(self, model, n):
+        # the chord's M and the polish's preconditioner, the 5-point -Delta_r + V - g'(u)
+        # with the Robin row, against LAPACK gbsv on a band built here from the stencils
+        # that laplacian_radial writes out (not from the grid's laplacian_band)
+        g = make_grid(24.0, n)
+        r, h = g.nodes, g.nodes[1] - g.nodes[0]
+        h2, h1 = 12.0 * h * h, 12.0 * h
+        u = 2.4 * np.exp(-r**2 / 3.0)
+        _, v_pot = gauge_potential(RadialFunction(g, u), 1e-3)
+        diag = v_pot - _gprime(model, u)
+        kappa = math.sqrt(2.0 * model.m0 + v_pot[-1])
+        kl, ku = 4, 2
+        # solve_banded storage: A_ij at ab[ku + i - j, j]
+        ab = np.zeros((kl + ku + 1, n))
+
+        def put(i, cols, laplacian_row):
+            ab[ku + i - cols, cols] = -laplacian_row
+
+        put(0, np.arange(3), 2.0 * np.array([-30.0, 32.0, -2.0]) / h2)
+        put(1, np.arange(4), np.array([16.0, -31.0, 16.0, -1.0]) / h2
+            + np.array([-8.0, 1.0, 8.0, -1.0]) / h1 / r[1])
+        for i in range(2, n - 2):
+            put(i, np.arange(i - 2, i + 3), np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / h2
+                + np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / h1 / r[i])
+        w2, w1 = g.tail_weights[0]
+        put(n - 2, np.arange(n - 6, n), w2 + w1 / r[n - 2])
+        ab[ku] += diag
+        # Robin row (1/2h, -4/2h, 3/2h + kappa) in place of the last Laplacian row
+        ab[ku + n - 1 - np.arange(n - 3, n), np.arange(n - 3, n)] = [
+            1.0 / (2.0 * h), -4.0 / (2.0 * h), 3.0 / (2.0 * h) + kappa]
+        solve = _band_solver(g, diag, kappa)
+        rng = np.random.default_rng(n)
+        for _ in range(4):
+            b = rng.standard_normal(n) * 10.0 ** rng.uniform(-8.0, 8.0)
+            assert np.array_equal(solve(b), solve_banded((kl, ku), ab, b))
+
+    @pytest.mark.parametrize("n", [16, 17, 1025, 4096, 4097, 8193])
+    def test_local_solver_matches_sparse_assembly(self, model, n):
+        # the chord's solve on the local -Delta_r + V - g'(u): the matrix is assembled
+        # independently as CSR from laplacian_radial applied to each unit vector, with
+        # the last row replaced by the Robin row
+        g = make_grid(24.0, n)
+        r, h = g.nodes, g.nodes[1] - g.nodes[0]
+        u = 2.4 * np.exp(-r**2 / 3.0)
+        _, v_pot = gauge_potential(RadialFunction(g, u), 1e-3)
+        diag = v_pot - _gprime(model, u)
+        kappa = math.sqrt(2.0 * model.m0 + v_pot[-1])
+        rows, cols, vals = [], [], []
+        e = np.zeros(n)
+        for j in range(n):
+            e[j] = 1.0
+            column = -laplacian_radial(g, e)
+            e[j] = 0.0
+            (i,) = np.nonzero(column[:-1])
+            rows.append(i)
+            cols.append(np.full(i.size, j))
+            vals.append(column[i])
+        rows.append(np.full(3, n - 1))
+        cols.append(np.arange(n - 3, n))
+        vals.append([1.0 / (2.0 * h), -2.0 / h, 3.0 / (2.0 * h) + kappa])
+        a = sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                          shape=(n, n)) + sp.diags(np.r_[diag[:-1], 0.0])
+        solve = _band_solver(g, diag, kappa)
+        rng = np.random.default_rng(n)
+        for _ in range(4):
+            b = rng.standard_normal(n) * 10.0 ** rng.uniform(-8.0, 8.0)
+            x = solve(b)
+            # normwise backward error: |A x - b| against |A| |x|
+            assert np.max(np.abs(a @ x - b)) <= 1e-12 * np.max(abs(a) @ np.abs(x))
 
     @pytest.mark.parametrize("n", [16, 17, 1025, 4096, 4097])
     def test_band_solver_inverts_local_jacobian(self, model, n):
