@@ -78,8 +78,7 @@ CONFIG_SCHEMA = {
             "properties": {
                 "r_max": {"type": "number", "exclusiveMinimum": 0},
                 "n": {"type": "integer", "minimum": 16},
-                # the solvers need equispaced nodes; make_grid still builds
-                # geometric grids for library use
+                # grids are uniform; the key stays so that existing configs validate
                 "grading": {"enum": ["uniform"]},
             },
         },

@@ -1,11 +1,11 @@
-"""Radial grids on [0, R_max] and calculus for radial functions on the plane.
+"""Uniform radial grids on [0, R_max] and calculus for radial functions on the plane.
 
 A radial function u(r) stands for the planar field u(|x|); all integrals
-are plane integrals, i.e. carry the measure 2*pi*r*dr.  Uniform grids get
-composite-Simpson weights and a Simpson-consistent cumulative rule;
-geometrically graded grids fall back to trapezoid everywhere.  The
-cumulative rule is written once, as the grid's increment matrix
-`RadialGrid.cumulative_increments`; its adjoint is that matrix's transpose.
+are plane integrals, i.e. carry the measure 2*pi*r*dr.  Grids are
+equispaced, with composite-Simpson weights and a Simpson-consistent
+cumulative rule.  The cumulative rule is written once, as the grid's
+increment matrix `RadialGrid.cumulative_increments`; its adjoint is that
+matrix's transpose.
 """
 
 from __future__ import annotations
@@ -27,15 +27,15 @@ _DILATE_POINTS = 8
 
 @dataclass(frozen=True)
 class RadialGrid:
-    """Ascending radii r_0 = 0 < ... < r_{n-1} = R_max with quadrature weights.
+    """Equispaced radii r_0 = 0 < ... < r_{n-1} = R_max with quadrature weights.
 
-    weights are for the 1-D integral int_0^{R_max} f(r) dr; they are positive
-    and sum to R_max.
+    The nodes must be np.linspace(0, R_max, n) bit for bit; every stencil
+    reads the spacing off r_1 - r_0.  weights are for the 1-D integral
+    int_0^{R_max} f(r) dr; they are positive and sum to R_max.
     """
 
     nodes: np.ndarray
     weights: np.ndarray
-    grading: str = "uniform"
 
     def __post_init__(self):
         nodes = np.asarray(self.nodes, dtype=float)
@@ -44,8 +44,8 @@ class RadialGrid:
         object.__setattr__(self, "weights", weights)
         if nodes.ndim != 1 or nodes.size < MIN_NODES:
             raise ValueError(f"grid needs at least {MIN_NODES} nodes")
-        if nodes[0] != 0.0 or np.any(np.diff(nodes) <= 0):
-            raise ValueError("nodes must start at 0 and increase strictly")
+        if not nodes[-1] > 0 or not np.array_equal(nodes, np.linspace(0.0, nodes[-1], nodes.size)):
+            raise ValueError("nodes must be np.linspace(0, R_max, n) with R_max > 0")
         if weights.shape != nodes.shape or np.any(weights <= 0):
             raise ValueError("weights must be positive, one per node")
         nodes.setflags(write=False)
@@ -63,8 +63,8 @@ class RadialGrid:
     def tail_weights(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
         """(u'', u') weights of the one-sided 6-point stencils at r_{n-2}, r_{n-1}.
 
-        `laplacian_radial` applies them on a uniform grid; computed on first
-        use and then kept, since they depend on the nodes alone.
+        `laplacian_radial` applies them; computed on first use and then kept,
+        since they depend on the nodes alone.
         """
         x = self.nodes[-6:]
         weights = tuple((_fornberg(x, x0, 2), _fornberg(x, x0, 1)) for x0 in x[-2:])
@@ -98,23 +98,17 @@ class RadialGrid:
     def cumulative_increments(self) -> sp.csr_matrix:
         """The cumulative rule as a read-only CSR matrix B, shape (n - 1, n).
 
-        Row k - 1 is the integral over [r_{k-1}, r_k].  On a uniform grid it
-        is the quadratic through r_{k-1..k+1} for odd k, and through
-        r_{k-2..k} for even k and for the last interval of an even n; on a
-        graded grid, the trapezoid.  Built on first use and then kept.
+        Row k - 1 is the integral over [r_{k-1}, r_k]: that of the quadratic
+        through r_{k-1..k+1} for odd k, and through r_{k-2..k} for even k and
+        for the last interval of an even n.  Built on first use and then kept.
         """
         n = self.n
         k = np.arange(1, n)
-        if self.grading == "uniform":
-            c = (self.nodes[1] - self.nodes[0]) / 12.0
-            fwd = (k % 2 == 1) & (k < n - 1)
-            cols = np.where(fwd, k - 1, k - 2)[:, None] + np.arange(3)
-            data = np.where(fwd[:, None], [c * 5.0, c * 8.0, -c], [-c, c * 8.0, c * 5.0])
-        else:
-            cols = (k - 1)[:, None] + np.arange(2)
-            data = np.repeat(np.diff(self.nodes)[:, None] / 2.0, 2, axis=1)
-        b = sp.csr_matrix((data.ravel(), cols.ravel(), np.arange(n) * cols.shape[1]),
-                          shape=(n - 1, n))
+        c = (self.nodes[1] - self.nodes[0]) / 12.0
+        fwd = (k % 2 == 1) & (k < n - 1)
+        cols = np.where(fwd, k - 1, k - 2)[:, None] + np.arange(3)
+        data = np.where(fwd[:, None], [c * 5.0, c * 8.0, -c], [-c, c * 8.0, c * 5.0])
+        b = sp.csr_matrix((data.ravel(), cols.ravel(), np.arange(n) * 3), shape=(n - 1, n))
         for a in (b.data, b.indices, b.indptr):
             a.setflags(write=False)
         return b
@@ -129,7 +123,7 @@ class RadialGrid:
 
     @cached_property
     def three_point_rows(self) -> tuple[np.ndarray, np.ndarray]:
-        """(lower, upper) of the 3-point -u'' - u'/r at the interior nodes of a uniform grid.
+        """(lower, upper) of the 3-point -u'' - u'/r at the interior nodes.
 
         Row i is lower_i u_{i-1} + (2/h^2) u_i + upper_i u_{i+1}, with
         lower/upper = -1/h^2 +/- 1/(2 h r_i).  Read-only; built on first use.
@@ -139,21 +133,6 @@ class RadialGrid:
         for a in rows:
             a.setflags(write=False)
         return rows
-
-    @cached_property
-    def graded_weights(self) -> tuple[np.ndarray, ...]:
-        """(index, u'' weights, u' weights) of the 3-point stencils of a graded grid.
-
-        Row i holds the stencil's nodes and their `_fornberg` weights at r_i;
-        `laplacian_radial` applies them.  Computed on first use and then kept.
-        """
-        x, n = self.nodes, self.n
-        index = np.clip(np.arange(n) - 1, 0, n - 3)[:, None] + np.arange(3)
-        weights = (index,) + tuple(np.array([_fornberg(x[k], x0, m) for k, x0 in zip(index, x)])
-                                   for m in (2, 1))
-        for a in weights:
-            a.setflags(write=False)
-        return weights
 
     @cached_property
     def sobolev_metrics(self) -> dict:
@@ -209,35 +188,13 @@ def _simpson_weights(n: int, h: float) -> np.ndarray:
     return w
 
 
-def _trapezoid_weights(nodes: np.ndarray) -> np.ndarray:
-    """Trapezoid-rule weights on ascending nodes."""
-    half = np.diff(nodes) / 2.0
-    return np.r_[half, 0.0] + np.r_[0.0, half]
-
-
-def make_grid(r_max: float, n: int, grading: str = "uniform", ratio: float = 1.0) -> RadialGrid:
-    """Build a radial grid on [0, r_max].
-
-    grading "uniform" gives equispaced nodes with composite-Simpson weights;
-    "geometric" gives spacings growing by `ratio` with trapezoid weights,
-    renormalized so the last node is exactly r_max.
-    """
+def make_grid(r_max: float, n: int) -> RadialGrid:
+    """The uniform grid of n nodes on [0, r_max], with composite-Simpson weights."""
     if not (r_max > 0):
         raise ValueError("r_max must be positive")
     if n < MIN_NODES:
         raise ValueError(f"need n >= {MIN_NODES}")
-    if grading == "uniform":
-        nodes = np.linspace(0.0, r_max, n)
-        return RadialGrid(nodes, _simpson_weights(n, r_max / (n - 1)), "uniform")
-    if grading == "geometric":
-        if ratio <= 0:
-            raise ValueError("ratio must be positive")
-        d = ratio ** np.arange(n - 1)
-        nodes = np.concatenate(([0.0], np.cumsum(d)))
-        nodes *= r_max / nodes[-1]
-        nodes[-1] = r_max
-        return RadialGrid(nodes, _trapezoid_weights(nodes), "geometric")
-    raise ValueError(f"unknown grading {grading!r}")
+    return RadialGrid(np.linspace(0.0, r_max, n), _simpson_weights(n, r_max / (n - 1)))
 
 
 def integrate_plane(f, values: Optional[np.ndarray] = None) -> float:
@@ -407,41 +364,32 @@ def _fornberg(x: np.ndarray, x0: float, m: int) -> np.ndarray:
 def laplacian_radial(u, values: Optional[np.ndarray] = None) -> np.ndarray:
     """Radial Laplacian u'' + u'/r, with the smooth limit 2u''(0) at r = 0.
 
-    Fourth-order stencils on uniform grids (even extension through the
-    origin), second-order 3-point stencils on graded grids.  Accepts either
-    a RadialFunction or a (grid, values) pair.
+    Fourth-order stencils, with the even extension through the origin and
+    one-sided stencils at the last two nodes.  Accepts either a
+    RadialFunction or a (grid, values) pair.
     """
     g, v = (u.grid, u.values) if values is None else (u, values)
     x = g.nodes
     n = g.n
     out = np.empty(n)
-    if g.grading == "uniform":
-        h = x[1] - x[0]
-        h2 = 12.0 * h * h
-        h1 = 12.0 * h
-        # interior, 5-point centered: v[i-2], ..., v[i+2] for i = 2, ..., n-3
-        vm2, vm1, v0, vp1, vp2 = (v[k : n - 4 + k] for k in range(5))
-        upp = (-vm2 + 16 * vm1 - 30 * v0 + 16 * vp1 - vp2) / h2
-        up = (vm2 - 8 * vm1 + 8 * vp1 - vp2) / h1
-        out[2 : n - 2] = upp + up / x[2 : n - 2]
-        # r = 0: Delta u = 2 u''(0), even extension
-        out[0] = 2.0 * (-30 * v[0] + 32 * v[1] - 2 * v[2]) / h2
-        # r = h: even extension supplies the ghost value u(-h) = u(h)
-        upp1 = (16 * v[0] - 31 * v[1] + 16 * v[2] - v[3]) / h2
-        up1 = (-8 * v[0] + v[1] + 8 * v[2] - v[3]) / h1
-        out[1] = upp1 + up1 / x[1]
-        # last two nodes: one-sided 6-point stencils
-        tail = v[n - 6 :]
-        for i, (w2, w1) in zip((n - 2, n - 1), g.tail_weights):
-            out[i] = np.dot(w2, tail) + np.dot(w1, tail) / x[i]
-    else:
-        index, w2, w1 = g.graded_weights
-        # row-wise dot products; matmul forms each as np.dot does
-        vs = v[index][:, :, None]
-        upp = (w2[:, None, :] @ vs)[:, 0, 0]
-        up = (w1[:, None, :] @ vs)[:, 0, 0]
-        out[0] = 2.0 * upp[0]
-        out[1:] = upp[1:] + up[1:] / x[1:]
+    h = x[1] - x[0]
+    h2 = 12.0 * h * h
+    h1 = 12.0 * h
+    # interior, 5-point centered: v[i-2], ..., v[i+2] for i = 2, ..., n-3
+    vm2, vm1, v0, vp1, vp2 = (v[k : n - 4 + k] for k in range(5))
+    upp = (-vm2 + 16 * vm1 - 30 * v0 + 16 * vp1 - vp2) / h2
+    up = (vm2 - 8 * vm1 + 8 * vp1 - vp2) / h1
+    out[2 : n - 2] = upp + up / x[2 : n - 2]
+    # r = 0: Delta u = 2 u''(0), even extension
+    out[0] = 2.0 * (-30 * v[0] + 32 * v[1] - 2 * v[2]) / h2
+    # r = h: even extension supplies the ghost value u(-h) = u(h)
+    upp1 = (16 * v[0] - 31 * v[1] + 16 * v[2] - v[3]) / h2
+    up1 = (-8 * v[0] + v[1] + 8 * v[2] - v[3]) / h1
+    out[1] = upp1 + up1 / x[1]
+    # last two nodes: one-sided 6-point stencils
+    tail = v[n - 6 :]
+    for i, (w2, w1) in zip((n - 2, n - 1), g.tail_weights):
+        out[i] = np.dot(w2, tail) + np.dot(w1, tail) / x[i]
     return out
 
 
@@ -456,14 +404,11 @@ def save_profile_csv(path, u: RadialFunction) -> None:
 def load_profile_csv(path) -> RadialFunction:
     """Read a profile CSV written by save_profile_csv, on the grid it was saved on.
 
-    The nodes are written exactly, so nodes equal to np.linspace(0, R, n)
-    bit for bit rebuild the uniform grid; any others get trapezoid weights
-    and the "geometric" label, as `make_grid` gives a graded grid.
+    The nodes are written exactly, so those of a uniform grid rebuild it bit
+    for bit; any other nodes raise ValueError.
     """
-    data = np.loadtxt(path, delimiter=",", skiprows=1)
-    nodes = data[:, 0]
-    if np.array_equal(nodes, np.linspace(0.0, nodes[-1], nodes.size)):
-        grid = make_grid(nodes[-1], nodes.size, "uniform")
-    else:
-        grid = RadialGrid(nodes, _trapezoid_weights(nodes), "geometric")
-    return RadialFunction(grid, data[:, 1])
+    nodes, values = np.loadtxt(path, delimiter=",", skiprows=1, unpack=True)
+    grid = make_grid(nodes[-1], nodes.size)
+    if not np.array_equal(grid.nodes, nodes):
+        raise ValueError(f"{path}: the profile's nodes are not a uniform grid")
+    return RadialFunction(grid, values)

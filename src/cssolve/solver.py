@@ -130,8 +130,6 @@ def _decay_rate(model: NonlinearityModel, v_end: float) -> float:
 
 def _residual_floor(grid: RadialGrid) -> float:
     """Sup-norm residual floor 3e3 eps / h^2 set by the stencils' h^-2 roundoff."""
-    if grid.grading != "uniform":
-        return 0.0
     return 3e3 * np.finfo(float).eps / (grid.nodes[1] - grid.nodes[0]) ** 2
 
 
@@ -266,15 +264,9 @@ def _evaluate(u: RadialFunction, q: float, model: NonlinearityModel,
     return terms, res, f
 
 
-def _full_residual(u: RadialFunction, q: float, model: NonlinearityModel,
-                   terms: Optional[tuple[np.ndarray, np.ndarray]] = None) -> np.ndarray:
-    """Strong-form residual with the Robin outer row; terms = gauge_potential(u, q)."""
-    return _evaluate(u, q, model, terms)[2]
-
-
 def _linearization(u: RadialFunction, q: float, model: NonlinearityModel,
                    terms: Optional[tuple[np.ndarray, np.ndarray]] = None):
-    """Exact linearization of _full_residual at u, as the map z -> J(u) z.
+    """Exact linearization at u of f, `_evaluate`'s residual with the Robin row: z -> J(u) z.
 
     V(u) = 2q A_u + q h_u^2/r^2 is differentiated through the cumulative
     quadrature that defines it, so J is exact to roundoff.  Terms in u alone
@@ -390,8 +382,6 @@ def newton_refine(u: RadialFunction, q: float, model: NonlinearityModel,
     converged=False.
     """
     g = u.grid
-    if g.grading != "uniform":
-        raise ValueError("newton_refine requires a uniform grid")
     floor = _residual_floor(g)
     # the gauge terms of an iterate serve its residual and its linearization
     terms, res, f = _evaluate(u, q, model, terms, res)
@@ -517,12 +507,13 @@ def nodal_shoot(q: float, model: NonlinearityModel, grid: RadialGrid, k: int,
     first iterate, factored once; `newton_refine` then certifies the result,
     or polishes it when the chord stalled.  The certificate reads the last
     iterate's gauge terms and strong residual.  `iterations` counts chord
-    and Newton steps.
+    and Newton steps.  A polish that changes the node count has left the
+    k-node branch (at large q it can collapse the shot to a 0-node
+    profile), so the report then carries the chord's last iterate with
+    converged=False.
     """
     if k < 0 or q < 0:
         raise ValueError("k and q must be non-negative")
-    if not grid.grading == "uniform":
-        raise ValueError("nodal_shoot requires a uniform grid")
     if warm_start is not None:
         if warm_start.grid is not grid and not np.array_equal(warm_start.grid.nodes, grid.nodes):
             raise ValueError("warm_start and grid must be the same grid")
@@ -538,8 +529,10 @@ def nodal_shoot(q: float, model: NonlinearityModel, grid: RadialGrid, k: int,
     if not ok:
         return _report(u, q, model, steps, cfg, converged=False, terms=terms, res=res)
     report = newton_refine(u, q, model, cfg, terms, res)
-    return replace(report, iterations=steps + report.iterations,
-                   converged=report.converged and report.node_count == k)
+    iterations = steps + report.iterations
+    if report.node_count != k:
+        return _report(u, q, model, iterations, cfg, converged=False, terms=terms, res=res)
+    return replace(report, iterations=iterations)
 
 
 # ---------------------------------------------------------------------------

@@ -181,6 +181,23 @@ class TestGauge:
         data = json.loads((tmp_path / "gauge.json").read_text())
         assert abs(data["flux"] + data["charge"] / 2.5) < 1e-10
 
+    def test_nonuniform_profile_exits_2(self, tmp_path, capsys):
+        csv = tmp_path / "nonuniform.csv"
+        nodes = 12.0 * np.linspace(0.0, 1.0, 513) ** 2
+        np.savetxt(csv, np.c_[nodes, np.exp(-nodes**2)], fmt="%.17g", delimiter=",",
+                   header="r,value", comments="")
+        cfg = {
+            "model": {"kind": "power", "p": 2.0, "omega": 1.0},
+            "grid": {"r_max": 12.0, "n": 513},
+            "profile_csv": str(csv),
+        }
+        path = write_config(tmp_path, cfg)
+        assert main(["gauge", "--config", path, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "not a uniform grid" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "gauge.json").exists()
+
 
 class TestOutputDir:
     def test_config_output_dir_used(self, tmp_path):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from cssolve import grid as grid_module
 from cssolve.grid import (
     RadialFunction,
+    RadialGrid,
     _fornberg,
     cumulative_adjoint,
     cumulative_integral,
@@ -40,19 +41,13 @@ def _reference_increments(grid):
     ks = np.arange(1, n)
     idx = np.empty((n - 1, 3), dtype=np.intp)
     coef = np.empty((n - 1, 3))
-    if grid.grading == "uniform":
-        h = x[1] - x[0]
-        fwd = (ks % 2 == 1) & (ks < n - 1)
-        kf, kb = ks[fwd], ks[~fwd]
-        idx[fwd] = np.stack([kf - 1, kf, kf + 1], axis=1)
-        coef[fwd] = h / 12.0 * np.array([5.0, 8.0, -1.0])
-        idx[~fwd] = np.stack([kb - 2, kb - 1, kb], axis=1)
-        coef[~fwd] = h / 12.0 * np.array([-1.0, 8.0, 5.0])
-    else:
-        d = np.diff(x)
-        idx[:] = np.stack([ks - 1, ks - 1, ks], axis=1)
-        coef[:, 0] = 0.0
-        coef[:, 1] = coef[:, 2] = d / 2.0
+    h = x[1] - x[0]
+    fwd = (ks % 2 == 1) & (ks < n - 1)
+    kf, kb = ks[fwd], ks[~fwd]
+    idx[fwd] = np.stack([kf - 1, kf, kf + 1], axis=1)
+    coef[fwd] = h / 12.0 * np.array([5.0, 8.0, -1.0])
+    idx[~fwd] = np.stack([kb - 2, kb - 1, kb], axis=1)
+    coef[~fwd] = h / 12.0 * np.array([-1.0, 8.0, 5.0])
     return idx, coef
 
 
@@ -81,35 +76,22 @@ def _reference_laplacian(u):
     x, v = g.nodes, u.values
     n = g.n
     out = np.empty(n)
-    if g.grading == "uniform":
-        h = x[1] - x[0]
-        h2 = 12.0 * h * h
-        h1 = 12.0 * h
-        i = np.arange(2, n - 2)
-        upp = (-v[i - 2] + 16 * v[i - 1] - 30 * v[i] + 16 * v[i + 1] - v[i + 2]) / h2
-        up = (v[i - 2] - 8 * v[i - 1] + 8 * v[i + 1] - v[i + 2]) / h1
-        out[2 : n - 2] = upp + up / x[i]
-        out[0] = 2.0 * (-30 * v[0] + 32 * v[1] - 2 * v[2]) / h2
-        upp1 = (16 * v[0] - 31 * v[1] + 16 * v[2] - v[3]) / h2
-        up1 = (-8 * v[0] + v[1] + 8 * v[2] - v[3]) / h1
-        out[1] = upp1 + up1 / x[1]
-        for i in (n - 2, n - 1):
-            sl = slice(n - 6, n)
-            w2 = _fornberg(x[sl], x[i], 2)
-            w1 = _fornberg(x[sl], x[i], 1)
-            out[i] = np.dot(w2, v[sl]) + np.dot(w1, v[sl]) / x[i]
-    else:
-        for i in range(n):
-            if i == 0:
-                sl = slice(0, 3)
-                out[0] = 2.0 * np.dot(_fornberg(x[sl], 0.0, 2), v[sl])
-                continue
-            sl = slice(max(0, i - 1), min(n, i + 2))
-            if sl.stop - sl.start < 3:
-                sl = slice(n - 3, n)
-            w2 = _fornberg(x[sl], x[i], 2)
-            w1 = _fornberg(x[sl], x[i], 1)
-            out[i] = np.dot(w2, v[sl]) + np.dot(w1, v[sl]) / x[i]
+    h = x[1] - x[0]
+    h2 = 12.0 * h * h
+    h1 = 12.0 * h
+    i = np.arange(2, n - 2)
+    upp = (-v[i - 2] + 16 * v[i - 1] - 30 * v[i] + 16 * v[i + 1] - v[i + 2]) / h2
+    up = (v[i - 2] - 8 * v[i - 1] + 8 * v[i + 1] - v[i + 2]) / h1
+    out[2 : n - 2] = upp + up / x[i]
+    out[0] = 2.0 * (-30 * v[0] + 32 * v[1] - 2 * v[2]) / h2
+    upp1 = (16 * v[0] - 31 * v[1] + 16 * v[2] - v[3]) / h2
+    up1 = (-8 * v[0] + v[1] + 8 * v[2] - v[3]) / h1
+    out[1] = upp1 + up1 / x[1]
+    for i in (n - 2, n - 1):
+        sl = slice(n - 6, n)
+        w2 = _fornberg(x[sl], x[i], 2)
+        w1 = _fornberg(x[sl], x[i], 1)
+        out[i] = np.dot(w2, v[sl]) + np.dot(w1, v[sl]) / x[i]
     return out
 
 
@@ -129,11 +111,6 @@ class TestMakeGrid:
         assert np.all(g.weights > 0)
         assert math.isclose(g.weights.sum(), 8.0, rel_tol=1e-14)
 
-    def test_geometric_grading_monotone(self):
-        g = make_grid(8.0, 128, grading="geometric", ratio=1.02)
-        assert np.all(np.diff(g.nodes) > 0)
-        assert g.nodes[0] == 0.0 and g.nodes[-1] == 8.0
-
     def test_rejects_tiny_grid(self):
         with pytest.raises(ValueError):
             make_grid(8.0, 8)
@@ -141,6 +118,19 @@ class TestMakeGrid:
     def test_rejects_nonpositive_radius(self):
         with pytest.raises(ValueError):
             make_grid(-1.0, 128)
+
+    def test_radial_grid_rejects_geometric_nodes(self):
+        nodes = np.r_[0.0, np.cumsum(1.02 ** np.arange(128))]
+        nodes *= 8.0 / nodes[-1]
+        with pytest.raises(ValueError, match="linspace"):
+            RadialGrid(nodes, make_grid(8.0, 129).weights)
+
+    def test_radial_grid_rejects_a_node_moved_one_ulp(self):
+        grid = make_grid(8.0, 129)
+        nodes = grid.nodes.copy()
+        nodes[64] = np.nextafter(nodes[64], np.inf)
+        with pytest.raises(ValueError, match="linspace"):
+            RadialGrid(nodes, grid.weights)
 
 
 class TestIntegration:
@@ -172,11 +162,9 @@ class TestIntegration:
         rhs = np.dot(cumulative_adjoint(uniform, z), f)
         assert abs(lhs - rhs) < 1e-10 * max(abs(lhs), 1.0)
 
-    @pytest.mark.parametrize("grid", [make_grid(8.0, 4096),
-                                      make_grid(8.0, 1025, "geometric", 1.003)],
-                             ids=["uniform_even_n", "geometric"])
+    @pytest.mark.parametrize("grid", [make_grid(8.0, 4096)], ids=["uniform_even_n"])
     def test_cumulative_adjoint_transpose_even_and_graded(self, grid):
-        # an even n closes with a backward interval; a graded grid is trapezoid
+        # an even n closes with a backward interval
         rng = np.random.default_rng(11)
         f = rng.standard_normal(grid.n)
         z = rng.standard_normal(grid.n)
@@ -184,10 +172,9 @@ class TestIntegration:
         rhs = np.dot(cumulative_adjoint(grid, z), f)
         assert abs(lhs - rhs) < 1e-10 * max(abs(lhs), 1.0)
 
-    @pytest.mark.parametrize("n, grading", [(16, "uniform"), (17, "uniform"), (4096, "uniform"),
-                                            (4097, "uniform"), (1025, "geometric")])
-    def test_cumulative_increments_cached_and_read_only(self, n, grading):
-        grid = make_grid(8.0, n, grading, 1.0 + 3.0 / n)
+    @pytest.mark.parametrize("n", [16, 17, 4096, 4097], ids=lambda n: f"{n}-uniform")
+    def test_cumulative_increments_cached_and_read_only(self, n):
+        grid = make_grid(8.0, n)
         # built on first use, not when the grid is built
         assert "cumulative_increments" not in vars(grid)
         assert "cumulative_increments_t" not in vars(grid)
@@ -208,19 +195,14 @@ class TestIntegration:
         assert (bt != b.T).nnz == 0
 
     @settings(max_examples=40, deadline=None, database=None)
-    @given(n=st.integers(16, 3000), grading=st.sampled_from(["uniform", "geometric"]),
-           seed=st.integers(0, 2**32 - 1))
-    @example(n=16, grading="uniform", seed=1)
-    @example(n=17, grading="uniform", seed=2)
-    @example(n=4096, grading="uniform", seed=3)
-    @example(n=4097, grading="uniform", seed=4)
-    @example(n=16, grading="geometric", seed=5)
-    @example(n=17, grading="geometric", seed=6)
-    @example(n=4096, grading="geometric", seed=7)
-    @example(n=4097, grading="geometric", seed=8)
-    def test_slice_form_matches_reference_bitwise(self, n, grading, seed):
+    @given(n=st.integers(16, 3000), seed=st.integers(0, 2**32 - 1))
+    @example(n=16, seed=1)
+    @example(n=17, seed=2)
+    @example(n=4096, seed=3)
+    @example(n=4097, seed=4)
+    def test_slice_form_matches_reference_bitwise(self, n, seed):
         rng = np.random.default_rng(seed)
-        grid = make_grid(rng.uniform(1.0, 30.0), n, grading, 1.0 + 3.0 / n)
+        grid = make_grid(rng.uniform(1.0, 30.0), n)
         f = rng.standard_normal(n) * 10.0 ** rng.uniform(-6.0, 6.0)
         assert np.array_equal(cumulative_integral(grid, f), _reference_cumulative(grid, f))
         assert np.array_equal(cumulative_adjoint(grid, f), _reference_adjoint(grid, f))
@@ -253,19 +235,14 @@ class TestDerivatives:
         assert abs(lap[0] + 4.0) < 1e-9
 
     @settings(max_examples=40, deadline=None, database=None)
-    @given(n=st.integers(16, 3000), grading=st.sampled_from(["uniform", "geometric"]),
-           seed=st.integers(0, 2**32 - 1))
-    @example(n=16, grading="uniform", seed=1)
-    @example(n=17, grading="uniform", seed=2)
-    @example(n=4096, grading="uniform", seed=3)
-    @example(n=4097, grading="uniform", seed=4)
-    @example(n=16, grading="geometric", seed=5)
-    @example(n=17, grading="geometric", seed=6)
-    @example(n=4096, grading="geometric", seed=7)
-    @example(n=4097, grading="geometric", seed=8)
-    def test_laplacian_matches_reference_bitwise(self, n, grading, seed):
+    @given(n=st.integers(16, 3000), seed=st.integers(0, 2**32 - 1))
+    @example(n=16, seed=1)
+    @example(n=17, seed=2)
+    @example(n=4096, seed=3)
+    @example(n=4097, seed=4)
+    def test_laplacian_matches_reference_bitwise(self, n, seed):
         rng = np.random.default_rng(seed)
-        grid = make_grid(rng.uniform(1.0, 30.0), n, grading, 1.0 + 3.0 / n)
+        grid = make_grid(rng.uniform(1.0, 30.0), n)
         u = RadialFunction(grid, rng.standard_normal(n) * 10.0 ** rng.uniform(-6.0, 6.0))
         assert np.array_equal(laplacian_radial(u), _reference_laplacian(u))
 
@@ -310,22 +287,6 @@ class TestDerivatives:
             ref = laplacian_radial(RadialFunction(grid, v))
             # normwise: |B v - L v| against |B| |v|
             assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(mag)
-
-    @pytest.mark.parametrize("n", [16, 17, 1025])
-    def test_graded_weights_cached_and_equal_fresh_fornberg(self, n):
-        grid = make_grid(8.0, n, "geometric", 1.0 + 3.0 / n)
-        assert "graded_weights" not in vars(grid)
-        index, w2, w1 = grid.graded_weights
-        assert grid.graded_weights[0] is index
-        x = grid.nodes
-        assert np.array_equal(w2[0], _fornberg(x[:3], 0.0, 2))
-        for i in range(1, n):
-            sl = slice(max(0, i - 1), min(n, i + 2))
-            if sl.stop - sl.start < 3:
-                sl = slice(n - 3, n)
-            assert np.array_equal(index[i], np.arange(sl.start, sl.stop))
-            assert np.array_equal(w2[i], _fornberg(x[sl], x[i], 2))
-            assert np.array_equal(w1[i], _fornberg(x[sl], x[i], 1))
 
 
 class TestNorms:
@@ -387,8 +348,15 @@ class TestSerialization:
         save_profile_csv(path, gauss(uniform))
         assert path.read_text().splitlines()[0] == "r,value"
 
-    @pytest.mark.parametrize("g", [make_grid(8.0, 129, "geometric", 1.02), make_grid(24.0, 8193)],
-                             ids=["geometric", "uniform"])
+    def test_load_rejects_nonuniform_nodes(self, tmp_path):
+        path = tmp_path / "profile.csv"
+        nodes = 8.0 * np.linspace(0.0, 1.0, 129) ** 2
+        np.savetxt(path, np.c_[nodes, np.exp(-nodes**2)], fmt="%.17g", delimiter=",",
+                   header="r,value", comments="")
+        with pytest.raises(ValueError, match="not a uniform grid"):
+            load_profile_csv(path)
+
+    @pytest.mark.parametrize("g", [make_grid(24.0, 8193)], ids=["uniform"])
     def test_roundtrip_keeps_the_grid(self, g, tmp_path):
         u = gauss(g)
         path = tmp_path / "profile.csv"
@@ -396,7 +364,6 @@ class TestSerialization:
         v = load_profile_csv(path)
         assert np.array_equal(v.grid.nodes, g.nodes)
         assert np.array_equal(v.grid.weights, g.weights)
-        assert v.grid.grading == g.grading
         assert np.array_equal(v.values, u.values)
 
 

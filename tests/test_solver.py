@@ -15,8 +15,8 @@ from cssolve.nonlinearity import power_model, table_model
 from cssolve.solver import (
     MinimaxConfig,
     _band_solver,
+    _evaluate,
     _fgmres,
-    _full_residual,
     _gprime,
     _jacobian_apply,
     _linearization,
@@ -271,8 +271,8 @@ class TestLinearization:
     def test_matches_central_difference(self, point, model):
         u, z = point
         eps = 1e-4
-        plus = _full_residual(RadialFunction(u.grid, u.values + eps * z), self.Q, model)
-        minus = _full_residual(RadialFunction(u.grid, u.values - eps * z), self.Q, model)
+        plus = _evaluate(RadialFunction(u.grid, u.values + eps * z), self.Q, model)[2]
+        minus = _evaluate(RadialFunction(u.grid, u.values - eps * z), self.Q, model)[2]
         fd = (plus - minus) / (2.0 * eps)
         jz = _linearization(u, self.Q, model)(z)
         # the last row is left out: kappa is frozen there (see the docstring)
@@ -291,7 +291,7 @@ class TestFgmres:
         jac = _linearization(u, q, model, terms)
         solve = _band_solver(g, terms[1] - _gprime(model, u.values),
                              math.sqrt(2.0 * model.m0 + terms[1][-1]))
-        return jac, solve, _full_residual(u, q, model, terms)
+        return jac, solve, _evaluate(u, q, model, terms)[2]
 
     @staticmethod
     def _counted(fn, calls):
@@ -649,6 +649,15 @@ class TestFailurePaths:
         assert len(solves) == 2
         assert not rep.converged
         assert np.array_equal(rep.u.values, rough.values)
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_polish_that_leaves_the_branch_reports_the_chord_iterate(self, model, k):
+        # at q = 1e-2 the chord stalls and newton_refine collapses the k-node
+        # shot to a 0-node profile; the report keeps the last k-node iterate
+        rep = nodal_shoot(1e-2, model, make_grid(24.0, 129), k)
+        assert not rep.converged
+        assert rep.node_count == k
+        assert np.max(np.abs(rep.u.values)) > 1.0
 
     def test_warm_start_on_another_grid_is_rejected(self, model, grid, ground_state):
         for other in (make_grid(24.0, 4097), make_grid(20.0, 8193)):
