@@ -113,7 +113,7 @@ CONFIG_SCHEMA = {
         "nodes": {
             "oneOf": [
                 {"type": "integer", "minimum": 0},
-                {"type": "array", "items": {"type": "integer", "minimum": 0}},
+                {"type": "array", "items": {"type": "integer", "minimum": 0}, "minItems": 1},
             ]
         },
         "method": {"enum": ["nodal", "mountain-pass"]},
@@ -268,6 +268,9 @@ def cmd_gauge(cfg: dict, out: Path) -> int:
     consts = PhysicalConstants(**cfg.get("constants", {}))
     if "profile_csv" in cfg:
         u = load_profile_csv(cfg["profile_csv"])
+        if not np.array_equal(u.grid.nodes, grid.nodes):
+            raise ConfigError(f"{cfg['profile_csv']}: the profile's grid (R={u.grid.r_max:g}, "
+                              f"n={u.grid.n}) is not the config's (R={grid.r_max:g}, n={grid.n})")
     else:
         rep = nodal_shoot(_scalar_q(cfg), model, grid,
                           int(cfg.get("nodes", 0)), build_solver_config(cfg))

@@ -63,7 +63,10 @@ class GaugeFields:
 def prefix_h(u: RadialFunction) -> RadialFunction:
     """h_u(r) = int_0^r s u(s)^2 ds; h(0) = 0, non-decreasing."""
     g = u.grid
-    return RadialFunction(g, cumulative_integral(g, g.nodes * u.values**2))
+    h = cumulative_integral(g, g.nodes * u.values**2)
+    # a fresh array: frozen here, so RadialFunction wraps it without a copy
+    h.setflags(write=False)
+    return RadialFunction(g, h)
 
 
 def suffix_a(u: RadialFunction) -> RadialFunction:

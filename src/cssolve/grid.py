@@ -95,6 +95,24 @@ class RadialGrid:
         return band
 
     @cached_property
+    def robin_band(self) -> np.ndarray:
+        """-`laplacian_band` with its last row replaced by the kappa-free `robin_row`, for gbtrf.
+
+        That matrix has 4 sub- and 2 superdiagonals (the last Laplacian row's
+        entry 5 left of the diagonal goes with it).  LAPACK gbtrf storage:
+        A_ij at band[6 + i - j, j], below 4 zero rows of room for the fill-in.
+        Fortran-ordered and read-only; built on first use and then kept.
+        """
+        kl, ku = 4, 2
+        n, h = self.n, self.nodes[1] - self.nodes[0]
+        band = np.zeros((2 * kl + ku + 1, n), order="F")
+        np.negative(self.laplacian_band[: kl + ku + 1], out=band[kl:])
+        cols = np.arange(n - 1 - kl, n)
+        band[kl + ku + n - 1 - cols, cols] = np.r_[np.zeros(kl - 2), robin_row(np.eye(3), h, 0.0)]
+        band.setflags(write=False)
+        return band
+
+    @cached_property
     def cumulative_increments(self) -> sp.csr_matrix:
         """The cumulative rule as a read-only CSR matrix B, shape (n - 1, n).
 
@@ -359,6 +377,14 @@ def _fornberg(x: np.ndarray, x0: float, m: int) -> np.ndarray:
             c[j, 0] = c4 * c[j, 0] / c3
         c1 = c2
     return c[:, m]
+
+
+def robin_row(v: np.ndarray, h: float, kappa: float) -> float | np.ndarray:
+    """Outer row u'(R) + kappa u(R) of v, with the one-sided second-order u'(R).
+
+    Applied to np.eye(3) it returns the row's coefficients of u_{n-3}, u_{n-2}, u_{n-1}.
+    """
+    return (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * h) + kappa * v[-1]
 
 
 def laplacian_radial(u, values: Optional[np.ndarray] = None) -> np.ndarray:

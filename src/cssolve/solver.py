@@ -9,7 +9,9 @@ Three complementary engines:
   local problem for a k-node profile; from it, or from a warm start, a
   chord iteration solves the full nonlocal system on the 5-point rows with
   the banded LU of J's local part at the first iterate, factored once, one
-  evaluation and one banded solve per step.
+  evaluation and one banded solve per step.  Each chord step is mixed with
+  the previous one (depth-one Anderson, a secant step that recovers part of
+  the nonlocal J that the band leaves out); the last step stays plain.
 * ``newton_refine`` — matrix-free Newton--Krylov polish of the full
   nonlocal strong-form system: each Newton step is solved by flexible
   GMRES, right-preconditioned by the banded LU of J's exact local part on
@@ -36,7 +38,7 @@ from scipy.optimize import minimize_scalar
 from .energy import energy_pieces, j_trunc, riesz_gradient
 from .gauge import gauge_potential
 from .grid import (RadialFunction, RadialGrid, cumulative_integral, dilate, integrate_plane,
-                   laplacian_radial, norm_sobolev)
+                   laplacian_radial, norm_sobolev, robin_row)
 from .nonlinearity import NonlinearityModel
 from .verify import nehari_residual, pohozaev_residual, residual_pde, strong_residual
 
@@ -111,10 +113,9 @@ def count_nodes(u: RadialFunction) -> int:
     scale = float(np.max(np.abs(vals)))
     if scale == 0.0:
         return 0
-    sig = vals[np.abs(vals) > 1e-7 * scale]
-    if sig.size < 2:
-        return 0
-    return int(np.count_nonzero(np.diff(np.sign(sig)) != 0))
+    # the samples kept are nonzero, so their sign bits are their signs
+    neg = np.signbit(vals[np.abs(vals) > 1e-7 * scale])
+    return int(np.count_nonzero(neg[1:] != neg[:-1]))
 
 
 def _gprime(model: NonlinearityModel, u: np.ndarray) -> np.ndarray:
@@ -204,14 +205,6 @@ def _shoot(grid: RadialGrid, model: NonlinearityModel, k: int) -> Optional[np.nd
     return u
 
 
-def _robin_row(v: np.ndarray, h: float, kappa: float) -> float | np.ndarray:
-    """Outer row u'(R) + kappa u(R) of v, with the one-sided second-order u'(R).
-
-    Applied to np.eye(3) it returns the row's coefficients of u_{n-3}, u_{n-2}, u_{n-1}.
-    """
-    return (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * h) + kappa * v[-1]
-
-
 def _band_solver(grid: RadialGrid, diag: np.ndarray, kappa: float):
     """solve(b) = A^{-1} b for the fourth-order -laplacian_radial + diag, or None if A is singular.
 
@@ -219,19 +212,16 @@ def _band_solver(grid: RadialGrid, diag: np.ndarray, kappa: float):
     polish's preconditioner: the rows of
     -`laplacian_radial` (the grid's `laplacian_band`) plus diag inside, and
     the Robin row u'(R) + kappa u(R) at the outer edge.  With the last
-    Laplacian row replaced, A has 4 sub- and 2 superdiagonals; LAPACK gbtrf
-    factors it once and each solve is one gbtrs.
+    Laplacian row replaced, A has 4 sub- and 2 superdiagonals.  Each call
+    copies the grid's gbtrf template `robin_band`, adds diag and kappa; LAPACK
+    gbtrf factors A once and each solve is one gbtrs.
     """
-    n, h = grid.n, grid.nodes[1] - grid.nodes[0]
     kl, ku = 4, 2
-    # gbtrf storage: A_ij at ab[kl + ku + i - j, j], with kl rows of room for the fill-in
-    ab = np.empty((2 * kl + ku + 1, n), order="F")
-    ab[:kl] = 0.0
-    np.negative(grid.laplacian_band[: kl + ku + 1], out=ab[kl:])
+    template = grid.robin_band
+    ab = template.copy(order="F")
     ab[kl + ku] += diag
-    # the Robin row replaces the last Laplacian row (its entry 5 left of the diagonal is dropped)
-    cols = np.arange(n - 1 - kl, n)
-    ab[kl + ku + n - 1 - cols, cols] = np.r_[np.zeros(kl - 2), _robin_row(np.eye(3), h, kappa)]
+    # the Robin row takes kappa on its diagonal, not diag
+    ab[kl + ku, -1] = template[kl + ku, -1] + kappa
     lu, piv, info = dgbtrf(ab, kl, ku, overwrite_ab=1)
     if info != 0:
         return None
@@ -259,8 +249,8 @@ def _evaluate(u: RadialFunction, q: float, model: NonlinearityModel,
     terms = gauge_potential(u, q) if terms is None else terms
     res = strong_residual(u, q, model, terms) if res is None else res
     f = res.copy()
-    f[-1] = _robin_row(u.values, u.grid.nodes[1] - u.grid.nodes[0],
-                       _decay_rate(model, float(terms[1][-1])))
+    f[-1] = robin_row(u.values, u.grid.nodes[1] - u.grid.nodes[0],
+                      _decay_rate(model, float(terms[1][-1])))
     return terms, res, f
 
 
@@ -290,7 +280,7 @@ def _linearization(u: RadialFunction, q: float, model: NonlinearityModel,
         if q != 0.0:
             dv[1:] += 2.0 * q * h_u[1:] * dh[1:] / r[1:] ** 2
         out = -laplacian_radial(g, z) + v_pot * z + dv * uv - gp * z
-        out[-1] = _robin_row(z, h, kappa)
+        out[-1] = robin_row(z, h, kappa)
         return out
 
     return apply
@@ -463,13 +453,25 @@ def _inner_newton(u: RadialFunction, q: float, model: NonlinearityModel, k: int,
     M is `newton_refine`'s preconditioner at the start iterate, the banded LU
     of J's local part -laplacian_radial + V - g'(u) with the Robin row,
     factored once.  Each step evaluates the iterate once (`_evaluate`: gauge
-    terms, strong residual, Robin row) and sets u <- u - M^{-1} f, with the
-    step halved when max|step| > 1.  The nonlocal part of J left out of M
-    sets the rate.  The iteration stops after a step with max|step| < 1e-10;
-    a step not below half the last one, or cfg.max_inner_iters steps, leave
-    u to `newton_refine`.  Returns (u, terms, res, steps, ok) with u's gauge
-    terms and strong residual; ok is False on a singular M, a non-finite
-    step, a changed node count or a blow-up past 10 max(|u_start|, 1).
+    terms, strong residual, Robin row) and takes the chord step
+    s_k = M^{-1} f(u_k).  The nonlocal part of J left out of M sets the
+    chord's rate, so each step is mixed with the previous one: depth-one
+    Anderson mixing (type II; Walker and Ni, SIAM J. Numer. Anal. 49, 2011)
+    of u -> u - M^{-1} f(u) sets
+
+        u_{k+1} = u_k - s_k - gamma (du - ds),  gamma = <ds, s_k> / <ds, ds>,
+
+    with du = u_k - u_{k-1} and ds = s_k - s_{k-1}, a secant step.  A step
+    with max|s_k| > 1 is halved and not mixed.  The iteration stops after a
+    plain step with max|s_k| < 1e-10: at that size ds is near the rounding
+    of f, which would make gamma noise, and the plain step returns the chord's
+    own u - M^{-1} f(u) of an evaluated iterate.  The stall rule compares
+    plain step sizes, before any mixing: a step not below half the last one,
+    or cfg.max_inner_iters steps, leave u to `newton_refine` (ds = 0 has
+    stalled, so <ds, ds> > 0 when mixing).
+    Returns (u, terms, res, steps, ok) with u's gauge terms and strong
+    residual; ok is False on a singular M, a non-finite step, a changed node
+    count or a blow-up past 10 max(|u_start|, 1) of the new iterate.
     """
     g = u.grid
     terms, res, f = _evaluate(u, q, model)
@@ -479,6 +481,7 @@ def _inner_newton(u: RadialFunction, q: float, model: NonlinearityModel, k: int,
         return u, terms, res, 0, False
     bound = 10.0 * max(float(np.max(np.abs(u.values))), 1.0)
     last = math.inf
+    prev = None
     for steps in range(cfg.max_inner_iters):
         step = solve(f)
         size = float(np.max(np.abs(step)))
@@ -486,7 +489,17 @@ def _inner_newton(u: RadialFunction, q: float, model: NonlinearityModel, k: int,
             return u, terms, res, steps, False
         if size >= 0.5 * last:
             return u, terms, res, steps, True
-        trial = RadialFunction(g, u.values - (0.5 * step if size > 1.0 else step))
+        if size > 1.0:
+            new = u.values - 0.5 * step
+        else:
+            new = u.values - step
+            if prev is not None and size >= 1e-10:
+                du, ds = u.values - prev[0], step - prev[1]
+                new -= float(ds @ step) / float(ds @ ds) * (du - ds)
+        prev = u.values, step
+        # a fresh array: frozen here, so RadialFunction wraps it without a copy
+        new.setflags(write=False)
+        trial = RadialFunction(g, new)
         if float(np.max(np.abs(trial.values))) > bound or count_nodes(trial) != k:
             return u, terms, res, steps, False
         u, (terms, res, f) = trial, _evaluate(trial, q, model)

@@ -64,6 +64,16 @@ class TestConfigValidation:
         assert main([command, "--config", path, "--out", str(tmp_path)]) == 2
         assert "invalid config" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["multiplicity", "sweep"])
+    def test_empty_node_list_rejected(self, tmp_path, capsys, command):
+        cfg = base_config(n=64)
+        cfg["nodes"] = []
+        cfg["q"] = {"start": 0.0, "end": 1e-3, "steps": 3} if command == "sweep" else 0.0
+        path = write_config(tmp_path, cfg)
+        assert main([command, "--config", path, "--out", str(tmp_path)]) == 2
+        assert "invalid config" in capsys.readouterr().err
+        assert not (tmp_path / "sweep.json").exists()
+
     def test_unknown_command_usage_error(self, tmp_path):
         path = write_config(tmp_path, base_config(n=64))
         with pytest.raises(SystemExit) as exc:
@@ -195,6 +205,22 @@ class TestGauge:
         assert main(["gauge", "--config", path, "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert "not a uniform grid" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "gauge.json").exists()
+
+    def test_profile_on_another_grid_exits_2(self, tmp_path, capsys):
+        grid = make_grid(12.0, 513)
+        csv = tmp_path / "gaussian.csv"
+        save_profile_csv(csv, RadialFunction(grid, np.exp(-grid.nodes**2)))
+        cfg = {
+            "model": {"kind": "power", "p": 2.0, "omega": 1.0},
+            "grid": {"r_max": 30.0, "n": 64},
+            "profile_csv": str(csv),
+        }
+        path = write_config(tmp_path, cfg)
+        assert main(["gauge", "--config", path, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "(R=12, n=513)" in err and "(R=30, n=64)" in err
         assert "Traceback" not in err
         assert not (tmp_path / "gauge.json").exists()
 

@@ -258,6 +258,22 @@ class TestDerivatives:
             assert np.array_equal(w2, _fornberg(x[n - 6 :], x[i], 2))
             assert np.array_equal(w1, _fornberg(x[n - 6 :], x[i], 1))
 
+    @pytest.mark.parametrize("n", [16, 1025])
+    def test_robin_band_cached_read_only_and_built_on_first_use(self, n):
+        grid = make_grid(24.0, n)
+        assert "robin_band" not in vars(grid)
+        band = grid.robin_band
+        assert grid.robin_band is band
+        assert not band.flags.writeable and band.flags.f_contiguous
+        assert band.shape == (11, n)
+        # gbtrf's fill-in rows, then -L on its 4 sub- and 2 superdiagonals
+        assert not band[:4].any()
+        assert np.array_equal(band[4:, :-5], -grid.laplacian_band[:7, :-5])
+        # the last row is the kappa-free Robin row (3 u_{n-1} - 4 u_{n-2} + u_{n-3}) / 2h
+        h = grid.nodes[1] - grid.nodes[0]
+        last = [band[6 + n - 1 - j, j] for j in range(n - 5, n)]
+        assert last == [0.0, 0.0, 1.0 / (2.0 * h), -4.0 / (2.0 * h), 3.0 / (2.0 * h)]
+
     @pytest.mark.parametrize("n", [16, 17, 1025, 4096, 4097])
     def test_laplacian_band_cached_and_reproduces_laplacian(self, n, monkeypatch):
         grid = make_grid(24.0, n)

@@ -10,7 +10,7 @@ from scipy.linalg.lapack import dgbtrf
 from cssolve import energy, gauge, solver, verify
 from cssolve.energy import j_trunc
 from cssolve.gauge import big_n, gauge_potential, prefix_h, suffix_a
-from cssolve.grid import RadialFunction, integrate_plane, laplacian_radial, make_grid
+from cssolve.grid import RadialFunction, integrate_plane, laplacian_radial, make_grid, robin_row
 from cssolve.nonlinearity import power_model, table_model
 from cssolve.solver import (
     MinimaxConfig,
@@ -21,7 +21,6 @@ from cssolve.solver import (
     _jacobian_apply,
     _linearization,
     _march,
-    _robin_row,
     _shoot,
     continuation_in_q,
     count_nodes,
@@ -128,6 +127,20 @@ class TestNodalShoot:
         # up to 1.6e-12 relative, so the pin allows 3x that
         assert rep.u.values[0] == pytest.approx(2.3929637952167195, rel=5e-12)
 
+    def test_excited_warm_step_pins_certified_numbers(self, model, grid, excited_state):
+        # the strongest coupling of the 1-node band, qN = 0.61; the pins were
+        # measured with the plain chord (8 steps), the tolerances are those above
+        rep = nodal_shoot(2e-4, model, grid, 1, warm_start=excited_state.u)
+        assert rep.converged and rep.node_count == 1
+        assert rep.level == pytest.approx(50.36795101505306, rel=1e-12)
+        assert rep.u.values[0] == pytest.approx(3.5983789006742013, rel=5e-12)
+
+    def test_cold_shot_converges_in_few_steps(self, model):
+        # the plain chord took 18 steps here; the mixed one takes 8
+        rep = nodal_shoot(1e-2, model, make_grid(24.0, 1025), 0)
+        assert rep.converged and rep.node_count == 0
+        assert rep.iterations <= 10
+
 
 class TestShoot:
     """The cold shot marches the 3-point rows of the q = 0 local problem."""
@@ -156,7 +169,7 @@ class TestShoot:
         # the tail decays at the Robin rate, up to the one-sided u'(R)'s O(h^2)
         # error (measured 1.3e-4 relative)
         kappa = math.sqrt(2.0 * model.m0)
-        assert abs(_robin_row(shot, h, kappa)) < 1e-3 * kappa * abs(shot[-1])
+        assert abs(robin_row(shot, h, kappa)) < 1e-3 * kappa * abs(shot[-1])
 
     def test_no_bracket_reports_nonconvergence(self, model):
         g = make_grid(24.0, 1025)
@@ -430,7 +443,10 @@ class TestReorderedKernels:
             # normwise backward error: |J x - b| against |J| |x|
             assert np.max(np.abs(jac(x) - b)) <= 1e-12 * np.max(abs_jx)
 
-    def test_warm_step_matvec_count(self, model, grid, ground_state, monkeypatch):
+    @pytest.mark.parametrize("k, q, most_solves", [(0, 5.9e-5, 4), (1, 2e-4, 6)],
+                             ids=["k=0", "k=1"])
+    def test_warm_step_matvec_count(self, model, grid, ground_state, excited_state,
+                                    monkeypatch, k, q, most_solves):
         applications, factorizations, solves = [], [], []
 
         def counted(make, calls):
@@ -452,13 +468,14 @@ class TestReorderedKernels:
         monkeypatch.setattr(solver, "_linearization", counted(_linearization, applications))
         monkeypatch.setattr(solver, "_band_solver", counted(_band_solver, solves))
         monkeypatch.setattr(solver, "dgbtrf", counted_lu)
-        rep = nodal_shoot(5.9e-5, model, grid, 0, warm_start=ground_state.u)
+        rep = nodal_shoot(q, model, grid, k, warm_start=(ground_state, excited_state)[k].u)
         assert rep.converged
         # the chord factors M once at the warm start and applies it once per
-        # step (4 steps measured); no Newton step, so J is never applied
+        # step (measured: 4 at k = 0; 6 at k = 1, where the plain chord took 8);
+        # no Newton step, so J is never applied
         assert applications == []
         assert len(factorizations) == 1
-        assert 0 < len(solves) <= 4
+        assert 0 < len(solves) <= most_solves
 
     @pytest.mark.parametrize("k, q", [(0, 5.9e-5), (1, 5e-5)])
     def test_warm_step_makes_no_newton_krylov_step(self, model, grid, ground_state,
@@ -677,6 +694,16 @@ class TestCountNodes:
 
     def test_zero(self, grid):
         assert count_nodes(RadialFunction(grid, np.zeros(grid.n))) == 0
+
+    def test_sign_flips_below_the_threshold_are_ignored(self, grid):
+        u = (1 - grid.nodes) * np.exp(-grid.nodes)
+        # alternate the sign of every tail sample below 1e-7 max|u|
+        tail = np.abs(u) < 1e-7 * np.max(np.abs(u))
+        assert tail.sum() > 100
+        flipped = u.copy()
+        flipped[tail] *= (-1.0) ** np.arange(tail.sum())
+        assert np.count_nonzero(np.diff(np.signbit(flipped))) > 100
+        assert count_nodes(RadialFunction(grid, flipped)) == count_nodes(RadialFunction(grid, u)) == 1
 
 
 class TestContinuation:
