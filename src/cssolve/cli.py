@@ -268,7 +268,7 @@ def cmd_gauge(cfg: dict, out: Path) -> int:
     consts = PhysicalConstants(**cfg.get("constants", {}))
     if "profile_csv" in cfg:
         u = load_profile_csv(cfg["profile_csv"])
-        if not np.array_equal(u.grid.nodes, grid.nodes):
+        if u.grid != grid:
             raise ConfigError(f"{cfg['profile_csv']}: the profile's grid (R={u.grid.r_max:g}, "
                               f"n={u.grid.n}) is not the config's (R={grid.r_max:g}, n={grid.n})")
     else:

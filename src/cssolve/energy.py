@@ -165,7 +165,7 @@ def weak_gradient(
 
     pieces = energy_pieces(u, model) when the caller already has them.
     """
-    if u.grid is not v.grid and not np.array_equal(u.grid.nodes, v.grid.nodes):
+    if u.grid != v.grid:
         raise ValueError("u and v must live on the same grid")
     g = u.grid
     du, hu, _, n_val, _ = energy_pieces(u, model) if pieces is None else pieces

@@ -120,7 +120,7 @@ def big_n_prime(u: RadialFunction, v: RadialFunction) -> float:
     value is 6 N(u) identically.
     """
     g = u.grid
-    if v.grid is not u.grid and not np.array_equal(v.grid.nodes, g.nodes):
+    if v.grid != g:
         raise ValueError("u and v must live on the same grid")
     hu = prefix_h(u).values
     k = cumulative_integral(g, g.nodes * u.values * v.values)

@@ -1,15 +1,18 @@
 """Uniform radial grids on [0, R_max] and calculus for radial functions on the plane.
 
 A radial function u(r) stands for the planar field u(|x|); all integrals
-are plane integrals, i.e. carry the measure 2*pi*r*dr.  Grids are
-equispaced, with composite-Simpson weights and a Simpson-consistent
-cumulative rule.  The cumulative rule is written once, as the grid's
-increment matrix `RadialGrid.cumulative_increments`; its adjoint is that
-matrix's transpose.
+are plane integrals, i.e. carry the measure 2*pi*r*dr.  A grid is the
+pair (R_max, n) of an equispaced grid, with composite-Simpson weights and
+a Simpson-consistent cumulative rule.  The cumulative rule is written
+once, as the grid's increment matrix `RadialGrid.cumulative_increments`;
+its adjoint is that matrix's transpose.  The derivative is written once,
+as the matrix `RadialGrid.derivative`.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
@@ -27,37 +30,39 @@ _DILATE_POINTS = 8
 
 @dataclass(frozen=True)
 class RadialGrid:
-    """Equispaced radii r_0 = 0 < ... < r_{n-1} = R_max with quadrature weights.
+    """The uniform grid of n nodes on [0, r_max], r_i = i h.
 
-    The nodes must be np.linspace(0, R_max, n) bit for bit; every stencil
-    reads the spacing off r_1 - r_0.  weights are for the 1-D integral
-    int_0^{R_max} f(r) dr; they are positive and sum to R_max.
+    A grid is the pair (r_max, n), so grids compare and hash by value.  All
+    else is derived from it on first use and kept read-only: the nodes
+    np.linspace(0, r_max, n), the spacing h = r_1 - r_0 that every stencil
+    reads, the composite-Simpson weights of the 1-D integral
+    int_0^{r_max} f(r) dr (positive, summing to r_max), and the stencil
+    matrices below.
     """
 
-    nodes: np.ndarray
-    weights: np.ndarray
+    r_max: float
+    n: int
 
     def __post_init__(self):
-        nodes = np.asarray(self.nodes, dtype=float)
-        weights = np.asarray(self.weights, dtype=float)
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "weights", weights)
-        if nodes.ndim != 1 or nodes.size < MIN_NODES:
+        r_max, n = float(self.r_max), operator.index(self.n)
+        if not 0.0 < r_max < math.inf:
+            raise ValueError("r_max must be positive and finite")
+        if n < MIN_NODES:
             raise ValueError(f"grid needs at least {MIN_NODES} nodes")
-        if not nodes[-1] > 0 or not np.array_equal(nodes, np.linspace(0.0, nodes[-1], nodes.size)):
-            raise ValueError("nodes must be np.linspace(0, R_max, n) with R_max > 0")
-        if weights.shape != nodes.shape or np.any(weights <= 0):
-            raise ValueError("weights must be positive, one per node")
-        nodes.setflags(write=False)
-        weights.setflags(write=False)
+        object.__setattr__(self, "r_max", r_max)
+        object.__setattr__(self, "n", n)
 
-    @property
-    def n(self) -> int:
-        return self.nodes.size
+    @cached_property
+    def nodes(self) -> np.ndarray:
+        return _read_only(np.linspace(0.0, self.r_max, self.n))
 
-    @property
-    def r_max(self) -> float:
-        return float(self.nodes[-1])
+    @cached_property
+    def h(self) -> float:
+        return self.nodes[1] - self.nodes[0]
+
+    @cached_property
+    def weights(self) -> np.ndarray:
+        return _read_only(_simpson_weights(self.n, self.r_max / (self.n - 1)))
 
     @cached_property
     def tail_weights(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
@@ -91,8 +96,7 @@ class RadialGrid:
             col = j - kl + (c - j + kl) % width
             ok = (col >= 0) & (col < n)
             band[ku + j[ok] - col[ok], col[ok]] = lap[ok]
-        band.setflags(write=False)
-        return band
+        return _read_only(band)
 
     @cached_property
     def robin_band(self) -> np.ndarray:
@@ -104,13 +108,12 @@ class RadialGrid:
         Fortran-ordered and read-only; built on first use and then kept.
         """
         kl, ku = 4, 2
-        n, h = self.n, self.nodes[1] - self.nodes[0]
+        n = self.n
         band = np.zeros((2 * kl + ku + 1, n), order="F")
         np.negative(self.laplacian_band[: kl + ku + 1], out=band[kl:])
         cols = np.arange(n - 1 - kl, n)
-        band[kl + ku + n - 1 - cols, cols] = np.r_[np.zeros(kl - 2), robin_row(np.eye(3), h, 0.0)]
-        band.setflags(write=False)
-        return band
+        band[kl + ku + n - 1 - cols, cols] = np.r_[np.zeros(kl - 2), robin_row(np.eye(3), self.h, 0.0)]
+        return _read_only(band)
 
     @cached_property
     def cumulative_increments(self) -> sp.csr_matrix:
@@ -122,7 +125,7 @@ class RadialGrid:
         """
         n = self.n
         k = np.arange(1, n)
-        c = (self.nodes[1] - self.nodes[0]) / 12.0
+        c = self.h / 12.0
         fwd = (k % 2 == 1) & (k < n - 1)
         cols = np.where(fwd, k - 1, k - 2)[:, None] + np.arange(3)
         data = np.where(fwd[:, None], [c * 5.0, c * 8.0, -c], [-c, c * 8.0, c * 5.0])
@@ -146,11 +149,28 @@ class RadialGrid:
         Row i is lower_i u_{i-1} + (2/h^2) u_i + upper_i u_{i+1}, with
         lower/upper = -1/h^2 +/- 1/(2 h r_i).  Read-only; built on first use.
         """
-        r, h = self.nodes[1:-1], self.nodes[1] - self.nodes[0]
+        r, h = self.nodes[1:-1], self.h
         rows = -1.0 / h**2 + 1.0 / (2.0 * h * r), -1.0 / h**2 - 1.0 / (2.0 * h * r)
         for a in rows:
             a.setflags(write=False)
         return rows
+
+    @cached_property
+    def derivative(self) -> sp.csr_matrix:
+        """The discrete d/dr as a read-only CSR matrix; built on first use and then kept.
+
+        Interior rows are (u_{i+1} - u_{i-1}) / 2h.  The origin row is empty,
+        so u'(0) = 0 by radial symmetry, and the last row is the one-sided
+        second-order u'(R) of `robin_row` at kappa = 0.
+        """
+        n, c = self.n, 1.0 / (2.0 * self.h)
+        i = np.arange(1, n - 1)
+        cols = np.r_[np.c_[i - 1, i + 1].ravel(), n - 3, n - 2, n - 1]
+        data = np.r_[np.tile([-c, c], n - 2), robin_row(np.eye(3), self.h, 0.0)]
+        d = sp.csr_matrix((data, cols, np.r_[0, 0, 2 * i, 2 * n - 1]), shape=(n, n))
+        for a in (d.data, d.indices, d.indptr):
+            a.setflags(write=False)
+        return d
 
     @cached_property
     def sobolev_metrics(self) -> dict:
@@ -172,10 +192,15 @@ class RadialFunction:
             values = values.copy()
             values.setflags(write=False)
         object.__setattr__(self, "values", values)
-        if values.shape != self.grid.nodes.shape:
+        if values.shape != (self.grid.n,):
             raise ValueError("values must match the grid size")
         if not np.all(np.isfinite(values)):
             raise ValueError("values must be finite")
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
 
 def _simpson_weights(n: int, h: float) -> np.ndarray:
@@ -207,12 +232,8 @@ def _simpson_weights(n: int, h: float) -> np.ndarray:
 
 
 def make_grid(r_max: float, n: int) -> RadialGrid:
-    """The uniform grid of n nodes on [0, r_max], with composite-Simpson weights."""
-    if not (r_max > 0):
-        raise ValueError("r_max must be positive")
-    if n < MIN_NODES:
-        raise ValueError(f"need n >= {MIN_NODES}")
-    return RadialGrid(np.linspace(0.0, r_max, n), _simpson_weights(n, r_max / (n - 1)))
+    """The uniform grid of n nodes on [0, r_max], RadialGrid(r_max, n)."""
+    return RadialGrid(r_max, n)
 
 
 def integrate_plane(f, values: Optional[np.ndarray] = None) -> float:
@@ -246,43 +267,15 @@ def cumulative_adjoint(grid: RadialGrid, z: np.ndarray) -> np.ndarray:
     return grid.cumulative_increments_t @ s[1:]
 
 
-def _diff_weights(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, float]:
-    """(a, b, alpha, beta) of `differentiate`: u'_i = a (u_{i+1} - u_i) - b (u_{i-1} - u_i)
-    inside and u'_{n-1} = alpha (u_{n-1} - u_{n-2}) + beta (u_{n-2} - u_{n-3})."""
-    d = np.diff(x)
-    dl, dr, d1, d2 = d[:-1], d[1:], d[-1], d[-2]
-    return (dl / (dr * (dl + dr)), dr / (dl * (dl + dr)),
-            (2.0 * d1 + d2) / (d1 * (d1 + d2)), -d1 / (d2 * (d1 + d2)))
-
-
 def differentiate(u: RadialFunction) -> RadialFunction:
-    """Second-order discrete d/dr; u'(0) = 0 by radial symmetry.
-
-    Interior nodes use the 3-point stencil; the outer endpoint a one-sided
-    second-order stencil.  Written in difference form so constants map to
-    exactly zero.
-    """
-    g = u.grid
-    v = u.values
-    if g.n < 3:
-        raise ValueError("need at least 3 nodes to differentiate")
-    a, b, alpha, beta = _diff_weights(g.nodes)
-    out = np.empty(g.n)
-    out[0] = 0.0
-    out[1:-1] = a * (v[2:] - v[1:-1]) - b * (v[:-2] - v[1:-1])
-    out[-1] = alpha * (v[-1] - v[-2]) + beta * (v[-2] - v[-3])
-    return RadialFunction(g, out)
+    """u' = `RadialGrid.derivative` u; u'(0) = 0 by radial symmetry."""
+    # a fresh array: frozen here, so RadialFunction wraps it without a copy
+    return RadialFunction(u.grid, _read_only(u.grid.derivative @ u.values))
 
 
-def diff_matrix(grid: RadialGrid):
-    """Sparse matrix realizing `differentiate` (rows match it exactly)."""
-    n = grid.n
-    a, b, alpha, beta = _diff_weights(grid.nodes)
-    i = np.arange(1, n - 1)
-    rows = np.concatenate((i, i, i, [n - 1] * 3))
-    cols = np.concatenate((i + 1, i, i - 1, [n - 1, n - 2, n - 3]))
-    vals = np.concatenate((a, b - a, -b, [alpha, beta - alpha, -beta]))
-    return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+def diff_matrix(grid: RadialGrid) -> sp.csr_matrix:
+    """The grid's derivative matrix `RadialGrid.derivative`, the D of `sobolev_metric`."""
+    return grid.derivative
 
 
 def sobolev_metric(grid: RadialGrid, m0: float):
@@ -395,10 +388,8 @@ def laplacian_radial(u, values: Optional[np.ndarray] = None) -> np.ndarray:
     RadialFunction or a (grid, values) pair.
     """
     g, v = (u.grid, u.values) if values is None else (u, values)
-    x = g.nodes
-    n = g.n
+    x, n, h = g.nodes, g.n, g.h
     out = np.empty(n)
-    h = x[1] - x[0]
     h2 = 12.0 * h * h
     h1 = 12.0 * h
     # interior, 5-point centered: v[i-2], ..., v[i+2] for i = 2, ..., n-3

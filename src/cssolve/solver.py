@@ -129,9 +129,14 @@ def _decay_rate(model: NonlinearityModel, v_end: float) -> float:
     return math.sqrt(max(2.0 * model.m0 + v_end, 1e-12))
 
 
+def _is_zero(u: RadialFunction) -> bool:
+    """max|u| < 1e-8: the zero profile solves the equation exactly but is not a solution."""
+    return float(np.max(np.abs(u.values))) < 1e-8
+
+
 def _residual_floor(grid: RadialGrid) -> float:
     """Sup-norm residual floor 3e3 eps / h^2 set by the stencils' h^-2 roundoff."""
-    return 3e3 * np.finfo(float).eps / (grid.nodes[1] - grid.nodes[0]) ** 2
+    return 3e3 * np.finfo(float).eps / grid.h**2
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +150,7 @@ def _march(grid: RadialGrid, model: NonlinearityModel, amps: np.ndarray) -> np.n
     The origin row gives u_1 = u_0 - h^2 g(u_0)/4 and interior row i gives
     u_{i+1} from u_i and u_{i-1}; all amplitudes advance together.
     """
-    h = grid.nodes[1] - grid.nodes[0]
+    h = grid.h
     lower, upper = grid.three_point_rows
     # row i solved for u_{i+1}: -(lower_i u_{i-1} + (2/h^2) u_i - g(u_i)) / upper_i
     rows = zip((-lower / upper).tolist(), (-2.0 / h**2 / upper).tolist(), (1.0 / upper).tolist())
@@ -249,8 +254,7 @@ def _evaluate(u: RadialFunction, q: float, model: NonlinearityModel,
     terms = gauge_potential(u, q) if terms is None else terms
     res = strong_residual(u, q, model, terms) if res is None else res
     f = res.copy()
-    f[-1] = robin_row(u.values, u.grid.nodes[1] - u.grid.nodes[0],
-                      _decay_rate(model, float(terms[1][-1])))
+    f[-1] = robin_row(u.values, u.grid.h, _decay_rate(model, float(terms[1][-1])))
     return terms, res, f
 
 
@@ -266,7 +270,6 @@ def _linearization(u: RadialFunction, q: float, model: NonlinearityModel,
     """
     g = u.grid
     r, uv = g.nodes, u.values
-    h = r[1] - r[0]
     h_u, v_pot = gauge_potential(u, q) if terms is None else terms
     gp = _gprime(model, uv)
     kappa = _decay_rate(model, float(v_pot[-1]))
@@ -280,7 +283,7 @@ def _linearization(u: RadialFunction, q: float, model: NonlinearityModel,
         if q != 0.0:
             dv[1:] += 2.0 * q * h_u[1:] * dh[1:] / r[1:] ** 2
         out = -laplacian_radial(g, z) + v_pot * z + dv * uv - gp * z
-        out[-1] = robin_row(z, h, kappa)
+        out[-1] = robin_row(z, g.h, kappa)
         return out
 
     return apply
@@ -424,8 +427,7 @@ def _report(u: RadialFunction, q: float, model: NonlinearityModel,
     if converged is None:
         floor = _residual_floor(u.grid) * max(1.0, float(np.max(np.abs(u.values))))
         converged = sup < max(10.0 * cfg.newton_tol, 10.0 * floor)
-    # the zero profile satisfies the equation exactly but is not a solution
-    if converged and float(np.max(np.abs(u.values))) < 1e-8:
+    if converged and _is_zero(u):
         converged = False
     return SolveReport(
         u=u,
@@ -520,15 +522,15 @@ def nodal_shoot(q: float, model: NonlinearityModel, grid: RadialGrid, k: int,
     first iterate, factored once; `newton_refine` then certifies the result,
     or polishes it when the chord stalled.  The certificate reads the last
     iterate's gauge terms and strong residual.  `iterations` counts chord
-    and Newton steps.  A polish that changes the node count has left the
-    k-node branch (at large q it can collapse the shot to a 0-node
-    profile), so the report then carries the chord's last iterate with
-    converged=False.
+    and Newton steps.  A polish that changes the node count or collapses
+    the profile to zero (`_is_zero`; at large q it can do either) has left
+    the k-node branch, so the report then carries the chord's last iterate
+    with converged=False.
     """
     if k < 0 or q < 0:
         raise ValueError("k and q must be non-negative")
     if warm_start is not None:
-        if warm_start.grid is not grid and not np.array_equal(warm_start.grid.nodes, grid.nodes):
+        if warm_start.grid != grid:
             raise ValueError("warm_start and grid must be the same grid")
         start = RadialFunction(grid, warm_start.values)
     else:
@@ -543,7 +545,7 @@ def nodal_shoot(q: float, model: NonlinearityModel, grid: RadialGrid, k: int,
         return _report(u, q, model, steps, cfg, converged=False, terms=terms, res=res)
     report = newton_refine(u, q, model, cfg, terms, res)
     iterations = steps + report.iterations
-    if report.node_count != k:
+    if report.node_count != k or _is_zero(report.u):
         return _report(u, q, model, iterations, cfg, converged=False, terms=terms, res=res)
     return replace(report, iterations=iterations)
 

@@ -121,7 +121,7 @@ def distinctness(reports, threshold: float = 0.1):
         raise ValueError("need at least two reports")
     g = reports[0].u.grid
     for r in reports[1:]:
-        if not np.array_equal(r.u.grid.nodes, g.nodes):
+        if r.u.grid != g:
             raise ValueError("reports must share a grid")
     n = len(reports)
     dist = np.zeros((n, n))

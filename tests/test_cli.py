@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -73,6 +74,16 @@ class TestConfigValidation:
         assert main([command, "--config", path, "--out", str(tmp_path)]) == 2
         assert "invalid config" in capsys.readouterr().err
         assert not (tmp_path / "sweep.json").exists()
+
+    def test_infinite_radius_exits_2(self, tmp_path, capsys):
+        cfg = base_config(n=64)
+        cfg["grid"]["r_max"] = math.inf  # written as Infinity, which json.load accepts
+        cfg["q"] = 0.0
+        path = write_config(tmp_path, cfg)
+        assert main(["solve", "--config", path, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "r_max must be positive and finite" in err and "Traceback" not in err
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
     def test_unknown_command_usage_error(self, tmp_path):
         path = write_config(tmp_path, base_config(n=64))

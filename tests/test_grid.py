@@ -11,6 +11,7 @@ from cssolve.grid import (
     RadialFunction,
     RadialGrid,
     _fornberg,
+    _simpson_weights,
     cumulative_adjoint,
     cumulative_integral,
     diff_matrix,
@@ -22,6 +23,7 @@ from cssolve.grid import (
     make_grid,
     norm_lp,
     norm_sobolev,
+    robin_row,
     save_profile_csv,
 )
 
@@ -114,23 +116,34 @@ class TestMakeGrid:
     def test_rejects_tiny_grid(self):
         with pytest.raises(ValueError):
             make_grid(8.0, 8)
+        with pytest.raises(ValueError, match="16 nodes"):
+            RadialGrid(8.0, 15)
 
     def test_rejects_nonpositive_radius(self):
         with pytest.raises(ValueError):
             make_grid(-1.0, 128)
 
-    def test_radial_grid_rejects_geometric_nodes(self):
-        nodes = np.r_[0.0, np.cumsum(1.02 ** np.arange(128))]
-        nodes *= 8.0 / nodes[-1]
-        with pytest.raises(ValueError, match="linspace"):
-            RadialGrid(nodes, make_grid(8.0, 129).weights)
+    @pytest.mark.parametrize("r_max", [math.inf, math.nan, 0.0, -1.0])
+    def test_rejects_radius_not_positive_and_finite(self, r_max):
+        with pytest.raises(ValueError, match="positive and finite"):
+            RadialGrid(r_max, 129)
 
-    def test_radial_grid_rejects_a_node_moved_one_ulp(self):
-        grid = make_grid(8.0, 129)
-        nodes = grid.nodes.copy()
-        nodes[64] = np.nextafter(nodes[64], np.inf)
-        with pytest.raises(ValueError, match="linspace"):
-            RadialGrid(nodes, grid.weights)
+    def test_grids_compare_and_hash_by_value(self):
+        grid = make_grid(24, 1025)
+        assert grid == make_grid(24.0, 1025) == RadialGrid(np.float64(24.0), np.int64(1025))
+        assert hash(grid) == hash(make_grid(24.0, 1025))
+        assert grid != make_grid(24.0, 1024)
+        assert grid != make_grid(np.nextafter(24.0, 25.0), 1025)
+
+    @pytest.mark.parametrize("n", [16, 17, 4096, 4097, 8193])
+    def test_nodes_weights_and_spacing_derived_on_first_use(self, n):
+        grid = make_grid(24.0, n)
+        assert not {"nodes", "weights", "h"} & set(vars(grid))
+        assert np.array_equal(grid.nodes, np.linspace(0.0, 24.0, n))
+        assert np.array_equal(grid.weights, _simpson_weights(n, 24.0 / (n - 1)))
+        assert grid.h == grid.nodes[1] - grid.nodes[0]
+        assert grid.nodes is grid.nodes and grid.weights is grid.weights
+        assert not grid.nodes.flags.writeable and not grid.weights.flags.writeable
 
 
 class TestIntegration:
@@ -217,12 +230,35 @@ class TestDerivatives:
     def test_derivative_zero_at_origin(self, uniform):
         assert differentiate(gauss(uniform)).values[0] == 0.0
 
-    def test_diff_matrix_matches_differentiate(self, uniform):
-        rng = np.random.default_rng(3)
-        v = rng.standard_normal(uniform.n)
-        d = diff_matrix(uniform)
-        ref = differentiate(RadialFunction(uniform, v)).values
-        assert np.max(np.abs(d @ v - ref)) <= 1e-13 * max(1.0, np.max(np.abs(ref)))
+    @pytest.mark.parametrize("n", [16, 17, 1025, 4096])
+    def test_derivative_matrix(self, n):
+        grid = make_grid(24.0, n)  # h = 24 / (n - 1) is no power of 2
+        assert "derivative" not in vars(grid)
+        d = grid.derivative
+        assert grid.derivative is d and diff_matrix(grid) is d
+        for a in (d.data, d.indices, d.indptr):
+            assert not a.flags.writeable
+        x, h = grid.nodes, grid.h
+        dense = d.toarray()
+        # u'(0) = 0: the origin row is empty
+        assert d.indptr[1] == 0
+        # the last row is the Robin row's one-sided u'(R) at kappa = 0
+        assert np.array_equal(dense[-1], np.r_[np.zeros(n - 3), robin_row(np.eye(3), h, 0.0)])
+        # interior rows are +-1/(2h) on the neighbours
+        i = np.arange(1, n - 1)
+        assert np.all(dense[i, i - 1] == -1.0 / (2.0 * h))
+        assert np.all(dense[i, i + 1] == 1.0 / (2.0 * h))
+        assert d.nnz == 2 * (n - 2) + 3
+        # exact on quadratics, to the roundoff of differencing O(1) values over h
+        u = 1.5 - 0.7 * x / x[-1] + 2.0 * (x / x[-1]) ** 2
+        exact = -0.7 / x[-1] + 4.0 * x / x[-1] ** 2
+        assert np.max(np.abs(d @ u - exact)[1:]) <= 1e-13 / h
+        # constants: exactly 0 inside, roundoff in the one-sided last row
+        for c in (1.0, -2.4e5, 3.7e-6):
+            du = d @ np.full(n, c)
+            assert not du[:-1].any()
+            assert abs(du[-1]) <= 8.0 * np.finfo(float).eps * abs(c) / h
+        assert np.array_equal(differentiate(RadialFunction(grid, u)).values, d @ u)
 
     def test_laplacian_fourth_order_on_gaussian(self, uniform):
         lap = laplacian_radial(gauss(uniform))

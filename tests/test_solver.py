@@ -676,6 +676,27 @@ class TestFailurePaths:
         assert rep.node_count == k
         assert np.max(np.abs(rep.u.values)) > 1.0
 
+    def test_polish_that_collapses_to_zero_reports_the_chord_iterate(self, model, monkeypatch):
+        # past the k = 0 fold the chord stalls on a 0-node iterate and
+        # newton_refine collapses it to u = 0, which has 0 nodes too; the
+        # report keeps the chord's last iterate
+        grid = make_grid(24.0, 1025)
+        u = nodal_shoot(0.0, model, grid, 0).u
+        for q in np.geomspace(1e-4, 0.01432, 8):
+            u = nodal_shoot(float(q), model, grid, 0, warm_start=u).u
+        inner, polished = solver.newton_refine, []
+
+        def refine(*args, **kwargs):
+            polished.append(inner(*args, **kwargs))
+            return polished[-1]
+
+        monkeypatch.setattr(solver, "newton_refine", refine)
+        rep = nodal_shoot(0.025, model, grid, 0, warm_start=u)
+        assert len(polished) == 1 and np.max(np.abs(polished[0].u.values)) < 1e-8
+        assert not rep.converged
+        assert rep.node_count == 0
+        assert np.max(np.abs(rep.u.values)) > 1.0
+
     def test_warm_start_on_another_grid_is_rejected(self, model, grid, ground_state):
         for other in (make_grid(24.0, 4097), make_grid(20.0, 8193)):
             with pytest.raises(ValueError, match="same grid"):
