@@ -12,7 +12,6 @@ from .grid import RadialFunction, RadialGrid, dilate, integrate_plane, make_grid
 from .nonlinearity import HypothesisReport, NonlinearityModel, check_hypotheses, power_model, table_model
 from .solver import (
     BranchPoint,
-    MinimaxConfig,
     SolveReport,
     continuation_in_q,
     mountain_pass,

@@ -21,7 +21,6 @@ from .gauge import PhysicalConstants, gauge_fields, save_gauge_csv
 from .grid import load_profile_csv, make_grid, save_profile_csv
 from .nonlinearity import check_hypotheses, power_model, table_model
 from .solver import (
-    MinimaxConfig,
     SolveReport,
     continuation_in_q,
     mountain_pass,
@@ -78,21 +77,6 @@ CONFIG_SCHEMA = {
             "properties": {
                 "r_max": {"type": "number", "exclusiveMinimum": 0},
                 "n": {"type": "integer", "minimum": 16},
-                # grids are uniform; the key stays so that existing configs validate
-                "grading": {"enum": ["uniform"]},
-            },
-        },
-        "solver": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "path_points": {"type": "integer", "minimum": 8},
-                "descent_step": {"type": "number", "exclusiveMinimum": 0},
-                "max_outer_iters": {"type": "integer", "minimum": 1},
-                "max_inner_iters": {"type": "integer", "minimum": 1},
-                "grad_tol": {"type": "number", "exclusiveMinimum": 0},
-                "newton_tol": {"type": "number", "exclusiveMinimum": 0},
-                "distinct_tol": {"type": "number", "exclusiveMinimum": 0},
             },
         },
         "q": {
@@ -162,10 +146,6 @@ def build_grid(cfg: dict):
     return make_grid(g["r_max"], g["n"])
 
 
-def build_solver_config(cfg: dict) -> MinimaxConfig:
-    return MinimaxConfig(**cfg.get("solver", {}))
-
-
 def _scalar_q(cfg: dict) -> float:
     q = cfg.get("q", 0.0)
     if not isinstance(q, (int, float)):
@@ -198,7 +178,6 @@ def _write_solution(out: Path, stem: str, rep: SolveReport, model, q: float) -> 
 
 def cmd_solve(cfg: dict, out: Path) -> int:
     model, grid = build_model(cfg), build_grid(cfg)
-    scfg = build_solver_config(cfg)
     q = _scalar_q(cfg)
     nodes = cfg.get("nodes", 0)
     if not isinstance(nodes, int):
@@ -206,9 +185,9 @@ def cmd_solve(cfg: dict, out: Path) -> int:
     if cfg.get("method", "nodal") == "mountain-pass":
         if nodes != 0:
             raise ConfigError("mountain-pass method computes the 0-node solution")
-        rep = mountain_pass(q, model, grid, scfg)
+        rep = mountain_pass(q, model, grid)
     else:
-        rep = nodal_shoot(q, model, grid, nodes, scfg)
+        rep = nodal_shoot(q, model, grid, nodes)
     _write_solution(out, "profile", rep, model, q)
     ok, why = _report_ok(rep)
     if not ok:
@@ -220,15 +199,14 @@ def cmd_solve(cfg: dict, out: Path) -> int:
 
 def cmd_multiplicity(cfg: dict, out: Path) -> int:
     model, grid = build_model(cfg), build_grid(cfg)
-    scfg = build_solver_config(cfg)
     q = _scalar_q(cfg)
     nodes = cfg.get("nodes", 1)
     n = (max(nodes) + 1) if isinstance(nodes, list) else int(nodes)
-    reports, failure = multiplicity_run(q, model, grid, n, scfg)
+    reports, failure = multiplicity_run(q, model, grid, n)
     for k, rep in enumerate(reports):
         _write_solution(out, f"profile_k{k}", rep, model, q)
     if len(reports) >= 2:
-        dist, gaps, flagged = distinctness(reports, scfg.distinct_tol)
+        dist, gaps, flagged = distinctness(reports)
         (out / "distinctness.json").write_text(json.dumps(
             {"l2_distances": dist.tolist(), "level_gaps": gaps.tolist(),
              "flagged_pairs": flagged}, indent=2) + "\n")
@@ -245,7 +223,6 @@ def cmd_multiplicity(cfg: dict, out: Path) -> int:
 
 def cmd_sweep(cfg: dict, out: Path) -> int:
     model, grid = build_model(cfg), build_grid(cfg)
-    scfg = build_solver_config(cfg)
     qspec = cfg.get("q")
     if not isinstance(qspec, dict):
         raise ConfigError("sweep needs q as {start, end, steps}")
@@ -255,7 +232,7 @@ def cmd_sweep(cfg: dict, out: Path) -> int:
     summary = {}
     for k in ks:
         branch, q_star = continuation_in_q(model, grid, k, qspec["start"], qspec["end"],
-                                           qspec["steps"], scfg)
+                                           qspec["steps"])
         save_branch_csv(out / f"branch_k{k}.csv", branch)
         summary[str(k)] = {"q_star": q_star, "points": len(branch)}
     (out / "sweep.json").write_text(json.dumps(summary, indent=2) + "\n")
@@ -267,13 +244,15 @@ def cmd_gauge(cfg: dict, out: Path) -> int:
     model, grid = build_model(cfg), build_grid(cfg)
     consts = PhysicalConstants(**cfg.get("constants", {}))
     if "profile_csv" in cfg:
-        u = load_profile_csv(cfg["profile_csv"])
+        try:
+            u = load_profile_csv(cfg["profile_csv"])
+        except OSError as exc:
+            raise ConfigError(f"cannot read profile {cfg['profile_csv']}: {exc}") from exc
         if u.grid != grid:
             raise ConfigError(f"{cfg['profile_csv']}: the profile's grid (R={u.grid.r_max:g}, "
                               f"n={u.grid.n}) is not the config's (R={grid.r_max:g}, n={grid.n})")
     else:
-        rep = nodal_shoot(_scalar_q(cfg), model, grid,
-                          int(cfg.get("nodes", 0)), build_solver_config(cfg))
+        rep = nodal_shoot(_scalar_q(cfg), model, grid, int(cfg.get("nodes", 0)))
         if not rep.converged:
             print("gauge: underlying solve did not converge", file=sys.stderr)
             return 1

@@ -424,7 +424,8 @@ def load_profile_csv(path) -> RadialFunction:
     The nodes are written exactly, so those of a uniform grid rebuild it bit
     for bit; any other nodes raise ValueError.
     """
-    nodes, values = np.loadtxt(path, delimiter=",", skiprows=1, unpack=True)
+    # ndmin=2: a single data row still unpacks into arrays
+    nodes, values = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2, unpack=True)
     grid = make_grid(nodes[-1], nodes.size)
     if not np.array_equal(grid.nodes, nodes):
         raise ValueError(f"{path}: the profile's nodes are not a uniform grid")

@@ -23,19 +23,19 @@ _BAR_SAMPLES = 4096
 
 @dataclass
 class NonlinearityModel:
-    """An odd nonlinearity g, its primitive G, and envelope data.
+    """An odd nonlinearity g, its primitive G, its derivative g', and envelope data.
 
-    g and G must accept numpy arrays.  delta0 is the width of the interval
+    g, G and g' must accept numpy arrays.  delta0 is the width of the interval
     where lambda vanishes; it may be supplied exactly (constructors do) or
     estimated from samples.
     """
 
     g: Callable[[np.ndarray], np.ndarray]
     big_g: Callable[[np.ndarray], np.ndarray]
+    gprime: Callable[[np.ndarray], np.ndarray]
     m0: float
     p0: float = 2.0
     delta0: Optional[float] = None
-    gprime: Optional[Callable[[np.ndarray], np.ndarray]] = None
     description: str = ""
     _bar_cache: dict = field(default_factory=dict, repr=False)
 
@@ -107,8 +107,9 @@ def power_model(p: float, omega: float, p0: float = 2.0) -> NonlinearityModel:
 def table_model(samples, p0: float = 2.0) -> NonlinearityModel:
     """Nonlinearity from (xi, g(xi)) samples on xi >= 0, extended oddly.
 
-    g is monotone-cubic interpolated, G integrated from the interpolant and
-    m0 estimated from the samples nearest the origin.
+    g is monotone-cubic interpolated and clamped beyond the last sample; G is
+    integrated and g' differentiated from the interpolant, and m0 estimated
+    from the samples nearest the origin.
     """
     from scipy.interpolate import PchipInterpolator
 
@@ -123,6 +124,7 @@ def table_model(samples, p0: float = 2.0) -> NonlinearityModel:
         g_s = np.concatenate(([0.0], g_s))
     interp = PchipInterpolator(xi_s, g_s)
     anti = interp.antiderivative()
+    slope = interp.derivative()
 
     def g(xi):
         xi = np.asarray(xi, dtype=float)
@@ -132,12 +134,18 @@ def table_model(samples, p0: float = 2.0) -> NonlinearityModel:
         xi = np.asarray(xi, dtype=float)
         return anti(np.clip(np.abs(xi), 0.0, xi_s[-1]))
 
+    def gprime(xi):
+        a = np.abs(np.asarray(xi, dtype=float))
+        # g is odd, so g' is even; past the last sample g is constant, so the
+        # cubic is never extrapolated there
+        return np.where(a <= xi_s[-1], slope(np.minimum(a, xi_s[-1])), 0.0)
+
     # m0 comes from the slope of g at the origin: g(xi)/xi -> -2 m0
     small = xi_s[-1] * 1e-8
     m0 = -0.5 * float(g(small) / small)
     if m0 <= 0:
         raise ValueError("sampled nonlinearity has no negative slope at 0")
-    return NonlinearityModel(g=g, big_g=big_g, m0=m0, p0=p0, description="table")
+    return NonlinearityModel(g=g, big_g=big_g, gprime=gprime, m0=m0, p0=p0, description="table")
 
 
 def lambda_of(model: NonlinearityModel, xi) -> np.ndarray | float:

@@ -40,26 +40,8 @@ from .gauge import gauge_potential
 from .grid import (RadialFunction, RadialGrid, cumulative_integral, dilate, integrate_plane,
                    laplacian_radial, norm_sobolev, robin_row)
 from .nonlinearity import NonlinearityModel
-from .verify import nehari_residual, pohozaev_residual, residual_pde, strong_residual
-
-
-@dataclass(frozen=True)
-class MinimaxConfig:
-    """Knobs for the minimax search and the polishing iterations."""
-
-    path_points: int = 17
-    descent_step: float = 0.5
-    max_outer_iters: int = 400
-    max_inner_iters: int = 60
-    grad_tol: float = 1e-3
-    newton_tol: float = 1e-9
-    distinct_tol: float = 0.1
-
-    def __post_init__(self):
-        if self.path_points < 8:
-            raise ValueError("path_points must be at least 8")
-        if min(self.descent_step, self.grad_tol, self.newton_tol) <= 0:
-            raise ValueError("tolerances and steps must be positive")
+from .verify import (DISTINCT_TOL, nehari_residual, pohozaev_residual, residual_pde,
+                     strong_residual)
 
 
 @dataclass(frozen=True)
@@ -116,13 +98,6 @@ def count_nodes(u: RadialFunction) -> int:
     # the samples kept are nonzero, so their sign bits are their signs
     neg = np.signbit(vals[np.abs(vals) > 1e-7 * scale])
     return int(np.count_nonzero(neg[1:] != neg[:-1]))
-
-
-def _gprime(model: NonlinearityModel, u: np.ndarray) -> np.ndarray:
-    if model.gprime is not None:
-        return model.gprime(u)
-    eps = 1e-7 * max(1.0, float(np.max(np.abs(u))))
-    return (model.g(u + eps) - model.g(u - eps)) / (2.0 * eps)
 
 
 def _decay_rate(model: NonlinearityModel, v_end: float) -> float:
@@ -271,7 +246,7 @@ def _linearization(u: RadialFunction, q: float, model: NonlinearityModel,
     g = u.grid
     r, uv = g.nodes, u.values
     h_u, v_pot = gauge_potential(u, q) if terms is None else terms
-    gp = _gprime(model, uv)
+    gp = model.gprime(uv)
     kappa = _decay_rate(model, float(v_pot[-1]))
 
     def apply(z: np.ndarray) -> np.ndarray:
@@ -299,6 +274,14 @@ def _jacobian_apply(u: RadialFunction, q: float, model: NonlinearityModel,
 _KRYLOV_RTOL = 1e-8
 _KRYLOV_RESTART = 30
 _KRYLOV_CYCLES = 200
+# mountain pass: samples per ray, first descent step, sweep budget and gradient tolerance
+_PATH_POINTS = 17
+_DESCENT_STEP = 0.5
+_MAX_SWEEPS = 400
+_GRAD_TOL = 1e-3
+# step budget of the chord and of the Newton polish, and the polish's sup-norm target
+_MAX_STEPS = 60
+_NEWTON_TOL = 1e-9
 
 
 def _fgmres(jac, solve, f: np.ndarray) -> tuple[np.ndarray, int]:
@@ -355,7 +338,6 @@ def _fgmres(jac, solve, f: np.ndarray) -> tuple[np.ndarray, int]:
 
 
 def newton_refine(u: RadialFunction, q: float, model: NonlinearityModel,
-                  cfg: MinimaxConfig = MinimaxConfig(),
                   terms: Optional[tuple[np.ndarray, np.ndarray]] = None,
                   res: Optional[np.ndarray] = None) -> SolveReport:
     """Matrix-free damped Newton on the full nonlocal strong-form system.
@@ -380,14 +362,14 @@ def newton_refine(u: RadialFunction, q: float, model: NonlinearityModel,
     terms, res, f = _evaluate(u, q, model, terms, res)
     iterations = 0
     converged = None
-    for it in range(cfg.max_inner_iters):
+    for it in range(_MAX_STEPS):
         nf = float(np.max(np.abs(f)))
-        tol = max(cfg.newton_tol, floor * max(1.0, float(np.max(np.abs(u.values)))))
+        tol = max(_NEWTON_TOL, floor * max(1.0, float(np.max(np.abs(u.values)))))
         if nf < tol:
             break
         iterations = it + 1
         v_pot = terms[1]
-        solve = _band_solver(g, v_pot - _gprime(model, u.values),
+        solve = _band_solver(g, v_pot - model.gprime(u.values),
                              _decay_rate(model, float(v_pot[-1])))
         if solve is None:
             converged = False
@@ -409,11 +391,11 @@ def newton_refine(u: RadialFunction, q: float, model: NonlinearityModel,
             lam *= 0.5
         else:
             break
-    return _report(u, q, model, iterations, cfg, converged, terms, res)
+    return _report(u, q, model, iterations, converged, terms, res)
 
 
 def _report(u: RadialFunction, q: float, model: NonlinearityModel,
-            iterations: int, cfg: MinimaxConfig, converged: Optional[bool] = None,
+            iterations: int, converged: Optional[bool] = None,
             terms: Optional[tuple[np.ndarray, np.ndarray]] = None,
             res: Optional[np.ndarray] = None) -> SolveReport:
     """The certificate of u, each piece evaluated once.
@@ -426,7 +408,7 @@ def _report(u: RadialFunction, q: float, model: NonlinearityModel,
     sup, _ = residual_pde(u, q, model, terms, res)
     if converged is None:
         floor = _residual_floor(u.grid) * max(1.0, float(np.max(np.abs(u.values))))
-        converged = sup < max(10.0 * cfg.newton_tol, 10.0 * floor)
+        converged = sup < max(10.0 * _NEWTON_TOL, 10.0 * floor)
     if converged and _is_zero(u):
         converged = False
     return SolveReport(
@@ -448,8 +430,7 @@ def _report(u: RadialFunction, q: float, model: NonlinearityModel,
 # ---------------------------------------------------------------------------
 
 
-def _inner_newton(u: RadialFunction, q: float, model: NonlinearityModel, k: int,
-                  cfg: MinimaxConfig):
+def _inner_newton(u: RadialFunction, q: float, model: NonlinearityModel, k: int):
     """Chord (simplified Newton) iteration for a k-node solution of the full system.
 
     M is `newton_refine`'s preconditioner at the start iterate, the banded LU
@@ -469,8 +450,8 @@ def _inner_newton(u: RadialFunction, q: float, model: NonlinearityModel, k: int,
     of f, which would make gamma noise, and the plain step returns the chord's
     own u - M^{-1} f(u) of an evaluated iterate.  The stall rule compares
     plain step sizes, before any mixing: a step not below half the last one,
-    or cfg.max_inner_iters steps, leave u to `newton_refine` (ds = 0 has
-    stalled, so <ds, ds> > 0 when mixing).
+    or 60 steps, leave u to `newton_refine` (ds = 0 has stalled, so
+    <ds, ds> > 0 when mixing).
     Returns (u, terms, res, steps, ok) with u's gauge terms and strong
     residual; ok is False on a singular M, a non-finite step, a changed node
     count or a blow-up past 10 max(|u_start|, 1) of the new iterate.
@@ -478,13 +459,13 @@ def _inner_newton(u: RadialFunction, q: float, model: NonlinearityModel, k: int,
     g = u.grid
     terms, res, f = _evaluate(u, q, model)
     v_pot = terms[1]
-    solve = _band_solver(g, v_pot - _gprime(model, u.values), _decay_rate(model, float(v_pot[-1])))
+    solve = _band_solver(g, v_pot - model.gprime(u.values), _decay_rate(model, float(v_pot[-1])))
     if solve is None:
         return u, terms, res, 0, False
     bound = 10.0 * max(float(np.max(np.abs(u.values))), 1.0)
     last = math.inf
     prev = None
-    for steps in range(cfg.max_inner_iters):
+    for steps in range(_MAX_STEPS):
         step = solve(f)
         size = float(np.max(np.abs(step)))
         if not math.isfinite(size):
@@ -508,11 +489,10 @@ def _inner_newton(u: RadialFunction, q: float, model: NonlinearityModel, k: int,
         if size < 1e-10:
             return u, terms, res, steps + 1, True
         last = size
-    return u, terms, res, cfg.max_inner_iters, True
+    return u, terms, res, _MAX_STEPS, True
 
 
 def nodal_shoot(q: float, model: NonlinearityModel, grid: RadialGrid, k: int,
-                cfg: MinimaxConfig = MinimaxConfig(),
                 warm_start: Optional[RadialFunction] = None) -> SolveReport:
     """Find a k-node solution by a chord iteration and a Newton--Krylov polish.
 
@@ -536,17 +516,16 @@ def nodal_shoot(q: float, model: NonlinearityModel, grid: RadialGrid, k: int,
     else:
         shot = _shoot(grid, model, k)
         if shot is None:
-            return _report(RadialFunction(grid, np.zeros(grid.n)), q, model, 0, cfg,
-                           converged=False)
+            return _report(RadialFunction(grid, np.zeros(grid.n)), q, model, 0, converged=False)
         start = RadialFunction(grid, shot)
 
-    u, terms, res, steps, ok = _inner_newton(start, q, model, k, cfg)
+    u, terms, res, steps, ok = _inner_newton(start, q, model, k)
     if not ok:
-        return _report(u, q, model, steps, cfg, converged=False, terms=terms, res=res)
-    report = newton_refine(u, q, model, cfg, terms, res)
+        return _report(u, q, model, steps, converged=False, terms=terms, res=res)
+    report = newton_refine(u, q, model, terms, res)
     iterations = steps + report.iterations
     if report.node_count != k or _is_zero(report.u):
-        return _report(u, q, model, iterations, cfg, converged=False, terms=terms, res=res)
+        return _report(u, q, model, iterations, converged=False, terms=terms, res=res)
     return replace(report, iterations=iterations)
 
 
@@ -555,8 +534,7 @@ def nodal_shoot(q: float, model: NonlinearityModel, grid: RadialGrid, k: int,
 # ---------------------------------------------------------------------------
 
 
-def initial_path(model: NonlinearityModel, grid: RadialGrid,
-                 cfg: MinimaxConfig = MinimaxConfig(), q: float = 0.0) -> list[RadialFunction]:
+def initial_path(model: NonlinearityModel, grid: RadialGrid, q: float = 0.0) -> list[RadialFunction]:
     """Discrete path from 0 to a negative-energy profile.
 
     The endpoint bump exp(-r^2) is first amplified until int G > 0, then
@@ -579,33 +557,31 @@ def initial_path(model: NonlinearityModel, grid: RadialGrid,
     else:
         raise RuntimeError("could not reach negative energy within 60 dilation doublings")
 
-    sigmas = np.linspace(0.0, 1.0, cfg.path_points)
+    sigmas = np.linspace(0.0, 1.0, _PATH_POINTS)
     return [RadialFunction(grid, s * endpoint.values) for s in sigmas]
 
 
-def mountain_pass(q: float, model: NonlinearityModel, grid: RadialGrid,
-                  cfg: MinimaxConfig = MinimaxConfig()) -> SolveReport:
+def mountain_pass(q: float, model: NonlinearityModel, grid: RadialGrid) -> SolveReport:
     """Lowest positive critical level: ray maximization, Sobolev steepest descent, polish.
 
     Each sweep maximizes j_trunc along the ray t -> t w through the current
     profile and takes a damped steepest-descent step in the Sobolev-gradient
     metric from that maximizer; the descended point gives the next ray.  Once
-    the gradient at the maximizer is below grad_tol the candidate is handed
+    the gradient at the maximizer is below 1e-3 the candidate is handed
     to newton_refine.  If no start ray can be built (`initial_path` raises),
     the zero profile is returned with converged=False.
     """
     if q < 0:
         raise ValueError("q must be non-negative")
     try:
-        direction = initial_path(model, grid, cfg, q)[-1]
+        direction = initial_path(model, grid, q)[-1]
     except RuntimeError:
-        return _report(RadialFunction(grid, np.zeros(grid.n)), q, model, 0, cfg,
-                       converged=False)
+        return _report(RadialFunction(grid, np.zeros(grid.n)), q, model, 0, converged=False)
 
     def ray_max(w: RadialFunction):
         """(t* w, j_trunc(t* w)) at the maximum of j_trunc along the ray t -> t w.
 
-        t_hi doubles until j_trunc(t_hi w) < 0; the best of cfg.path_points
+        t_hi doubles until j_trunc(t_hi w) < 0; the best of 17
         samples on [0, t_hi] and its two neighbours bracket t*, which Brent's
         bounded method then locates.
         """
@@ -618,21 +594,21 @@ def mountain_pass(q: float, model: NonlinearityModel, grid: RadialGrid,
             if level(t_hi) < 0:
                 break
             t_hi *= 2.0
-        ts = np.linspace(0.0, t_hi, cfg.path_points)
+        ts = np.linspace(0.0, t_hi, _PATH_POINTS)
         j = int(np.argmax([level(t) for t in ts]))
-        bracket = (ts[max(j - 1, 0)], ts[min(j + 1, cfg.path_points - 1)])
+        bracket = (ts[max(j - 1, 0)], ts[min(j + 1, _PATH_POINTS - 1)])
         best = minimize_scalar(lambda t: -level(t), bounds=bracket, method="bounded",
                                options={"xatol": 1e-12 * t_hi})
         return RadialFunction(grid, best.x * w.values), -best.fun
 
     sweeps = 0
     u_star, e_star = ray_max(direction)
-    for sweeps in range(1, cfg.max_outer_iters + 1):
+    for sweeps in range(1, _MAX_SWEEPS + 1):
         w = riesz_gradient(0.0, u_star, q, model)
         gnorm = norm_sobolev(w, model.m0)
-        if gnorm < cfg.grad_tol:
+        if gnorm < _GRAD_TOL:
             break
-        step = cfg.descent_step
+        step = _DESCENT_STEP
         moved = u_star
         while step > 1e-12:
             trial = RadialFunction(grid, u_star.values - step * w.values)
@@ -641,12 +617,12 @@ def mountain_pass(q: float, model: NonlinearityModel, grid: RadialGrid,
                 break
             step *= 0.5
         u_star, e_star = ray_max(moved)
-    report = newton_refine(u_star, q, model, cfg)
+    report = newton_refine(u_star, q, model)
     # solutions come in (u, -u) pairs; report the peak-positive member
     peak = report.u.values[int(np.argmax(np.abs(report.u.values)))]
     if peak < 0:
         report = _report(RadialFunction(grid, -report.u.values), q, model,
-                         report.iterations, cfg, converged=report.converged)
+                         report.iterations, converged=report.converged)
     return replace(report, iterations=sweeps + report.iterations)
 
 
@@ -656,8 +632,7 @@ def mountain_pass(q: float, model: NonlinearityModel, grid: RadialGrid,
 
 
 def continuation_in_q(model: NonlinearityModel, grid: RadialGrid, k: int,
-                      q_start: float, q_end: float, steps: int,
-                      cfg: MinimaxConfig = MinimaxConfig()):
+                      q_start: float, q_end: float, steps: int):
     """March q geometrically from q_start to q_end, warm-starting each solve.
 
     Returns (branch_points, q_star): q_star is the first q where the branch
@@ -677,7 +652,7 @@ def continuation_in_q(model: NonlinearityModel, grid: RadialGrid, k: int,
     q_star = None
     warm = None
     for q in qs:
-        rep = nodal_shoot(float(q), model, grid, k, cfg, warm_start=warm)
+        rep = nodal_shoot(float(q), model, grid, k, warm_start=warm)
         l2 = math.sqrt(max(integrate_plane(grid, rep.u.values**2), 0.0))
         branch.append(BranchPoint(float(q), rep.level, float(rep.u.values[0]),
                                   l2, rep.truncation_inactive, rep.converged))
@@ -688,13 +663,12 @@ def continuation_in_q(model: NonlinearityModel, grid: RadialGrid, k: int,
     return branch, q_star
 
 
-def multiplicity_run(q: float, model: NonlinearityModel, grid: RadialGrid, n: int,
-                     cfg: MinimaxConfig = MinimaxConfig()):
+def multiplicity_run(q: float, model: NonlinearityModel, grid: RadialGrid, n: int):
     """n distinct solutions at coupling q: k-node profiles for k = 0..n-1.
 
     Returns (reports, failure) where failure names the first failing branch
     (None on full success).  Checks: convergence, pairwise plane-L^2
-    distance above cfg.distinct_tol, strictly increasing levels, and
+    distance at least DISTINCT_TOL, strictly increasing levels, and
     truncation inactivity.
     """
     if n < 1:
@@ -702,7 +676,7 @@ def multiplicity_run(q: float, model: NonlinearityModel, grid: RadialGrid, n: in
     reports: list[SolveReport] = []
     failure = None
     for k in range(n):
-        rep = nodal_shoot(q, model, grid, k, cfg)
+        rep = nodal_shoot(q, model, grid, k)
         reports.append(rep)
         if not rep.converged:
             failure = f"branch k={k} did not converge at q={q}"
@@ -713,7 +687,7 @@ def multiplicity_run(q: float, model: NonlinearityModel, grid: RadialGrid, n: in
         if reports[:-1]:
             prev = reports[-2]
             dist = math.sqrt(max(integrate_plane(grid, (rep.u.values - prev.u.values) ** 2), 0.0))
-            if dist < cfg.distinct_tol:
+            if dist < DISTINCT_TOL:
                 failure = f"branch k={k} not distinct from k={k-1}"
                 break
             if rep.level <= prev.level:

@@ -18,6 +18,9 @@ from .gauge import big_n, gauge_potential
 from .grid import RadialFunction, differentiate, integrate_plane, laplacian_radial, norm_lp
 from .nonlinearity import NonlinearityModel
 
+# plane-L^2 distance below which two solutions are not distinct
+DISTINCT_TOL = 0.1
+
 
 @dataclass(frozen=True)
 class VerificationReport:
@@ -111,11 +114,11 @@ def bhs_inequality(u: RadialFunction, pieces: Optional[Pieces] = None) -> bool:
     return bool(left <= right + 1e-12)
 
 
-def distinctness(reports, threshold: float = 0.1):
+def distinctness(reports):
     """Pairwise plane-L^2 distances and level gaps between solve reports.
 
     Returns (distance_matrix, level_gap_matrix, flagged_pairs) where flagged
-    pairs fall below the distance threshold.
+    pairs fall below DISTINCT_TOL.
     """
     if len(reports) < 2:
         raise ValueError("need at least two reports")
@@ -133,7 +136,7 @@ def distinctness(reports, threshold: float = 0.1):
             dist[i, j] = dist[j, i] = d
             gap = abs(reports[i].level - reports[j].level)
             gaps[i, j] = gaps[j, i] = gap
-            if d < threshold:
+            if d < DISTINCT_TOL:
                 flagged.append((i, j))
     return dist, gaps, flagged
 

@@ -65,6 +65,25 @@ class TestConfigValidation:
         assert main([command, "--config", path, "--out", str(tmp_path)]) == 2
         assert "invalid config" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["solve", "multiplicity", "sweep"])
+    @pytest.mark.parametrize("key", ["solver", "grading"])
+    def test_removed_settings_rejected_before_solving(self, tmp_path, capsys, monkeypatch,
+                                                      command, key):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a solver ran on a rejected config")
+
+        for name in ("nodal_shoot", "mountain_pass", "multiplicity_run", "continuation_in_q"):
+            monkeypatch.setattr(f"cssolve.cli.{name}", no_solve)
+        cfg = base_config(n=64)
+        if key == "solver":
+            cfg["solver"] = {"newton_tol": 1e-9}
+        else:
+            cfg["grid"]["grading"] = "uniform"
+        cfg["q"] = {"start": 0.0, "end": 1e-3, "steps": 3} if command == "sweep" else 0.0
+        path = write_config(tmp_path, cfg)
+        assert main([command, "--config", path, "--out", str(tmp_path)]) == 2
+        assert "invalid config" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", ["multiplicity", "sweep"])
     def test_empty_node_list_rejected(self, tmp_path, capsys, command):
         cfg = base_config(n=64)
@@ -217,6 +236,32 @@ class TestGauge:
         err = capsys.readouterr().err
         assert "not a uniform grid" in err
         assert "Traceback" not in err
+        assert not (tmp_path / "gauge.json").exists()
+
+    def test_one_row_profile_exits_2(self, tmp_path, capsys):
+        csv = tmp_path / "one_row.csv"
+        csv.write_text("r,value\n0.0,1.0\n")
+        cfg = {
+            "model": {"kind": "power", "p": 2.0, "omega": 1.0},
+            "grid": {"r_max": 12.0, "n": 513},
+            "profile_csv": str(csv),
+        }
+        path = write_config(tmp_path, cfg)
+        assert main(["gauge", "--config", path, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "Traceback" not in err
+        assert not (tmp_path / "gauge.json").exists()
+
+    def test_missing_profile_exits_2(self, tmp_path, capsys):
+        cfg = {
+            "model": {"kind": "power", "p": 2.0, "omega": 1.0},
+            "grid": {"r_max": 12.0, "n": 513},
+            "profile_csv": str(tmp_path / "absent.csv"),
+        }
+        path = write_config(tmp_path, cfg)
+        assert main(["gauge", "--config", path, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "cannot read profile" in err and "Traceback" not in err
         assert not (tmp_path / "gauge.json").exists()
 
     def test_profile_on_another_grid_exits_2(self, tmp_path, capsys):

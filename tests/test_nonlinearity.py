@@ -107,6 +107,17 @@ class TestTableModel:
         assert np.max(np.abs(m.g(probe) - (probe**2 - probe))) < 1e-4
         assert abs(m.m0 - 0.5) < 1e-3
 
+    def test_derivative_is_the_interpolant_slope(self):
+        xi = np.linspace(0.0, 6.0, 400)
+        m = table_model(np.column_stack([xi, np.abs(xi) * xi - xi]))
+        probe = np.linspace(0.1, 5.9, 50)
+        eps = 1e-6
+        fd = (m.g(probe + eps) - m.g(probe - eps)) / (2.0 * eps)
+        assert np.max(np.abs(m.gprime(probe) - fd)) < 1e-6
+        # g' is even, and g is constant past the last sample
+        assert np.array_equal(m.gprime(-probe), m.gprime(probe))
+        assert np.all(m.gprime(np.array([6.5, -7.0, 1e6])) == 0.0)
+
     def test_rejects_decreasing_abscissae(self):
         with pytest.raises(ValueError):
             table_model([[0.0, 0.0], [1.0, 1.0], [0.5, 0.2], [2.0, 3.0]])

@@ -13,11 +13,9 @@ from cssolve.gauge import big_n, gauge_potential, prefix_h, suffix_a
 from cssolve.grid import RadialFunction, integrate_plane, laplacian_radial, make_grid, robin_row
 from cssolve.nonlinearity import power_model, table_model
 from cssolve.solver import (
-    MinimaxConfig,
     _band_solver,
     _evaluate,
     _fgmres,
-    _gprime,
     _jacobian_apply,
     _linearization,
     _march,
@@ -60,19 +58,6 @@ def excited_state(model, grid):
 @pytest.fixture(scope="module")
 def mp_ground_state(model, grid):
     return mountain_pass(0.0, model, grid)
-
-
-class TestMinimaxConfig:
-    def test_defaults_valid(self):
-        MinimaxConfig()
-
-    def test_rejects_few_path_points(self):
-        with pytest.raises(ValueError):
-            MinimaxConfig(path_points=4)
-
-    def test_rejects_nonpositive_tolerance(self):
-        with pytest.raises(ValueError):
-            MinimaxConfig(grad_tol=0.0)
 
 
 class TestNodalShoot:
@@ -302,7 +287,7 @@ class TestFgmres:
         u = RadialFunction(g, 2.4 * np.exp(-g.nodes**2 / 3.0))
         terms = gauge_potential(u, q)
         jac = _linearization(u, q, model, terms)
-        solve = _band_solver(g, terms[1] - _gprime(model, u.values),
+        solve = _band_solver(g, terms[1] - model.gprime(u.values),
                              math.sqrt(2.0 * model.m0 + terms[1][-1]))
         return jac, solve, _evaluate(u, q, model, terms)[2]
 
@@ -364,7 +349,7 @@ class TestReorderedKernels:
         h2, h1 = 12.0 * h * h, 12.0 * h
         u = 2.4 * np.exp(-r**2 / 3.0)
         _, v_pot = gauge_potential(RadialFunction(g, u), 1e-3)
-        diag = v_pot - _gprime(model, u)
+        diag = v_pot - model.gprime(u)
         kappa = math.sqrt(2.0 * model.m0 + v_pot[-1])
         kl, ku = 4, 2
         # solve_banded storage: A_ij at ab[ku + i - j, j]
@@ -400,7 +385,7 @@ class TestReorderedKernels:
         r, h = g.nodes, g.nodes[1] - g.nodes[0]
         u = 2.4 * np.exp(-r**2 / 3.0)
         _, v_pot = gauge_potential(RadialFunction(g, u), 1e-3)
-        diag = v_pot - _gprime(model, u)
+        diag = v_pot - model.gprime(u)
         kappa = math.sqrt(2.0 * model.m0 + v_pot[-1])
         rows, cols, vals = [], [], []
         e = np.zeros(n)
@@ -432,7 +417,7 @@ class TestReorderedKernels:
         g = make_grid(24.0, n)
         u = RadialFunction(g, 2.4 * np.exp(-g.nodes**2 / 3.0))
         jac = _linearization(u, 0.0, model)
-        solve = _band_solver(g, -_gprime(model, u.values), math.sqrt(2.0 * model.m0))
+        solve = _band_solver(g, -model.gprime(u.values), math.sqrt(2.0 * model.m0))
         # J is banded, so combs of period 8 split it column by column: |J| |x| from J alone
         combs = np.arange(n) % 8 == np.arange(8)[:, None]
         rng = np.random.default_rng(n)
@@ -598,7 +583,7 @@ class TestCertificate:
         u = ground_state.u
         kind, value = coupling
         q = value if kind == "q" else value / big_n(u)
-        rep = solver._report(u, q, model, 0, MinimaxConfig(), terms=gauge_potential(u, q))
+        rep = solver._report(u, q, model, 0, terms=gauge_potential(u, q))
         assert rep.level == j_trunc(u, q, model).total
         assert rep.residual_nehari == nehari_residual(u, q, model)
         assert rep.residual_pohozaev == pohozaev_residual(u, q, model)
