@@ -4,6 +4,8 @@ Provides the full action J_q, its truncated variant, the dilation-augmented
 functional Jt(theta, u) = J_trunc(u(e^{-theta} .)) in closed form, its theta-
 and u-derivatives, Sobolev (Riesz) gradients, and the frequency rescaling
 between the fixed-frequency and gauged normalizations of the equation.
+Each reads u', ||grad u||^2, N(u) and int G(u) from `energy_pieces`, which
+keeps them on u, so a certificate computes them once.
 """
 
 from __future__ import annotations
@@ -11,12 +13,13 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
-from .gauge import big_n, big_n_gradient, prefix_h
-from .grid import RadialFunction, differentiate, dilate, integrate_plane, sobolev_metric
+from .gauge import big_n, big_n_gradient
+from .grid import (RadialFunction, differentiate, dilate, integrate_plane, per_iterate,
+                   sobolev_metric)
 from .nonlinearity import NonlinearityModel, capital_lambda_bar
 
 
@@ -69,21 +72,16 @@ class Pieces(NamedTuple):
     """What the action and its derivatives read of u, from `energy_pieces`."""
 
     du: np.ndarray
-    hu: np.ndarray
     dirichlet: float
     n_val: float
     big_g_int: float
 
 
-def energy_pieces(u: RadialFunction, model: NonlinearityModel,
-                  hu: Optional[np.ndarray] = None) -> Pieces:
-    """u' = differentiate(u), h_u, (1/2)||grad u||^2, N(u) and int G(u), each once.
-
-    hu = prefix_h(u).values, e.g. the h_u of gauge_potential(u, q).
-    """
+@per_iterate
+def energy_pieces(u: RadialFunction, model: NonlinearityModel) -> Pieces:
+    """u' = differentiate(u), (1/2)||grad u||^2, N(u) and int G(u), kept on u."""
     du = differentiate(u).values
-    hu = prefix_h(u).values if hu is None else hu
-    return Pieces(du, hu, 0.5 * integrate_plane(u.grid, du**2), big_n(u, hu),
+    return Pieces(du, 0.5 * integrate_plane(u.grid, du**2), big_n(u),
                   integrate_plane(u.grid, model.big_g(u.values)))
 
 
@@ -91,7 +89,7 @@ def j_q(u: RadialFunction, q: float, model: NonlinearityModel) -> EnergyBreakdow
     """Full action: (1/2)||grad u||^2 + (q/2)N(u) - int G(u)."""
     if q < 0:
         raise ValueError("q must be non-negative")
-    _, _, dirichlet, n_val, big_g_int = energy_pieces(u, model)
+    _, dirichlet, n_val, big_g_int = energy_pieces(u, model)
     nonlocal_term = 0.5 * q * n_val
     potential = -big_g_int
     return EnergyBreakdown(
@@ -100,10 +98,9 @@ def j_q(u: RadialFunction, q: float, model: NonlinearityModel) -> EnergyBreakdow
     )
 
 
-def j_trunc(u: RadialFunction, q: float, model: NonlinearityModel,
-            pieces: Optional[Pieces] = None) -> EnergyBreakdown:
+def j_trunc(u: RadialFunction, q: float, model: NonlinearityModel) -> EnergyBreakdown:
     """Truncated action: the gauge term is weighted by phi(q N(u)); j_tilde at theta = 0."""
-    return j_tilde(0.0, u, q, model, pieces)
+    return j_tilde(0.0, u, q, model)
 
 
 def i_comparison(u: RadialFunction, model: NonlinearityModel) -> float:
@@ -112,19 +109,17 @@ def i_comparison(u: RadialFunction, model: NonlinearityModel) -> float:
     return dirichlet - integrate_plane(u.grid, capital_lambda_bar(model, u.values))
 
 
-def j_tilde(theta: float, u: RadialFunction, q: float, model: NonlinearityModel,
-            pieces: Optional[Pieces] = None) -> EnergyBreakdown:
+def j_tilde(theta: float, u: RadialFunction, q: float,
+            model: NonlinearityModel) -> EnergyBreakdown:
     """Closed form of j_trunc(u(e^{-theta} .)):
 
         (1/2)||grad u||^2 + (q/2) e^{4 theta} phi(q e^{4 theta} N) N - e^{2 theta} int G(u).
-
-    pieces = energy_pieces(u, model) when the caller already has them.
     """
     if not math.isfinite(theta):
         raise ValueError("theta must be finite")
     if q < 0:
         raise ValueError("q must be non-negative")
-    _, _, dirichlet, n_val, big_g_int = energy_pieces(u, model) if pieces is None else pieces
+    _, dirichlet, n_val, big_g_int = energy_pieces(u, model)
     s = q * math.exp(4.0 * theta) * n_val
     nonlocal_term = 0.5 * q * math.exp(4.0 * theta) * phi(s) * n_val
     potential = -math.exp(2.0 * theta) * big_g_int
@@ -134,8 +129,7 @@ def j_tilde(theta: float, u: RadialFunction, q: float, model: NonlinearityModel,
     )
 
 
-def d_theta_j_tilde(theta: float, u: RadialFunction, q: float, model: NonlinearityModel,
-                    pieces: Optional[Pieces] = None) -> float:
+def d_theta_j_tilde(theta: float, u: RadialFunction, q: float, model: NonlinearityModel) -> float:
     """theta-derivative of j_tilde:
 
         2 q e^{4 theta} phi(s) N + 2 q^2 e^{8 theta} phi'(s) N^2 - 2 e^{2 theta} int G(u),
@@ -143,37 +137,33 @@ def d_theta_j_tilde(theta: float, u: RadialFunction, q: float, model: Nonlineari
 
     At theta = 0 with inactive truncation this is the scale-invariance
     (Pohozaev) residual 2qN - 2 int G, which vanishes at solutions.
-    pieces = energy_pieces(u, model) when the caller already has them.
     """
     if not math.isfinite(theta):
         raise ValueError("theta must be finite")
-    *_, n_val, big_g_int = energy_pieces(u, model) if pieces is None else pieces
+    *_, n_val, big_g_int = energy_pieces(u, model)
     e4, e2 = math.exp(4.0 * theta), math.exp(2.0 * theta)
     s = q * e4 * n_val
     return 2.0 * q * e4 * phi(s) * n_val + 2.0 * q * q * e4 * e4 * phi_prime(s) * n_val**2 - 2.0 * e2 * big_g_int
 
 
 def weak_gradient(
-    theta: float, u: RadialFunction, q: float, model: NonlinearityModel, v: RadialFunction,
-    pieces: Optional[Pieces] = None,
+    theta: float, u: RadialFunction, q: float, model: NonlinearityModel, v: RadialFunction
 ) -> float:
     """Directional u-derivative of j_tilde at (theta, u) in direction v:
 
         int grad u . grad v
         + [(q/2) e^{4 theta} phi(s) + (q^2/2) e^{8 theta} phi'(s) N] N'(u)[v]
         - e^{2 theta} int g(u) v,    s = q e^{4 theta} N(u).
-
-    pieces = energy_pieces(u, model) when the caller already has them.
     """
     if u.grid != v.grid:
         raise ValueError("u and v must live on the same grid")
     g = u.grid
-    du, hu, _, n_val, _ = energy_pieces(u, model) if pieces is None else pieces
-    dirich = integrate_plane(g, du * (du if v is u else differentiate(v).values))
+    du, _, n_val, _ = energy_pieces(u, model)
+    dirich = integrate_plane(g, du * differentiate(v).values)
     e4, e2 = math.exp(4.0 * theta), math.exp(2.0 * theta)
     s = q * e4 * n_val
     coef = 0.5 * q * e4 * phi(s) + 0.5 * q * q * e4 * e4 * phi_prime(s) * n_val
-    nprime = float(np.dot(big_n_gradient(u, hu), v.values)) if coef != 0.0 else 0.0
+    nprime = float(np.dot(big_n_gradient(u), v.values)) if coef != 0.0 else 0.0
     return dirich + coef * nprime - e2 * integrate_plane(g, model.g(u.values) * v.values)
 
 
@@ -191,14 +181,13 @@ def riesz_gradient(
     g = u.grid
     w_plane = 2.0 * math.pi * g.weights * g.nodes
     d, solve = sobolev_metric(g, model.m0)
-    hu = prefix_h(u).values
-    n_val = big_n(u, hu)
+    n_val = big_n(u)
     e4, e2 = math.exp(4.0 * theta), math.exp(2.0 * theta)
     s = q * e4 * n_val
     coef = 0.5 * q * e4 * phi(s) + 0.5 * q * q * e4 * e4 * phi_prime(s) * n_val
     rhs = d.T @ (w_plane * (d @ u.values)) - e2 * w_plane * model.g(u.values)
     if coef != 0.0:
-        rhs = rhs + coef * big_n_gradient(u, hu)
+        rhs = rhs + coef * big_n_gradient(u)
     return RadialFunction(g, solve(rhs))
 
 

@@ -8,13 +8,14 @@ Everything reduces to two cumulative integrals of the radial profile u:
 and the nonlocal energy N(u) = 2*pi int u^2 h_u^2 / r dr.  All three share
 one cumulative quadrature rule so that the discrete identity
 N'(u)[u] = 6 N(u) holds at machine precision, not merely in the limit.
+h_u, N(u) and the gauge potential are kept on u (`per_iterate`), so each
+is computed once per iterate, however many callers read it.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -25,6 +26,7 @@ from .grid import (
     cumulative_integral,
     differentiate,
     integrate_plane,
+    per_iterate,
 )
 
 
@@ -60,6 +62,7 @@ class GaugeFields:
     flux: float
 
 
+@per_iterate
 def prefix_h(u: RadialFunction) -> RadialFunction:
     """h_u(r) = int_0^r s u(s)^2 ds; h(0) = 0, non-decreasing."""
     g = u.grid
@@ -74,42 +77,37 @@ def suffix_a(u: RadialFunction) -> RadialFunction:
 
     The integrand has the analytic limit 0 at s = 0 since h_u = O(s^2).
     """
-    return RadialFunction(u.grid, suffix_from_prefix(u, prefix_h(u).values))
-
-
-def suffix_from_prefix(u: RadialFunction, hu: np.ndarray) -> np.ndarray:
-    """The values of suffix_a(u), given hu = prefix_h(u).values."""
     g = u.grid
     f = np.zeros(g.n)
-    f[1:] = u.values[1:] ** 2 * hu[1:] / g.nodes[1:]
+    f[1:] = u.values[1:] ** 2 * prefix_h(u).values[1:] / g.nodes[1:]
     cum = cumulative_integral(g, f)
-    return cum[-1] - cum
+    a = cum[-1] - cum
+    a.setflags(write=False)
+    return RadialFunction(g, a)
 
 
+@per_iterate
 def gauge_potential(u: RadialFunction, q: float) -> tuple[np.ndarray, np.ndarray]:
-    """(h_u, V) with V(r) = 2q A_u(r) + q h_u(r)^2 / r^2, from one prefix integral.
+    """(h_u, V) with V(r) = 2q A_u(r) + q h_u(r)^2 / r^2, both read-only.
 
     V is the gauge potential of the strong form; the h^2/r^2 term vanishes at 0.
     """
     g = u.grid
     h = prefix_h(u).values
-    v = 2.0 * q * suffix_from_prefix(u, h)
+    v = 2.0 * q * suffix_a(u).values
     v[1:] += q * (h[1:] / g.nodes[1:]) ** 2
+    v.setflags(write=False)
     return h, v
 
 
-def _n_integrand(u: RadialFunction, hu: np.ndarray) -> np.ndarray:
+@per_iterate
+def big_n(u: RadialFunction) -> float:
+    """Nonlocal energy N(u) = 2*pi int u^2 h_u^2 / r dr >= 0."""
     g = u.grid
+    hu = prefix_h(u).values
     f = np.zeros(g.n)
     f[1:] = u.values[1:] ** 2 * hu[1:] ** 2 / g.nodes[1:]
-    return f
-
-
-def big_n(u: RadialFunction, hu: Optional[np.ndarray] = None) -> float:
-    """Nonlocal energy N(u) = 2*pi int u^2 h_u^2 / r dr >= 0; hu = prefix_h(u).values."""
-    g = u.grid
-    hu = prefix_h(u).values if hu is None else hu
-    return TWO_PI * float(np.sum(g.weights * _n_integrand(u, hu)))
+    return TWO_PI * float(np.sum(g.weights * f))
 
 
 def big_n_prime(u: RadialFunction, v: RadialFunction) -> float:
@@ -131,14 +129,14 @@ def big_n_prime(u: RadialFunction, v: RadialFunction) -> float:
     return TWO_PI * float(np.sum(g.weights * (2.0 * t1 + 4.0 * t2)))
 
 
-def big_n_gradient(u: RadialFunction, hu: Optional[np.ndarray] = None) -> np.ndarray:
+def big_n_gradient(u: RadialFunction) -> np.ndarray:
     """Vector f with N'(u)[v] = f . v for every grid vector v.
 
     Exact transpose of the discrete big_n_prime, assembled with the
-    cumulative rule's adjoint; hu = prefix_h(u).values.
+    cumulative rule's adjoint.
     """
     g = u.grid
-    hu = prefix_h(u).values if hu is None else hu
+    hu = prefix_h(u).values
     w = TWO_PI * g.weights
     t1 = np.zeros(g.n)
     t1[1:] = u.values[1:] * hu[1:] ** 2 / g.nodes[1:]
@@ -157,7 +155,7 @@ def gauge_fields(u: RadialFunction, consts: PhysicalConstants = PhysicalConstant
     e, kap = consts.e_coupling, consts.kappa
     h = prefix_h(u)
     a0_scale = consts.e_coupling**3 / (consts.mass * consts.c_light**2 * kap**2)
-    a0 = RadialFunction(g, a0_scale * suffix_from_prefix(u, h.values))
+    a0 = RadialFunction(g, a0_scale * suffix_a(u).values)
     a_tan = np.zeros(g.n)
     a_tan[1:] = (e / kap) * h.values[1:] / g.nodes[1:]
     b = RadialFunction(g, -(e / kap) * u.values**2)

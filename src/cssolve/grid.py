@@ -6,15 +6,18 @@ pair (R_max, n) of an equispaced grid, with composite-Simpson weights and
 a Simpson-consistent cumulative rule.  The cumulative rule is written
 once, as the grid's increment matrix `RadialGrid.cumulative_increments`;
 its adjoint is that matrix's transpose.  The derivative is written once,
-as the matrix `RadialGrid.derivative`.
+as the matrix `RadialGrid.derivative`.  A grid keeps what depends on it
+alone; a `RadialFunction` keeps, in its `memo`, what the `per_iterate`
+functions compute of it.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+import warnings
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, wraps
 from typing import Optional
 
 import numpy as np
@@ -180,7 +183,7 @@ class RadialGrid:
 
 @dataclass(frozen=True)
 class RadialFunction:
-    """Samples of a radial profile u(r) on a RadialGrid."""
+    """Read-only samples of a radial profile u(r) on a RadialGrid."""
 
     grid: RadialGrid
     values: np.ndarray
@@ -196,6 +199,29 @@ class RadialFunction:
             raise ValueError("values must match the grid size")
         if not np.all(np.isfinite(values)):
             raise ValueError("values must be finite")
+
+    @cached_property
+    def memo(self) -> dict:
+        """{(function, *args): value}, filled by the `per_iterate` functions of u."""
+        return {}
+
+
+def per_iterate(fn):
+    """fn(u, *args), computed once per (u, args) and kept in u.memo.
+
+    The values of u never change, so neither does a quantity of u; fn must
+    return a read-only value.  args key the memo by hash: a float q by
+    value, a NonlinearityModel by identity.
+    """
+
+    @wraps(fn)
+    def memoized(u, *args):
+        memo, key = u.memo, (fn, *args)
+        if key not in memo:
+            memo[key] = fn(u, *args)
+        return memo[key]
+
+    return memoized
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -267,6 +293,7 @@ def cumulative_adjoint(grid: RadialGrid, z: np.ndarray) -> np.ndarray:
     return grid.cumulative_increments_t @ s[1:]
 
 
+@per_iterate
 def differentiate(u: RadialFunction) -> RadialFunction:
     """u' = `RadialGrid.derivative` u; u'(0) = 0 by radial symmetry."""
     # a fresh array: frozen here, so RadialFunction wraps it without a copy
@@ -422,11 +449,20 @@ def load_profile_csv(path) -> RadialFunction:
     """Read a profile CSV written by save_profile_csv, on the grid it was saved on.
 
     The nodes are written exactly, so those of a uniform grid rebuild it bit
-    for bit; any other nodes raise ValueError.
+    for bit.  Fewer than MIN_NODES rows, or nodes that are not a uniform
+    grid, raise ValueError naming the file.
     """
-    # ndmin=2: a single data row still unpacks into arrays
-    nodes, values = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2, unpack=True)
-    grid = make_grid(nodes[-1], nodes.size)
-    if not np.array_equal(grid.nodes, nodes):
-        raise ValueError(f"{path}: the profile's nodes are not a uniform grid")
-    return RadialFunction(grid, values)
+    with warnings.catch_warnings():
+        # a header-only file is reported below, as a profile of 0 rows
+        warnings.simplefilter("ignore", UserWarning)
+        # ndmin=2: a single data row is still a table
+        table = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    rows = table.shape[0]
+    if rows < MIN_NODES:
+        raise ValueError(f"{path}: a profile needs at least {MIN_NODES} rows, found {rows}")
+    nodes, values = table.T
+    if 0.0 < nodes[-1] < math.inf:
+        grid = make_grid(nodes[-1], rows)
+        if np.array_equal(grid.nodes, nodes):
+            return RadialFunction(grid, values)
+    raise ValueError(f"{path}: the profile's nodes are not a uniform grid")

@@ -21,13 +21,14 @@ import numpy as np
 _BAR_SAMPLES = 4096
 
 
-@dataclass
+@dataclass(eq=False)
 class NonlinearityModel:
     """An odd nonlinearity g, its primitive G, its derivative g', and envelope data.
 
     g, G and g' must accept numpy arrays.  delta0 is the width of the interval
     where lambda vanishes; it may be supplied exactly (constructors do) or
-    estimated from samples.
+    estimated from samples.  A model compares and hashes by identity, so it
+    keys the quantities kept on an iterate (`grid.per_iterate`).
     """
 
     g: Callable[[np.ndarray], np.ndarray]

@@ -18,6 +18,10 @@ Three complementary engines:
   the 5-point rows, one J application and one banded solve per iteration.
   It certifies the chord's result, and takes over when the chord stalls.
 
+Each iterate's gauge terms and strong residual are kept on it
+(`grid.per_iterate`): the step that evaluates it, J's linearization at it
+and the certificate all read the one evaluation.
+
 ``continuation_in_q`` and ``multiplicity_run`` orchestrate these to trace
 branches in the coupling q and to produce n distinct solutions at small q.
 """
@@ -35,12 +39,12 @@ from scipy.integrate import solve_ivp  # noqa: F401
 from scipy.linalg.lapack import dgbtrf, dgbtrs
 from scipy.optimize import minimize_scalar
 
-from .energy import energy_pieces, j_trunc, riesz_gradient
-from .gauge import gauge_potential
+from .energy import j_trunc, riesz_gradient
+from .gauge import big_n, gauge_potential
 from .grid import (RadialFunction, RadialGrid, cumulative_integral, dilate, integrate_plane,
                    laplacian_radial, norm_sobolev, robin_row)
 from .nonlinearity import NonlinearityModel
-from .verify import (DISTINCT_TOL, nehari_residual, pohozaev_residual, residual_pde,
+from .verify import (distinctness, nehari_residual, pohozaev_residual, residual_pde,
                      strong_residual)
 
 
@@ -217,35 +221,29 @@ def _band_solver(grid: RadialGrid, diag: np.ndarray, kappa: float):
 # ---------------------------------------------------------------------------
 
 
-def _evaluate(u: RadialFunction, q: float, model: NonlinearityModel,
-              terms: Optional[tuple[np.ndarray, np.ndarray]] = None,
-              res: Optional[np.ndarray] = None):
-    """(terms, res, f) of the iterate u, each evaluated once.
+def _evaluate(u: RadialFunction, q: float, model: NonlinearityModel) -> np.ndarray:
+    """f(u): the strong residual of the iterate u, its last entry the Robin outer row.
 
-    terms = gauge_potential(u, q), res = strong_residual(u, q, model), and f
-    is res with its last entry replaced by the Robin outer row; terms and res
-    are evaluated only when not passed in.
+    The gauge terms and the strong residual it reads stay on u, for the
+    linearization and the certificate.
     """
-    terms = gauge_potential(u, q) if terms is None else terms
-    res = strong_residual(u, q, model, terms) if res is None else res
-    f = res.copy()
-    f[-1] = robin_row(u.values, u.grid.h, _decay_rate(model, float(terms[1][-1])))
-    return terms, res, f
+    f = strong_residual(u, q, model).copy()
+    f[-1] = robin_row(u.values, u.grid.h, _decay_rate(model, float(gauge_potential(u, q)[1][-1])))
+    return f
 
 
-def _linearization(u: RadialFunction, q: float, model: NonlinearityModel,
-                   terms: Optional[tuple[np.ndarray, np.ndarray]] = None):
+def _linearization(u: RadialFunction, q: float, model: NonlinearityModel):
     """Exact linearization at u of f, `_evaluate`'s residual with the Robin row: z -> J(u) z.
 
     V(u) = 2q A_u + q h_u^2/r^2 is differentiated through the cumulative
-    quadrature that defines it, so J is exact to roundoff.  Terms in u alone
-    are computed once here, or passed in as terms = gauge_potential(u, q); each
-    application costs two quadratures.  The Robin rate kappa is frozen, which
+    quadrature that defines it, so J is exact to roundoff.  The terms in u
+    alone are read once, off u (`gauge_potential`); each application costs
+    two quadratures.  The Robin rate kappa is frozen, which
     perturbs only the last row of J.
     """
     g = u.grid
     r, uv = g.nodes, u.values
-    h_u, v_pot = gauge_potential(u, q) if terms is None else terms
+    h_u, v_pot = gauge_potential(u, q)
     gp = model.gprime(uv)
     kappa = _decay_rate(model, float(v_pot[-1]))
 
@@ -337,9 +335,7 @@ def _fgmres(jac, solve, f: np.ndarray) -> tuple[np.ndarray, int]:
     return x, 0 if float(np.linalg.norm(r)) <= target else 1
 
 
-def newton_refine(u: RadialFunction, q: float, model: NonlinearityModel,
-                  terms: Optional[tuple[np.ndarray, np.ndarray]] = None,
-                  res: Optional[np.ndarray] = None) -> SolveReport:
+def newton_refine(u: RadialFunction, q: float, model: NonlinearityModel) -> SolveReport:
     """Matrix-free damped Newton on the full nonlocal strong-form system.
 
     Jacobian action applied matrix-free through the exact linearization of
@@ -351,15 +347,13 @@ def newton_refine(u: RadialFunction, q: float, model: NonlinearityModel,
     factored once per Newton step.  Each Krylov iteration costs one J
     application and one banded solve; only the nonlocal gauge term is left to
     the iteration.  Each iterate's gauge terms and strong residual are
-    evaluated once and handed to the certificate; terms = gauge_potential(u, q)
-    and res = strong_residual(u, q, model) when the caller already has them.
-    A singular preconditioner or a non-finite step stops the iteration with
-    converged=False.
+    evaluated once and kept on it, where the linearization and the
+    certificate read them.  A singular preconditioner or a non-finite step
+    stops the iteration with converged=False.
     """
     g = u.grid
     floor = _residual_floor(g)
-    # the gauge terms of an iterate serve its residual and its linearization
-    terms, res, f = _evaluate(u, q, model, terms, res)
+    f = _evaluate(u, q, model)
     iterations = 0
     converged = None
     for it in range(_MAX_STEPS):
@@ -368,13 +362,13 @@ def newton_refine(u: RadialFunction, q: float, model: NonlinearityModel,
         if nf < tol:
             break
         iterations = it + 1
-        v_pot = terms[1]
+        _, v_pot = gauge_potential(u, q)
         solve = _band_solver(g, v_pot - model.gprime(u.values),
                              _decay_rate(model, float(v_pot[-1])))
         if solve is None:
             converged = False
             break
-        step, info = _fgmres(_linearization(u, q, model, terms), solve, f)
+        step, info = _fgmres(_linearization(u, q, model), solve, f)
         if info != 0:
             break
         if not np.all(np.isfinite(step)):
@@ -383,29 +377,21 @@ def newton_refine(u: RadialFunction, q: float, model: NonlinearityModel,
         lam = 1.0
         while lam > 1e-12:
             trial = RadialFunction(g, u.values - lam * step)
-            trial_terms, trial_res, ft = _evaluate(trial, q, model)
+            ft = _evaluate(trial, q, model)
             nt = float(np.max(np.abs(ft)))
             if nt < nf * (1.0 - 0.25 * lam) or nt < tol:
-                u, terms, res, f = trial, trial_terms, trial_res, ft
+                u, f = trial, ft
                 break
             lam *= 0.5
         else:
             break
-    return _report(u, q, model, iterations, converged, terms, res)
+    return _report(u, q, model, iterations, converged)
 
 
 def _report(u: RadialFunction, q: float, model: NonlinearityModel,
-            iterations: int, converged: Optional[bool] = None,
-            terms: Optional[tuple[np.ndarray, np.ndarray]] = None,
-            res: Optional[np.ndarray] = None) -> SolveReport:
-    """The certificate of u, each piece evaluated once.
-
-    terms = gauge_potential(u, q) and res = strong_residual(u, q, model) when
-    the caller already has them.
-    """
-    terms = gauge_potential(u, q) if terms is None else terms
-    pieces = energy_pieces(u, model, terms[0])
-    sup, _ = residual_pde(u, q, model, terms, res)
+            iterations: int, converged: Optional[bool] = None) -> SolveReport:
+    """The certificate of u, read off the gauge terms, strong residual and energy pieces on u."""
+    sup, _ = residual_pde(u, q, model)
     if converged is None:
         floor = _residual_floor(u.grid) * max(1.0, float(np.max(np.abs(u.values))))
         converged = sup < max(10.0 * _NEWTON_TOL, 10.0 * floor)
@@ -413,13 +399,13 @@ def _report(u: RadialFunction, q: float, model: NonlinearityModel,
         converged = False
     return SolveReport(
         u=u,
-        level=j_trunc(u, q, model, pieces).total,
+        level=j_trunc(u, q, model).total,
         q=q,
         node_count=count_nodes(u),
         residual_pde=sup,
-        residual_nehari=nehari_residual(u, q, model, pieces),
-        residual_pohozaev=pohozaev_residual(u, q, model, pieces),
-        truncation_inactive=bool(q * pieces.n_val <= 1.0),
+        residual_nehari=nehari_residual(u, q, model),
+        residual_pohozaev=pohozaev_residual(u, q, model),
+        truncation_inactive=bool(q * big_n(u) <= 1.0),
         iterations=iterations,
         converged=bool(converged),
     )
@@ -435,10 +421,10 @@ def _inner_newton(u: RadialFunction, q: float, model: NonlinearityModel, k: int)
 
     M is `newton_refine`'s preconditioner at the start iterate, the banded LU
     of J's local part -laplacian_radial + V - g'(u) with the Robin row,
-    factored once.  Each step evaluates the iterate once (`_evaluate`: gauge
-    terms, strong residual, Robin row) and takes the chord step
-    s_k = M^{-1} f(u_k).  The nonlocal part of J left out of M sets the
-    chord's rate, so each step is mixed with the previous one: depth-one
+    factored once.  Each step evaluates the iterate once (`_evaluate`: the
+    gauge terms and strong residual kept on it, and the Robin row) and takes
+    the chord step s_k = M^{-1} f(u_k).  The nonlocal part of J left out of M
+    sets the chord's rate, so each step is mixed with the previous one: depth-one
     Anderson mixing (type II; Walker and Ni, SIAM J. Numer. Anal. 49, 2011)
     of u -> u - M^{-1} f(u) sets
 
@@ -452,16 +438,16 @@ def _inner_newton(u: RadialFunction, q: float, model: NonlinearityModel, k: int)
     plain step sizes, before any mixing: a step not below half the last one,
     or 60 steps, leave u to `newton_refine` (ds = 0 has stalled, so
     <ds, ds> > 0 when mixing).
-    Returns (u, terms, res, steps, ok) with u's gauge terms and strong
-    residual; ok is False on a singular M, a non-finite step, a changed node
-    count or a blow-up past 10 max(|u_start|, 1) of the new iterate.
+    Returns (u, steps, ok); ok is False on a singular M, a non-finite step,
+    a changed node count or a blow-up past 10 max(|u_start|, 1) of the new
+    iterate.
     """
     g = u.grid
-    terms, res, f = _evaluate(u, q, model)
-    v_pot = terms[1]
+    f = _evaluate(u, q, model)
+    _, v_pot = gauge_potential(u, q)
     solve = _band_solver(g, v_pot - model.gprime(u.values), _decay_rate(model, float(v_pot[-1])))
     if solve is None:
-        return u, terms, res, 0, False
+        return u, 0, False
     bound = 10.0 * max(float(np.max(np.abs(u.values))), 1.0)
     last = math.inf
     prev = None
@@ -469,9 +455,9 @@ def _inner_newton(u: RadialFunction, q: float, model: NonlinearityModel, k: int)
         step = solve(f)
         size = float(np.max(np.abs(step)))
         if not math.isfinite(size):
-            return u, terms, res, steps, False
+            return u, steps, False
         if size >= 0.5 * last:
-            return u, terms, res, steps, True
+            return u, steps, True
         if size > 1.0:
             new = u.values - 0.5 * step
         else:
@@ -484,12 +470,12 @@ def _inner_newton(u: RadialFunction, q: float, model: NonlinearityModel, k: int)
         new.setflags(write=False)
         trial = RadialFunction(g, new)
         if float(np.max(np.abs(trial.values))) > bound or count_nodes(trial) != k:
-            return u, terms, res, steps, False
-        u, (terms, res, f) = trial, _evaluate(trial, q, model)
+            return u, steps, False
+        u, f = trial, _evaluate(trial, q, model)
         if size < 1e-10:
-            return u, terms, res, steps + 1, True
+            return u, steps + 1, True
         last = size
-    return u, terms, res, _MAX_STEPS, True
+    return u, _MAX_STEPS, True
 
 
 def nodal_shoot(q: float, model: NonlinearityModel, grid: RadialGrid, k: int,
@@ -500,9 +486,9 @@ def nodal_shoot(q: float, model: NonlinearityModel, grid: RadialGrid, k: int,
     a warm start must live on grid.  The chord iteration (`_inner_newton`)
     solves the full nonlocal 5-point system with the local Jacobian of the
     first iterate, factored once; `newton_refine` then certifies the result,
-    or polishes it when the chord stalled.  The certificate reads the last
-    iterate's gauge terms and strong residual.  `iterations` counts chord
-    and Newton steps.  A polish that changes the node count or collapses
+    or polishes it when the chord stalled.  The certificate reads the gauge
+    terms and strong residual kept on the last iterate.  `iterations` counts
+    chord and Newton steps.  A polish that changes the node count or collapses
     the profile to zero (`_is_zero`; at large q it can do either) has left
     the k-node branch, so the report then carries the chord's last iterate
     with converged=False.
@@ -512,6 +498,7 @@ def nodal_shoot(q: float, model: NonlinearityModel, grid: RadialGrid, k: int,
     if warm_start is not None:
         if warm_start.grid != grid:
             raise ValueError("warm_start and grid must be the same grid")
+        # a new iterate, so a start reused across couplings keeps nothing per q
         start = RadialFunction(grid, warm_start.values)
     else:
         shot = _shoot(grid, model, k)
@@ -519,13 +506,13 @@ def nodal_shoot(q: float, model: NonlinearityModel, grid: RadialGrid, k: int,
             return _report(RadialFunction(grid, np.zeros(grid.n)), q, model, 0, converged=False)
         start = RadialFunction(grid, shot)
 
-    u, terms, res, steps, ok = _inner_newton(start, q, model, k)
+    u, steps, ok = _inner_newton(start, q, model, k)
     if not ok:
-        return _report(u, q, model, steps, converged=False, terms=terms, res=res)
-    report = newton_refine(u, q, model, terms, res)
+        return _report(u, q, model, steps, converged=False)
+    report = newton_refine(u, q, model)
     iterations = steps + report.iterations
     if report.node_count != k or _is_zero(report.u):
-        return _report(u, q, model, iterations, converged=False, terms=terms, res=res)
+        return _report(u, q, model, iterations, converged=False)
     return replace(report, iterations=iterations)
 
 
@@ -667,9 +654,9 @@ def multiplicity_run(q: float, model: NonlinearityModel, grid: RadialGrid, n: in
     """n distinct solutions at coupling q: k-node profiles for k = 0..n-1.
 
     Returns (reports, failure) where failure names the first failing branch
-    (None on full success).  Checks: convergence, pairwise plane-L^2
-    distance at least DISTINCT_TOL, strictly increasing levels, and
-    truncation inactivity.
+    (None on full success).  Checks: convergence, truncation inactivity,
+    successive branches distinct by `verify.distinctness` (plane-L^2
+    distance at least DISTINCT_TOL), and strictly increasing levels.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -685,12 +672,10 @@ def multiplicity_run(q: float, model: NonlinearityModel, grid: RadialGrid, n: in
             failure = f"branch k={k} has active truncation at q={q}"
             break
         if reports[:-1]:
-            prev = reports[-2]
-            dist = math.sqrt(max(integrate_plane(grid, (rep.u.values - prev.u.values) ** 2), 0.0))
-            if dist < DISTINCT_TOL:
+            if distinctness(reports[-2:])[2]:
                 failure = f"branch k={k} not distinct from k={k-1}"
                 break
-            if rep.level <= prev.level:
+            if rep.level <= reports[-2].level:
                 failure = f"level ordering violated at k={k}"
                 break
     return reports, failure

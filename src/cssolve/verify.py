@@ -8,14 +8,13 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass
-from typing import Optional
 
 import numpy as np
 
-from .energy import (Pieces, d_theta_j_tilde, energy_pieces, j_tilde, phi, phi_prime,
-                     weak_gradient)
+from .energy import d_theta_j_tilde, energy_pieces, j_tilde, phi, phi_prime, weak_gradient
 from .gauge import big_n, gauge_potential
-from .grid import RadialFunction, differentiate, integrate_plane, laplacian_radial, norm_lp
+from .grid import (RadialFunction, differentiate, integrate_plane, laplacian_radial, norm_lp,
+                   per_iterate)
 from .nonlinearity import NonlinearityModel
 
 # plane-L^2 distance below which two solutions are not distinct
@@ -36,43 +35,37 @@ class VerificationReport:
         return json.dumps(asdict(self), indent=2)
 
 
-def strong_residual(u: RadialFunction, q: float, model: NonlinearityModel,
-                    terms: Optional[tuple[np.ndarray, np.ndarray]] = None) -> np.ndarray:
-    """-Delta u + 2q u A_u + q u h_u^2/r^2 - g(u) at every node; terms = gauge_potential(u, q)."""
-    _, v_pot = gauge_potential(u, q) if terms is None else terms
-    return -laplacian_radial(u) + v_pot * u.values - model.g(u.values)
+@per_iterate
+def strong_residual(u: RadialFunction, q: float, model: NonlinearityModel) -> np.ndarray:
+    """-Delta u + 2q u A_u + q u h_u^2/r^2 - g(u) at every node, read-only and kept on u."""
+    _, v_pot = gauge_potential(u, q)
+    res = -laplacian_radial(u) + v_pot * u.values - model.g(u.values)
+    res.setflags(write=False)
+    return res
 
 
-def residual_pde(u: RadialFunction, q: float, model: NonlinearityModel,
-                 terms: Optional[tuple[np.ndarray, np.ndarray]] = None,
-                 res: Optional[np.ndarray] = None) -> tuple[float, float]:
-    """Strong-form residual of -Delta u + 2q u A_u + q u h_u^2/r^2 - g(u).
-
-    Returns (sup norm, plane L^2 norm); terms = gauge_potential(u, q) and
-    res = strong_residual(u, q, model) when the caller already has them.
-    """
-    res = strong_residual(u, q, model, terms) if res is None else res
+def residual_pde(u: RadialFunction, q: float, model: NonlinearityModel) -> tuple[float, float]:
+    """(sup norm, plane L^2 norm) of the strong residual of
+    -Delta u + 2q u A_u + q u h_u^2/r^2 - g(u)."""
+    res = strong_residual(u, q, model)
     sup = float(np.max(np.abs(res)))
     l2 = math.sqrt(max(integrate_plane(u.grid, res**2), 0.0))
     return sup, l2
 
 
-def nehari_residual(u: RadialFunction, q: float, model: NonlinearityModel,
-                    pieces: Optional[Pieces] = None) -> float:
+def nehari_residual(u: RadialFunction, q: float, model: NonlinearityModel) -> float:
     """d/dt j_trunc(u + t u) at t = 0; equals ||grad u||^2 + 3qN - int g(u)u
     when the truncation is inactive. Zero at critical points."""
-    return weak_gradient(0.0, u, q, model, u, pieces)
+    return weak_gradient(0.0, u, q, model, u)
 
 
-def pohozaev_residual(u: RadialFunction, q: float, model: NonlinearityModel,
-                      pieces: Optional[Pieces] = None) -> float:
+def pohozaev_residual(u: RadialFunction, q: float, model: NonlinearityModel) -> float:
     """Dilation derivative of the truncated action at theta = 0; the
     scale-invariance identity 2qN - 2 int G(u) when truncation is inactive."""
-    return d_theta_j_tilde(0.0, u, q, model, pieces)
+    return d_theta_j_tilde(0.0, u, q, model)
 
 
-def ledger_identity(theta: float, u: RadialFunction, q: float, model: NonlinearityModel,
-                    pieces: Optional[Pieces] = None) -> float:
+def ledger_identity(theta: float, u: RadialFunction, q: float, model: NonlinearityModel) -> float:
     """Algebraic identity linking level, dilation derivative and Dirichlet norm:
 
         2 Jt(theta, u) - dJt/dtheta = ||grad u||^2 - C - D,
@@ -81,36 +74,28 @@ def ledger_identity(theta: float, u: RadialFunction, q: float, model: Nonlineari
     with s = q e^{4 theta} N(u). Returns the absolute defect, which is pure
     roundoff for any input. Equivalently ||grad u||^2 = (2 Jt - dJt) + C + D.
     """
-    p = energy_pieces(u, model) if pieces is None else pieces
-    c, d = truncation_bounds(theta, u, q, p.n_val)
-    grad2 = integrate_plane(u.grid, p.du ** 2)
-    lhs = 2.0 * j_tilde(theta, u, q, model, p).total - d_theta_j_tilde(theta, u, q, model, p)
+    c, d = truncation_bounds(theta, u, q)
+    grad2 = integrate_plane(u.grid, energy_pieces(u, model).du ** 2)
+    lhs = 2.0 * j_tilde(theta, u, q, model).total - d_theta_j_tilde(theta, u, q, model)
     return abs(lhs - (grad2 - c - d))
 
 
-def truncation_bounds(theta: float, u: RadialFunction, q: float,
-                      n_val: Optional[float] = None) -> tuple[float, float]:
+def truncation_bounds(theta: float, u: RadialFunction, q: float) -> tuple[float, float]:
     """The (C, D) pair from ledger_identity; C in [0, 2) and |D| < 16 whenever
-    q e^{4 theta} N < 2, and both vanish when q e^{4 theta} N >= 2.
-    n_val = big_n(u) when the caller already has it."""
-    n_val = big_n(u) if n_val is None else n_val
+    q e^{4 theta} N < 2, and both vanish when q e^{4 theta} N >= 2."""
+    n_val = big_n(u)
     e4 = math.exp(4.0 * theta)
     s = q * e4 * n_val
     return q * e4 * phi(s) * n_val, 2.0 * q * q * e4 * e4 * phi_prime(s) * n_val**2
 
 
-def bhs_inequality(u: RadialFunction, pieces: Optional[Pieces] = None) -> bool:
-    """||u||_4^4 <= 2 ||grad u||_2 N(u)^{1/2} (an interpolation-type bound);
-    it reads u' and N(u) from pieces = energy_pieces(u, ...) when given."""
+def bhs_inequality(u: RadialFunction) -> bool:
+    """||u||_4^4 <= 2 ||grad u||_2 N(u)^{1/2} (an interpolation-type bound)."""
     if not np.any(u.values):
         raise ValueError("u must be nonzero")
-    if pieces is None:
-        du, n_val = differentiate(u).values, big_n(u)
-    else:
-        du, n_val = pieces.du, pieces.n_val
     left = norm_lp(u, 4.0) ** 4
-    grad = math.sqrt(max(integrate_plane(u.grid, du ** 2), 0.0))
-    right = 2.0 * grad * math.sqrt(max(n_val, 0.0))
+    grad = math.sqrt(max(integrate_plane(u.grid, differentiate(u).values ** 2), 0.0))
+    right = 2.0 * grad * math.sqrt(max(big_n(u), 0.0))
     return bool(left <= right + 1e-12)
 
 
@@ -142,21 +127,18 @@ def distinctness(reports):
 
 
 def verification_report(u: RadialFunction, q: float, model: NonlinearityModel) -> VerificationReport:
-    """Every check on u, from one gauge_potential and one energy_pieces."""
-    terms = gauge_potential(u, q)
-    pieces = energy_pieces(u, model, terms[0])
-    sup, l2 = residual_pde(u, q, model, terms)
-    defect = ledger_identity(0.2, u, q, model, pieces)
+    """Every check on u; they read one gauge_potential and one energy_pieces, kept on u."""
+    sup, l2 = residual_pde(u, q, model)
     try:
-        bhs_ok = bhs_inequality(u, pieces)
+        bhs_ok = bhs_inequality(u)
     except ValueError:
         bhs_ok = True
     return VerificationReport(
         residual_pde_sup=sup,
         residual_pde_l2=l2,
-        nehari=nehari_residual(u, q, model, pieces),
-        pohozaev=pohozaev_residual(u, q, model, pieces),
-        q_n_check=bool(q * pieces.n_val <= 1.0),
+        nehari=nehari_residual(u, q, model),
+        pohozaev=pohozaev_residual(u, q, model),
+        q_n_check=bool(q * big_n(u) <= 1.0),
         bhs_inequality_ok=bhs_ok,
-        ledger_identity_err=defect,
+        ledger_identity_err=ledger_identity(0.2, u, q, model),
     )

@@ -252,6 +252,23 @@ class TestGauge:
         assert "config error" in err and "Traceback" not in err
         assert not (tmp_path / "gauge.json").exists()
 
+    @pytest.mark.parametrize("rows, found", [("0.0,1.0\n", 1), ("5.0,1.0\n", 1), ("", 0)],
+                             ids=["one row at r=0", "one row at r=5", "header only"])
+    def test_short_profile_names_the_file(self, tmp_path, capsys, rows, found):
+        csv = tmp_path / "short.csv"
+        csv.write_text("r,value\n" + rows)
+        cfg = {
+            "model": {"kind": "power", "p": 2.0, "omega": 1.0},
+            "grid": {"r_max": 12.0, "n": 513},
+            "profile_csv": str(csv),
+        }
+        path = write_config(tmp_path, cfg)
+        assert main(["gauge", "--config", path, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"{csv}: a profile needs at least 16 rows, found {found}" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "gauge.json").exists()
+
     def test_missing_profile_exits_2(self, tmp_path, capsys):
         cfg = {
             "model": {"kind": "power", "p": 2.0, "omega": 1.0},

@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,10 +8,12 @@ import scipy.sparse as sp
 from scipy.linalg import lapack, solve_banded
 from scipy.linalg.lapack import dgbtrf
 
-from cssolve import energy, gauge, solver, verify
+import cssolve
+from cssolve import solver
 from cssolve.energy import j_trunc
 from cssolve.gauge import big_n, gauge_potential, prefix_h, suffix_a
-from cssolve.grid import RadialFunction, integrate_plane, laplacian_radial, make_grid, robin_row
+from cssolve.grid import (RadialFunction, integrate_plane, laplacian_radial, make_grid, norm_lp,
+                          robin_row)
 from cssolve.nonlinearity import power_model, table_model
 from cssolve.solver import (
     _band_solver,
@@ -29,8 +32,8 @@ from cssolve.solver import (
     nodal_shoot,
     save_branch_csv,
 )
-from cssolve.verify import (nehari_residual, pohozaev_residual, residual_pde,
-                            verification_report)
+from cssolve.verify import (distinctness, nehari_residual, pohozaev_residual, residual_pde,
+                            strong_residual, verification_report)
 
 from oracles import BL_LEVEL, BL_U0, bl_ground_state
 
@@ -269,8 +272,8 @@ class TestLinearization:
     def test_matches_central_difference(self, point, model):
         u, z = point
         eps = 1e-4
-        plus = _evaluate(RadialFunction(u.grid, u.values + eps * z), self.Q, model)[2]
-        minus = _evaluate(RadialFunction(u.grid, u.values - eps * z), self.Q, model)[2]
+        plus = _evaluate(RadialFunction(u.grid, u.values + eps * z), self.Q, model)
+        minus = _evaluate(RadialFunction(u.grid, u.values - eps * z), self.Q, model)
         fd = (plus - minus) / (2.0 * eps)
         jz = _linearization(u, self.Q, model)(z)
         # the last row is left out: kappa is frozen there (see the docstring)
@@ -285,11 +288,10 @@ class TestFgmres:
     def _step(model, q, n=1025):
         g = make_grid(24.0, n)
         u = RadialFunction(g, 2.4 * np.exp(-g.nodes**2 / 3.0))
-        terms = gauge_potential(u, q)
-        jac = _linearization(u, q, model, terms)
-        solve = _band_solver(g, terms[1] - model.gprime(u.values),
-                             math.sqrt(2.0 * model.m0 + terms[1][-1]))
-        return jac, solve, _evaluate(u, q, model, terms)[2]
+        _, v_pot = gauge_potential(u, q)
+        solve = _band_solver(g, v_pot - model.gprime(u.values),
+                             math.sqrt(2.0 * model.m0 + v_pot[-1]))
+        return _linearization(u, q, model), solve, _evaluate(u, q, model)
 
     @staticmethod
     def _counted(fn, calls):
@@ -462,6 +464,30 @@ class TestReorderedKernels:
         assert len(factorizations) == 1
         assert 0 < len(solves) <= most_solves
 
+    @pytest.mark.parametrize("k, q, most", [(0, 5.9e-5, (10, 5, 1)), (1, 2e-4, (14, 7, 1))],
+                             ids=["k=0", "k=1"])
+    def test_warm_step_leaf_work(self, model, grid, ground_state, excited_state, monkeypatch,
+                                 k, q, most):
+        # the kernels that nothing keeps on an iterate, counted at every binding
+        calls = dict.fromkeys(("cumulative_integral", "laplacian_radial", "cumulative_adjoint"), 0)
+        for name in calls:
+            fn = getattr(cssolve.grid, name)
+
+            def counted(*args, _fn=fn, _name=name):
+                # laplacian_radial(grid, z) applies J's local part to a direction, not an iterate
+                calls[_name] += _name != "laplacian_radial" or len(args) == 1
+                return _fn(*args)
+
+            for mod in (cssolve.grid, cssolve.gauge, cssolve.energy, cssolve.verify, solver):
+                if getattr(mod, name, None) is fn:
+                    monkeypatch.setattr(mod, name, counted)
+        rep = nodal_shoot(q, model, grid, k, warm_start=(ground_state, excited_state)[k].u)
+        assert rep.converged
+        # measured before the iterate kept its quantities: two quadratures and
+        # one Laplacian per evaluated iterate, one adjoint for Nehari's N'(u)
+        for got, pinned in zip(calls.values(), most):
+            assert 0 < got <= pinned
+
     @pytest.mark.parametrize("k, q", [(0, 5.9e-5), (1, 5e-5)])
     def test_warm_step_makes_no_newton_krylov_step(self, model, grid, ground_state,
                                                    excited_state, monkeypatch, k, q):
@@ -529,39 +555,53 @@ class TestReorderedKernels:
         assert all(z.any() for z in directions)
 
     def test_warm_step_certificate_evaluates_once(self, model, grid, ground_state, monkeypatch):
-        calls = {"big_n": 0, "residual_pde": 0}
-        for name in calls:
-            fn = getattr(verify if name == "residual_pde" else gauge, name)
+        computed, certified = [], []
 
-            def counted(*args, _fn=fn, _name=name, **kwargs):
-                calls[_name] += 1
-                return _fn(*args, **kwargs)
+        class Recording(dict):
+            """An iterate's memo that records each quantity computed into it."""
 
-            for mod in (gauge, energy, verify, solver):
-                if getattr(mod, name, None) is fn:
-                    monkeypatch.setattr(mod, name, counted)
+            def __setitem__(self, key, value):
+                computed.append(key[0].__name__)
+                super().__setitem__(key, value)
+
+        def counted(*args):
+            certified.append(args[0])
+            return residual_pde(*args)
+
+        monkeypatch.setattr(RadialFunction, "memo",
+                            property(lambda u: u.__dict__.setdefault("memo", Recording())))
+        monkeypatch.setattr(solver, "residual_pde", counted)
         rep = nodal_shoot(5.9e-5, model, grid, 0, warm_start=ground_state.u)
         assert rep.converged
         # N(u) feeds the level, Nehari, Pohozaev and the truncation check
-        assert calls == {"big_n": 1, "residual_pde": 1}
+        assert computed.count("big_n") == computed.count("energy_pieces") == 1
+        [u] = certified
+        assert u is rep.u
+        # each iterate's gauge terms and strong residual, once: the warm
+        # start and one iterate per chord step
+        assert computed.count("gauge_potential") == computed.count("strong_residual")
+        assert computed.count("strong_residual") == rep.iterations + 1
 
     def test_warm_step_residual_handed_to_certificate(self, model, grid, ground_state,
                                                       monkeypatch):
-        handed = []
+        evaluated = []
 
-        def recorded(u, q, model, terms=None, res=None):
-            handed.append((u, q, res))
-            return residual_pde(u, q, model, terms, res)
+        def recorded(u, q, model):
+            evaluated.append((u, strong_residual(u, q, model)))
+            return evaluated[-1][1]
 
-        monkeypatch.setattr(solver, "residual_pde", recorded)
-        rep = nodal_shoot(5.9e-5, model, grid, 0, warm_start=ground_state.u)
+        monkeypatch.setattr(solver, "strong_residual", recorded)
+        q = 5.9e-5
+        rep = nodal_shoot(q, model, grid, 0, warm_start=ground_state.u)
         assert rep.converged
-        [(u, q, res)] = handed
-        assert u is rep.u and res is not None
-        # the polish's last strong residual, before the Robin row replaced its last entry
-        sup, l2 = residual_pde(u, q, model, res=res)
-        assert (sup, l2) == residual_pde(u, q, model)
-        assert rep.residual_pde == sup
+        # the polish's last strong residual, before the Robin row replaced its
+        # last entry, is the one the certificate reads off its iterate
+        u, res = evaluated[-1]
+        assert u is rep.u
+        assert strong_residual(u, q, model) is res
+        assert rep.residual_pde == float(np.max(np.abs(res)))
+        fresh = RadialFunction(grid, u.values.copy())
+        assert residual_pde(u, q, model) == residual_pde(fresh, q, model)
 
     def test_three_point_rows_cached_and_read_only(self):
         g = make_grid(24.0, 1025)
@@ -583,12 +623,17 @@ class TestCertificate:
         u = ground_state.u
         kind, value = coupling
         q = value if kind == "q" else value / big_n(u)
-        rep = solver._report(u, q, model, 0, terms=gauge_potential(u, q))
-        assert rep.level == j_trunc(u, q, model).total
-        assert rep.residual_nehari == nehari_residual(u, q, model)
-        assert rep.residual_pohozaev == pohozaev_residual(u, q, model)
-        assert rep.residual_pde == residual_pde(u, q, model)[0]
-        assert rep.truncation_inactive == (q * big_n(u) <= 1.0)
+        rep = solver._report(u, q, model, 0)
+
+        def fresh():
+            # a copy keeps nothing, so each standalone value is computed afresh
+            return RadialFunction(u.grid, u.values.copy())
+
+        assert rep.level == j_trunc(fresh(), q, model).total
+        assert rep.residual_nehari == nehari_residual(fresh(), q, model)
+        assert rep.residual_pohozaev == pohozaev_residual(fresh(), q, model)
+        assert rep.residual_pde == residual_pde(fresh(), q, model)[0]
+        assert rep.truncation_inactive == (q * big_n(fresh()) <= 1.0)
 
     def test_verification_report_matches_warm_step(self, model, grid, ground_state):
         q = 5.9e-5
@@ -757,6 +802,21 @@ class TestMultiplicity:
         assert levels == sorted(levels)
         for r in reports:
             assert r.residual_pde < 1e-8
+
+    def test_branches_closer_than_tolerance_are_not_distinct(self, model, grid, ground_state,
+                                                            monkeypatch):
+        bump = RadialFunction(grid, np.exp(-grid.nodes**2))
+        # two converged profiles 0.05 apart in plane L^2, half of DISTINCT_TOL
+        shift = 0.05 / norm_lp(bump, 2.0) * bump.values
+        near = RadialFunction(grid, ground_state.u.values + shift)
+        shots = [ground_state, replace(ground_state, u=near, node_count=1,
+                                       level=ground_state.level + 1.0)]
+        monkeypatch.setattr(solver, "nodal_shoot", lambda q, model, grid, k: shots[k])
+        reports, failure = multiplicity_run(0.0, model, grid, 2)
+        assert failure == "branch k=1 not distinct from k=0"
+        dist, _, flagged = distinctness(reports)
+        assert dist[0, 1] == pytest.approx(0.05, rel=1e-12)
+        assert flagged == [(0, 1)]
 
     def test_sign_flip_preserves_residual(self, ground_state, model, grid):
         neg = RadialFunction(grid, -ground_state.u.values)

@@ -4,9 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from cssolve.energy import d_theta_j_tilde, weak_gradient
-from cssolve.gauge import big_n
-from cssolve.grid import RadialFunction, dilate, make_grid
+from cssolve.energy import d_theta_j_tilde, energy_pieces, weak_gradient
+from cssolve.gauge import big_n, gauge_potential, prefix_h
+from cssolve.grid import RadialFunction, differentiate, dilate, make_grid
 from cssolve.nonlinearity import power_model
 from cssolve.verify import (
     bhs_inequality,
@@ -15,6 +15,7 @@ from cssolve.verify import (
     nehari_residual,
     pohozaev_residual,
     residual_pde,
+    strong_residual,
     truncation_bounds,
     verification_report,
 )
@@ -171,3 +172,64 @@ class TestVerificationReport:
         assert np.isfinite(rep.residual_pde_sup)
         assert np.isfinite(rep.nehari)
         assert rep.q_n_check  # qN well below 1 for this profile/coupling
+
+
+# every quantity kept on an iterate, as a call of (u, q, model)
+MEMOIZED = {
+    "prefix_h": lambda u, q, model: prefix_h(u),
+    "differentiate": lambda u, q, model: differentiate(u),
+    "big_n": lambda u, q, model: big_n(u),
+    "gauge_potential": lambda u, q, model: gauge_potential(u, q),
+    "energy_pieces": lambda u, q, model: energy_pieces(u, model),
+    "strong_residual": lambda u, q, model: strong_residual(u, q, model),
+}
+
+
+def _parts(value) -> list:
+    """The numbers and arrays a kept value is made of."""
+    if isinstance(value, RadialFunction):
+        return [value.values]
+    return list(value) if isinstance(value, tuple) else [value]
+
+
+def _bit_equal(a, b) -> bool:
+    pa, pb = _parts(a), _parts(b)
+    return len(pa) == len(pb) and all(np.array_equal(x, y) for x, y in zip(pa, pb))
+
+
+class TestIterateMemo:
+    Q = 1e-3
+
+    @staticmethod
+    def _iterate(grid):
+        return RadialFunction(grid, 2.0 * np.exp(-grid.nodes**2 / 2.0) * np.cos(grid.nodes))
+
+    @pytest.mark.parametrize("name", list(MEMOIZED))
+    def test_hit_is_kept_read_only_and_equals_fresh(self, grid, model, name):
+        call = MEMOIZED[name]
+        u = self._iterate(grid)
+        first = call(u, self.Q, model)
+        assert call(u, self.Q, model) is first
+        assert all(not part.flags.writeable for part in _parts(first)
+                   if isinstance(part, np.ndarray))
+        # a copy keeps nothing, so its value is computed afresh
+        assert _bit_equal(first, call(RadialFunction(grid, u.values.copy()), self.Q, model))
+
+    @pytest.mark.parametrize("name", ["gauge_potential", "strong_residual"])
+    def test_each_coupling_has_its_own_entry(self, grid, model, name):
+        call = MEMOIZED[name]
+        u = self._iterate(grid)
+        low, high = call(u, self.Q, model), call(u, 2.0 * self.Q, model)
+        assert not _bit_equal(low, high)
+        assert call(u, self.Q, model) is low
+        assert _bit_equal(high, call(RadialFunction(grid, u.values.copy()), 2.0 * self.Q, model))
+
+    @pytest.mark.parametrize("name", ["energy_pieces", "strong_residual"])
+    def test_each_model_has_its_own_entry(self, grid, name):
+        call = MEMOIZED[name]
+        u = self._iterate(grid)
+        first, second = power_model(2.0, 1.0), power_model(2.0, 1.2)
+        a, b = call(u, self.Q, first), call(u, self.Q, second)
+        assert not _bit_equal(a, b)
+        assert call(u, self.Q, first) is a
+        assert _bit_equal(b, call(RadialFunction(grid, u.values.copy()), self.Q, second))
