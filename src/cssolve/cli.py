@@ -202,6 +202,8 @@ def cmd_multiplicity(cfg: dict, out: Path) -> int:
     q = _scalar_q(cfg)
     nodes = cfg.get("nodes", 1)
     n = (max(nodes) + 1) if isinstance(nodes, list) else int(nodes)
+    if n < 1:
+        raise ConfigError(f"multiplicity needs nodes >= 1 (branches k = 0..nodes-1), got {nodes}")
     reports, failure = multiplicity_run(q, model, grid, n)
     for k, rep in enumerate(reports):
         _write_solution(out, f"profile_k{k}", rep, model, q)

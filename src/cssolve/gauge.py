@@ -72,18 +72,23 @@ def prefix_h(u: RadialFunction) -> RadialFunction:
     return RadialFunction(g, h)
 
 
+def _suffix_a_values(u: RadialFunction) -> np.ndarray:
+    """The samples of A_u, a fresh array; `suffix_a` and `gauge_potential` read them."""
+    g = u.grid
+    f = np.zeros(g.n)
+    f[1:] = u.values[1:] ** 2 * prefix_h(u).values[1:] / g.nodes[1:]
+    cum = cumulative_integral(g, f)
+    return cum[-1] - cum
+
+
 def suffix_a(u: RadialFunction) -> RadialFunction:
     """A_u(r) = int_r^{R_max} (u^2/s) h_u(s) ds; non-increasing, A(R_max) = 0.
 
     The integrand has the analytic limit 0 at s = 0 since h_u = O(s^2).
     """
-    g = u.grid
-    f = np.zeros(g.n)
-    f[1:] = u.values[1:] ** 2 * prefix_h(u).values[1:] / g.nodes[1:]
-    cum = cumulative_integral(g, f)
-    a = cum[-1] - cum
+    a = _suffix_a_values(u)
     a.setflags(write=False)
-    return RadialFunction(g, a)
+    return RadialFunction(u.grid, a)
 
 
 @per_iterate
@@ -94,7 +99,7 @@ def gauge_potential(u: RadialFunction, q: float) -> tuple[np.ndarray, np.ndarray
     """
     g = u.grid
     h = prefix_h(u).values
-    v = 2.0 * q * suffix_a(u).values
+    v = 2.0 * q * _suffix_a_values(u)
     v[1:] += q * (h[1:] / g.nodes[1:]) ** 2
     v.setflags(write=False)
     return h, v

@@ -6,7 +6,8 @@ pair (R_max, n) of an equispaced grid, with composite-Simpson weights and
 a Simpson-consistent cumulative rule.  The cumulative rule is written
 once, as the grid's increment matrix `RadialGrid.cumulative_increments`;
 its adjoint is that matrix's transpose.  The derivative is written once,
-as the matrix `RadialGrid.derivative`.  A grid keeps what depends on it
+as the matrix `RadialGrid.derivative`.  The Laplacian is written once,
+as the matrix `RadialGrid.laplacian`.  A grid keeps what depends on it
 alone; a `RadialFunction` keeps, in its `memo`, what the `per_iterate`
 functions compute of it.
 """
@@ -68,42 +69,34 @@ class RadialGrid:
         return _read_only(_simpson_weights(self.n, self.r_max / (self.n - 1)))
 
     @cached_property
-    def tail_weights(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-        """(u'', u') weights of the one-sided 6-point stencils at r_{n-2}, r_{n-1}.
+    def laplacian(self) -> sp.csr_matrix:
+        """The radial Laplacian u'' + u'/r as a read-only CSR matrix; built on first use and kept.
 
-        `laplacian_radial` applies them; computed on first use and then kept,
-        since they depend on the nodes alone.
+        Fourth-order rows: 2u''(0) at the origin and the ghost value
+        u(-h) = u(h) at r = h, both from the even extension through the
+        origin; 5-point centred rows inside; one-sided 6-point stencils at
+        the last two nodes.
         """
-        x = self.nodes[-6:]
-        weights = tuple((_fornberg(x, x0, 2), _fornberg(x, x0, 1)) for x0 in x[-2:])
-        for w in weights:
-            for a in w:
-                a.setflags(write=False)
-        return weights
-
-    @cached_property
-    def laplacian_band(self) -> np.ndarray:
-        """`laplacian_radial` as a matrix L in LAPACK band storage, L_ij = band[2 + i - j, j].
-
-        Row i reaches from column i - 5 (the last row's one-sided stencil) to
-        i + 2, so the 8 comb vectors e_j, j = c (mod 8), separate every entry:
-        the band is read off `laplacian_radial` itself, on first use, and kept.
-        """
-        kl, ku = 5, 2
-        width = kl + ku + 1
-        n, j = self.n, np.arange(self.n)
-        band = np.zeros((width, n))
-        for c in range(width):
-            lap = laplacian_radial(RadialFunction(self, (j % width == c).astype(float)))
-            # row i meets comb c in the one column i - kl + ((c - i + kl) mod width)
-            col = j - kl + (c - j + kl) % width
-            ok = (col >= 0) & (col < n)
-            band[ku + j[ok] - col[ok], col[ok]] = lap[ok]
-        return _read_only(band)
+        x, n, h = self.nodes, self.n, self.h
+        h2, h1 = 12.0 * h * h, 12.0 * h
+        i = np.arange(2, n - 2)
+        inner = (np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / h2
+                 + np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / h1 / x[i, None])
+        tail = [_fornberg(x[-6:], x0, 2) + _fornberg(x[-6:], x0, 1) / x0 for x0 in x[-2:]]
+        data = np.r_[2.0 * np.array([-30.0, 32.0, -2.0]) / h2,
+                     np.array([16.0, -31.0, 16.0, -1.0]) / h2
+                     + np.array([-8.0, 1.0, 8.0, -1.0]) / h1 / x[1],
+                     inner.ravel(), *tail]
+        cols = np.r_[0:3, 0:4, (i[:, None] + np.arange(-2, 3)).ravel(), n - 6:n, n - 6:n]
+        indptr = np.r_[0, np.cumsum(np.r_[3, 4, np.full(n - 4, 5), 6, 6])]
+        lap = sp.csr_matrix((data, cols, indptr), shape=(n, n))
+        for a in (lap.data, lap.indices, lap.indptr):
+            a.setflags(write=False)
+        return lap
 
     @cached_property
     def robin_band(self) -> np.ndarray:
-        """-`laplacian_band` with its last row replaced by the kappa-free `robin_row`, for gbtrf.
+        """-`laplacian` with its last row replaced by the kappa-free `robin_row`, for gbtrf.
 
         That matrix has 4 sub- and 2 superdiagonals (the last Laplacian row's
         entry 5 left of the diagonal goes with it).  LAPACK gbtrf storage:
@@ -113,7 +106,9 @@ class RadialGrid:
         kl, ku = 4, 2
         n = self.n
         band = np.zeros((2 * kl + ku + 1, n), order="F")
-        np.negative(self.laplacian_band[: kl + ku + 1], out=band[kl:])
+        lap = self.laplacian[:-1].tocoo()
+        band[kl + ku + lap.row - lap.col, lap.col] = lap.data
+        np.negative(band[kl:], out=band[kl:])
         cols = np.arange(n - 1 - kl, n)
         band[kl + ku + n - 1 - cols, cols] = np.r_[np.zeros(kl - 2), robin_row(np.eye(3), self.h, 0.0)]
         return _read_only(band)
@@ -408,33 +403,12 @@ def robin_row(v: np.ndarray, h: float, kappa: float) -> float | np.ndarray:
 
 
 def laplacian_radial(u, values: Optional[np.ndarray] = None) -> np.ndarray:
-    """Radial Laplacian u'' + u'/r, with the smooth limit 2u''(0) at r = 0.
+    """Radial Laplacian u'' + u'/r (2u''(0) at r = 0): the grid's `RadialGrid.laplacian` times u.
 
-    Fourth-order stencils, with the even extension through the origin and
-    one-sided stencils at the last two nodes.  Accepts either a
-    RadialFunction or a (grid, values) pair.
+    Accepts either a RadialFunction or a (grid, values) pair.
     """
     g, v = (u.grid, u.values) if values is None else (u, values)
-    x, n, h = g.nodes, g.n, g.h
-    out = np.empty(n)
-    h2 = 12.0 * h * h
-    h1 = 12.0 * h
-    # interior, 5-point centered: v[i-2], ..., v[i+2] for i = 2, ..., n-3
-    vm2, vm1, v0, vp1, vp2 = (v[k : n - 4 + k] for k in range(5))
-    upp = (-vm2 + 16 * vm1 - 30 * v0 + 16 * vp1 - vp2) / h2
-    up = (vm2 - 8 * vm1 + 8 * vp1 - vp2) / h1
-    out[2 : n - 2] = upp + up / x[2 : n - 2]
-    # r = 0: Delta u = 2 u''(0), even extension
-    out[0] = 2.0 * (-30 * v[0] + 32 * v[1] - 2 * v[2]) / h2
-    # r = h: even extension supplies the ghost value u(-h) = u(h)
-    upp1 = (16 * v[0] - 31 * v[1] + 16 * v[2] - v[3]) / h2
-    up1 = (-8 * v[0] + v[1] + 8 * v[2] - v[3]) / h1
-    out[1] = upp1 + up1 / x[1]
-    # last two nodes: one-sided 6-point stencils
-    tail = v[n - 6 :]
-    for i, (w2, w1) in zip((n - 2, n - 1), g.tail_weights):
-        out[i] = np.dot(w2, tail) + np.dot(w1, tail) / x[i]
-    return out
+    return g.laplacian @ v
 
 
 def save_profile_csv(path, u: RadialFunction) -> None:

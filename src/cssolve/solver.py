@@ -189,23 +189,23 @@ def _shoot(grid: RadialGrid, model: NonlinearityModel, k: int) -> Optional[np.nd
     return u
 
 
-def _band_solver(grid: RadialGrid, diag: np.ndarray, kappa: float):
-    """solve(b) = A^{-1} b for the fourth-order -laplacian_radial + diag, or None if A is singular.
+def _band_solver(u: RadialFunction, q: float, model: NonlinearityModel):
+    """solve(b) = A^{-1} b for A the local part of J at u, or None if A is singular.
 
-    A is the local part of the full system's Jacobian, the chord's M and the
-    polish's preconditioner: the rows of
-    -`laplacian_radial` (the grid's `laplacian_band`) plus diag inside, and
+    A is the chord's M and the polish's preconditioner: the rows of
+    -Delta_r + V - g'(u) inside (the grid's `laplacian`, and V kept on u) and
     the Robin row u'(R) + kappa u(R) at the outer edge.  With the last
     Laplacian row replaced, A has 4 sub- and 2 superdiagonals.  Each call
-    copies the grid's gbtrf template `robin_band`, adds diag and kappa; LAPACK
-    gbtrf factors A once and each solve is one gbtrs.
+    copies the grid's gbtrf template `robin_band`, adds V - g'(u) and kappa;
+    LAPACK gbtrf factors A once and each solve is one gbtrs.
     """
     kl, ku = 4, 2
-    template = grid.robin_band
+    _, v_pot = gauge_potential(u, q)
+    template = u.grid.robin_band
     ab = template.copy(order="F")
-    ab[kl + ku] += diag
-    # the Robin row takes kappa on its diagonal, not diag
-    ab[kl + ku, -1] = template[kl + ku, -1] + kappa
+    ab[kl + ku] += v_pot - model.gprime(u.values)
+    # the Robin row takes kappa on its diagonal, not V - g'(u)
+    ab[kl + ku, -1] = template[kl + ku, -1] + _decay_rate(model, float(v_pot[-1]))
     lu, piv, info = dgbtrf(ab, kl, ku, overwrite_ab=1)
     if info != 0:
         return None
@@ -342,14 +342,14 @@ def newton_refine(u: RadialFunction, q: float, model: NonlinearityModel) -> Solv
     the residual map (finite-difference directional derivatives carry an
     h^-2-amplified noise floor that stalls the Krylov solver).  Each Newton
     step J s = f is solved by flexible GMRES (`_fgmres`) to 1e-8 relative,
-    right-preconditioned with the exact local part of J: the 5-point
-    -laplacian_radial + V - g'(u) with the Robin row (`_band_solver`),
-    factored once per Newton step.  Each Krylov iteration costs one J
-    application and one banded solve; only the nonlocal gauge term is left to
-    the iteration.  Each iterate's gauge terms and strong residual are
-    evaluated once and kept on it, where the linearization and the
-    certificate read them.  A singular preconditioner or a non-finite step
-    stops the iteration with converged=False.
+    right-preconditioned with the exact local part of J at u: the band of
+    -Delta_r + V - g'(u) with the Robin row (`_band_solver`, -Delta_r read
+    off the grid's `laplacian`), factored once per Newton step.  Each Krylov
+    iteration costs one J application and one banded solve; only the
+    nonlocal gauge term is left to the iteration.  Each iterate's gauge terms
+    and strong residual are evaluated once and kept on it, where the
+    linearization and the certificate read them.  A singular preconditioner
+    or a non-finite step stops the iteration with converged=False.
     """
     g = u.grid
     floor = _residual_floor(g)
@@ -362,9 +362,7 @@ def newton_refine(u: RadialFunction, q: float, model: NonlinearityModel) -> Solv
         if nf < tol:
             break
         iterations = it + 1
-        _, v_pot = gauge_potential(u, q)
-        solve = _band_solver(g, v_pot - model.gprime(u.values),
-                             _decay_rate(model, float(v_pot[-1])))
+        solve = _band_solver(u, q, model)
         if solve is None:
             converged = False
             break
@@ -420,7 +418,7 @@ def _inner_newton(u: RadialFunction, q: float, model: NonlinearityModel, k: int)
     """Chord (simplified Newton) iteration for a k-node solution of the full system.
 
     M is `newton_refine`'s preconditioner at the start iterate, the banded LU
-    of J's local part -laplacian_radial + V - g'(u) with the Robin row,
+    of J's local part -Delta_r + V - g'(u) with the Robin row (`_band_solver`),
     factored once.  Each step evaluates the iterate once (`_evaluate`: the
     gauge terms and strong residual kept on it, and the Robin row) and takes
     the chord step s_k = M^{-1} f(u_k).  The nonlocal part of J left out of M
@@ -444,8 +442,7 @@ def _inner_newton(u: RadialFunction, q: float, model: NonlinearityModel, k: int)
     """
     g = u.grid
     f = _evaluate(u, q, model)
-    _, v_pot = gauge_potential(u, q)
-    solve = _band_solver(g, v_pot - model.gprime(u.values), _decay_rate(model, float(v_pot[-1])))
+    solve = _band_solver(u, q, model)
     if solve is None:
         return u, 0, False
     bound = 10.0 * max(float(np.max(np.abs(u.values))), 1.0)

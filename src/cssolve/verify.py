@@ -37,7 +37,7 @@ class VerificationReport:
 
 @per_iterate
 def strong_residual(u: RadialFunction, q: float, model: NonlinearityModel) -> np.ndarray:
-    """-Delta u + 2q u A_u + q u h_u^2/r^2 - g(u) at every node, read-only and kept on u."""
+    """-Delta u + 2q u A_u + q u h_u^2/r^2 - g(u) at each node; Delta is `grid.laplacian`."""
     _, v_pot = gauge_potential(u, q)
     res = -laplacian_radial(u) + v_pot * u.values - model.g(u.values)
     res.setflags(write=False)

@@ -177,6 +177,15 @@ class TestMultiplicity:
         assert "k=1" in err and "truncation" in err
         assert (tmp_path / "distinctness.json").exists()
 
+    def test_zero_nodes_exits_2(self, tmp_path, capsys):
+        cfg = base_config()
+        cfg["q"] = 1e-3
+        cfg["nodes"] = 0
+        path = write_config(tmp_path, cfg)
+        assert main(["multiplicity", "--config", path, "--out", str(tmp_path)]) == 2
+        assert "nodes" in capsys.readouterr().err
+        assert not list(tmp_path.glob("profile_k*"))
+
 
 class TestSweep:
     def test_branch_csv_and_summary(self, tmp_path):

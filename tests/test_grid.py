@@ -6,7 +6,6 @@ import scipy.sparse as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cssolve import grid as grid_module
 from cssolve.grid import (
     RadialFunction,
     RadialGrid,
@@ -71,8 +70,8 @@ def _reference_adjoint(grid, z):
 def _reference_laplacian(u):
     """laplacian_radial in gather form, with its tail weights computed per call.
 
-    An independent copy of the stencils; the slice form and the grid-owned
-    tail weights in cssolve.grid must reproduce it bit for bit.
+    An independent copy of the stencils; the grid's Laplacian matrix must
+    reproduce it to the rounding of summing each row in another order.
     """
     g = u.grid
     x, v = g.nodes, u.values
@@ -270,29 +269,47 @@ class TestDerivatives:
         lap = laplacian_radial(gauss(uniform))
         assert abs(lap[0] + 4.0) < 1e-9
 
+    @pytest.mark.parametrize("n", [16, 17, 1025, 4096, 4097])
+    def test_laplacian_matrix(self, n):
+        grid = make_grid(24.0, n)  # h = 24 / (n - 1) is no power of 2
+        assert "laplacian" not in vars(grid)
+        lap = grid.laplacian
+        assert grid.laplacian is lap
+        for a in (lap.data, lap.indices, lap.indptr):
+            assert not a.flags.writeable
+        x, h = grid.nodes, grid.h
+        h2, h1 = 12.0 * h * h, 12.0 * h
+        # the fourth-order stencils written out, row by row: (first column, coefficients)
+        rows = [(0, 2.0 * np.array([-30.0, 32.0, -2.0]) / h2),
+                (0, np.array([16.0, -31.0, 16.0, -1.0]) / h2
+                 + np.array([-8.0, 1.0, 8.0, -1.0]) / h1 / x[1])]
+        rows += [(i - 2, np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / h2
+                  + np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / h1 / x[i]) for i in range(2, n - 2)]
+        # the last two rows are fresh one-sided 6-point Fornberg weights
+        rows += [(n - 6, _fornberg(x[n - 6 :], x[i], 2) + _fornberg(x[n - 6 :], x[i], 1) / x[i])
+                 for i in (n - 2, n - 1)]
+        assert lap.shape == (n, n) and lap.indptr.size == n + 1
+        for i, (first, coef) in enumerate(rows):
+            row = slice(lap.indptr[i], lap.indptr[i + 1])
+            assert np.array_equal(lap.indices[row], first + np.arange(coef.size))
+            assert lap.data[row].tobytes() == coef.tobytes()
+        assert np.array_equal(laplacian_radial(grid, x**2), lap @ x**2)
+
     @settings(max_examples=40, deadline=None, database=None)
     @given(n=st.integers(16, 3000), seed=st.integers(0, 2**32 - 1))
     @example(n=16, seed=1)
     @example(n=17, seed=2)
     @example(n=4096, seed=3)
     @example(n=4097, seed=4)
-    def test_laplacian_matches_reference_bitwise(self, n, seed):
+    def test_laplacian_matches_reference(self, n, seed):
         rng = np.random.default_rng(seed)
         grid = make_grid(rng.uniform(1.0, 30.0), n)
         u = RadialFunction(grid, rng.standard_normal(n) * 10.0 ** rng.uniform(-6.0, 6.0))
-        assert np.array_equal(laplacian_radial(u), _reference_laplacian(u))
-
-    @pytest.mark.parametrize("n", [16, 17, 4096, 4097])
-    def test_tail_weights_cached_and_equal_fresh_fornberg(self, n):
-        grid = make_grid(8.0, n)
-        # computed on first use, not when the grid is built
-        assert "tail_weights" not in vars(grid)
-        weights = grid.tail_weights
-        assert grid.tail_weights is weights
-        x = grid.nodes
-        for i, (w2, w1) in zip((n - 2, n - 1), weights):
-            assert np.array_equal(w2, _fornberg(x[n - 6 :], x[i], 2))
-            assert np.array_equal(w1, _fornberg(x[n - 6 :], x[i], 1))
+        # both sum the same products in another order: each row within a few
+        # roundings of |L| |v| (measured at most 3.0 eps)
+        scale = abs(grid.laplacian) @ np.abs(u.values)
+        err = np.abs(laplacian_radial(u) - _reference_laplacian(u))
+        assert np.all(err <= 8.0 * np.finfo(float).eps * scale)
 
     @pytest.mark.parametrize("n", [16, 1025])
     def test_robin_band_cached_read_only_and_built_on_first_use(self, n):
@@ -304,41 +321,14 @@ class TestDerivatives:
         assert band.shape == (11, n)
         # gbtrf's fill-in rows, then -L on its 4 sub- and 2 superdiagonals
         assert not band[:4].any()
-        assert np.array_equal(band[4:, :-5], -grid.laplacian_band[:7, :-5])
+        lap = grid.laplacian[:-1].tocoo()
+        ref = np.zeros((7, n))
+        ref[2 + lap.row - lap.col, lap.col] = -lap.data
+        assert np.array_equal(band[4:, :-5], ref[:, :-5])
         # the last row is the kappa-free Robin row (3 u_{n-1} - 4 u_{n-2} + u_{n-3}) / 2h
         h = grid.nodes[1] - grid.nodes[0]
         last = [band[6 + n - 1 - j, j] for j in range(n - 5, n)]
         assert last == [0.0, 0.0, 1.0 / (2.0 * h), -4.0 / (2.0 * h), 3.0 / (2.0 * h)]
-
-    @pytest.mark.parametrize("n", [16, 17, 1025, 4096, 4097])
-    def test_laplacian_band_cached_and_reproduces_laplacian(self, n, monkeypatch):
-        grid = make_grid(24.0, n)
-        assert "laplacian_band" not in vars(grid)
-        calls = []
-
-        def counted(u):
-            calls.append(1)
-            return laplacian_radial(u)
-
-        monkeypatch.setattr(grid_module, "laplacian_radial", counted)
-        band = grid.laplacian_band
-        built = len(calls)
-        assert built > 0
-        assert grid.laplacian_band is band
-        assert len(calls) == built
-        assert not band.flags.writeable
-        monkeypatch.undo()
-        rng = np.random.default_rng(n)
-        for _ in range(4):
-            v = rng.standard_normal(n) * 10.0 ** rng.uniform(-6.0, 6.0)
-            out, mag = np.zeros(n), np.zeros(n)
-            for d in range(-2, 6):  # band[2 + d, j] is L_{j+d, j}
-                j = np.arange(max(0, -d), min(n, n - d))
-                out[j + d] += band[2 + d, j] * v[j]
-                mag[j + d] += np.abs(band[2 + d, j] * v[j])
-            ref = laplacian_radial(RadialFunction(grid, v))
-            # normwise: |B v - L v| against |B| |v|
-            assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(mag)
 
 
 class TestNorms:

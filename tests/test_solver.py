@@ -12,8 +12,8 @@ import cssolve
 from cssolve import solver
 from cssolve.energy import j_trunc
 from cssolve.gauge import big_n, gauge_potential, prefix_h, suffix_a
-from cssolve.grid import (RadialFunction, integrate_plane, laplacian_radial, make_grid, norm_lp,
-                          robin_row)
+from cssolve.grid import (RadialFunction, _fornberg, integrate_plane, laplacian_radial, make_grid,
+                          norm_lp, robin_row)
 from cssolve.nonlinearity import power_model, table_model
 from cssolve.solver import (
     _band_solver,
@@ -112,16 +112,19 @@ class TestNodalShoot:
         assert rep.level == pytest.approx(7.754114926920636, rel=1e-12)
         # at the residual's roundoff floor the solve fixes u(0) only so far: four
         # more Newton steps (Krylov rtol 1e-12) from a certified step moved it by
-        # up to 1.6e-12 relative, so the pin allows 3x that
-        assert rep.u.values[0] == pytest.approx(2.3929637952167195, rel=5e-12)
+        # up to 1.6e-12 relative, so the pin allows 3x that.  Re-pinned when the
+        # Laplacian became the grid's CSR matrix, whose coefficients are each
+        # rounded once: L u moved by a few eps per row, and u(0) by 2.7e-11 relative
+        assert rep.u.values[0] == pytest.approx(2.392963795282274, rel=5e-12)
 
     def test_excited_warm_step_pins_certified_numbers(self, model, grid, excited_state):
         # the strongest coupling of the 1-node band, qN = 0.61; the pins were
-        # measured with the plain chord (8 steps), the tolerances are those above
+        # measured with the plain chord (8 steps), the tolerances are those above;
+        # u(0) re-pinned with the CSR Laplacian, as above (2.8e-11 relative)
         rep = nodal_shoot(2e-4, model, grid, 1, warm_start=excited_state.u)
         assert rep.converged and rep.node_count == 1
         assert rep.level == pytest.approx(50.36795101505306, rel=1e-12)
-        assert rep.u.values[0] == pytest.approx(3.5983789006742013, rel=5e-12)
+        assert rep.u.values[0] == pytest.approx(3.5983789007745135, rel=5e-12)
 
     def test_cold_shot_converges_in_few_steps(self, model):
         # the plain chord took 18 steps here; the mixed one takes 8
@@ -288,10 +291,7 @@ class TestFgmres:
     def _step(model, q, n=1025):
         g = make_grid(24.0, n)
         u = RadialFunction(g, 2.4 * np.exp(-g.nodes**2 / 3.0))
-        _, v_pot = gauge_potential(u, q)
-        solve = _band_solver(g, v_pot - model.gprime(u.values),
-                             math.sqrt(2.0 * model.m0 + v_pot[-1]))
-        return _linearization(u, q, model), solve, _evaluate(u, q, model)
+        return _linearization(u, q, model), _band_solver(u, q, model), _evaluate(u, q, model)
 
     @staticmethod
     def _counted(fn, calls):
@@ -345,13 +345,13 @@ class TestReorderedKernels:
     def test_preconditioner_matches_solve_banded(self, model, n):
         # the chord's M and the polish's preconditioner, the 5-point -Delta_r + V - g'(u)
         # with the Robin row, against LAPACK gbsv on a band built here from the stencils
-        # that laplacian_radial writes out (not from the grid's laplacian_band)
+        # of the grid's Laplacian written out (not read off the grid's laplacian)
         g = make_grid(24.0, n)
         r, h = g.nodes, g.nodes[1] - g.nodes[0]
         h2, h1 = 12.0 * h * h, 12.0 * h
-        u = 2.4 * np.exp(-r**2 / 3.0)
-        _, v_pot = gauge_potential(RadialFunction(g, u), 1e-3)
-        diag = v_pot - model.gprime(u)
+        u = RadialFunction(g, 2.4 * np.exp(-r**2 / 3.0))
+        _, v_pot = gauge_potential(u, 1e-3)
+        diag = v_pot - model.gprime(u.values)
         kappa = math.sqrt(2.0 * model.m0 + v_pot[-1])
         kl, ku = 4, 2
         # solve_banded storage: A_ij at ab[ku + i - j, j]
@@ -366,13 +366,13 @@ class TestReorderedKernels:
         for i in range(2, n - 2):
             put(i, np.arange(i - 2, i + 3), np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / h2
                 + np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / h1 / r[i])
-        w2, w1 = g.tail_weights[0]
-        put(n - 2, np.arange(n - 6, n), w2 + w1 / r[n - 2])
+        put(n - 2, np.arange(n - 6, n),
+            _fornberg(r[n - 6 :], r[n - 2], 2) + _fornberg(r[n - 6 :], r[n - 2], 1) / r[n - 2])
         ab[ku] += diag
         # Robin row (1/2h, -4/2h, 3/2h + kappa) in place of the last Laplacian row
         ab[ku + n - 1 - np.arange(n - 3, n), np.arange(n - 3, n)] = [
             1.0 / (2.0 * h), -4.0 / (2.0 * h), 3.0 / (2.0 * h) + kappa]
-        solve = _band_solver(g, diag, kappa)
+        solve = _band_solver(u, 1e-3, model)
         rng = np.random.default_rng(n)
         for _ in range(4):
             b = rng.standard_normal(n) * 10.0 ** rng.uniform(-8.0, 8.0)
@@ -385,9 +385,9 @@ class TestReorderedKernels:
         # the last row replaced by the Robin row
         g = make_grid(24.0, n)
         r, h = g.nodes, g.nodes[1] - g.nodes[0]
-        u = 2.4 * np.exp(-r**2 / 3.0)
-        _, v_pot = gauge_potential(RadialFunction(g, u), 1e-3)
-        diag = v_pot - model.gprime(u)
+        u = RadialFunction(g, 2.4 * np.exp(-r**2 / 3.0))
+        _, v_pot = gauge_potential(u, 1e-3)
+        diag = v_pot - model.gprime(u.values)
         kappa = math.sqrt(2.0 * model.m0 + v_pot[-1])
         rows, cols, vals = [], [], []
         e = np.zeros(n)
@@ -404,7 +404,7 @@ class TestReorderedKernels:
         vals.append([1.0 / (2.0 * h), -2.0 / h, 3.0 / (2.0 * h) + kappa])
         a = sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
                           shape=(n, n)) + sp.diags(np.r_[diag[:-1], 0.0])
-        solve = _band_solver(g, diag, kappa)
+        solve = _band_solver(u, 1e-3, model)
         rng = np.random.default_rng(n)
         for _ in range(4):
             b = rng.standard_normal(n) * 10.0 ** rng.uniform(-8.0, 8.0)
@@ -419,7 +419,7 @@ class TestReorderedKernels:
         g = make_grid(24.0, n)
         u = RadialFunction(g, 2.4 * np.exp(-g.nodes**2 / 3.0))
         jac = _linearization(u, 0.0, model)
-        solve = _band_solver(g, -model.gprime(u.values), math.sqrt(2.0 * model.m0))
+        solve = _band_solver(u, 0.0, model)
         # J is banded, so combs of period 8 split it column by column: |J| |x| from J alone
         combs = np.arange(n) % 8 == np.arange(8)[:, None]
         rng = np.random.default_rng(n)
