@@ -13,10 +13,11 @@ Three complementary engines:
   the previous one (depth-one Anderson, a secant step that recovers part of
   the nonlocal J that the band leaves out); the last step stays plain.
 * ``newton_refine`` — matrix-free Newton--Krylov polish of the full
-  nonlocal strong-form system: each Newton step is solved by flexible
-  GMRES, right-preconditioned by the banded LU of J's exact local part on
-  the 5-point rows, one J application and one banded solve per iteration.
-  It certifies the chord's result, and takes over when the chord stalls.
+  nonlocal strong-form system: each Newton step is solved by scipy's
+  restarted GMRES, right-preconditioned by the banded LU of J's exact local
+  part on the 5-point rows, one J application and one banded solve per
+  iteration.  It certifies the chord's result, and takes over when the
+  chord stalls.
 
 Each iterate's gauge terms and strong residual are kept on it
 (`grid.per_iterate`): the step that evaluates it, J's linearization at it
@@ -38,6 +39,7 @@ import numpy as np
 from scipy.integrate import solve_ivp  # noqa: F401
 from scipy.linalg.lapack import dgbtrf, dgbtrs
 from scipy.optimize import minimize_scalar
+from scipy.sparse.linalg import LinearOperator, gmres
 
 from .energy import j_trunc, riesz_gradient
 from .gauge import big_n, gauge_potential
@@ -282,57 +284,32 @@ _MAX_STEPS = 60
 _NEWTON_TOL = 1e-9
 
 
-def _fgmres(jac, solve, f: np.ndarray) -> tuple[np.ndarray, int]:
-    """x with ||f - J x||_2 <= 1e-8 ||f||_2 by restarted flexible GMRES (Saad 1993).
+def _krylov_step(jac, solve, f: np.ndarray) -> tuple[np.ndarray, int]:
+    """x with ||f - J x||_2 <= 1e-8 ||f||_2 by restarted GMRES (Saad and Schultz 1986).
 
-    jac(z) = J z and solve(v) = M^{-1} v; the first cycle starts from x = 0.
-    Right-preconditioned: z_j = M^{-1} v_j is kept, so x = x + Z y costs no
-    further solve, and each iteration is one solve and one J application.
-    The basis is orthogonalized by modified Gram--Schmidt and the small
-    least-squares problem updated by Givens rotations.  Once the rotated
-    residual is small, one J application checks the true residual, and a
-    cycle that fails the check restarts from x.  Returns (x, info): info is 0
-    on success, 1 when 200 cycles of 30 iterations run out, and -1 when a
-    value is not finite or the Hessenberg matrix is singular.
+    jac(z) = J z and solve(v) = M^{-1} v.  scipy's gmres solves J M^{-1} y = f
+    from y = 0 in cycles of 30, at most 200, and x = M^{-1} y: with M on the
+    right, its residual f - J M^{-1} y is the true one.  Each iteration, and
+    each cycle's closing residual check, is one solve and one J application.
+    Returns (x, info): info is 0 on success and 200 when the budget runs out.
+    A value of J M^{-1} v that is not finite ends the solve with x = 0 and
+    info -1; scipy's GMRES would carry it through the whole budget.
     """
-    target = _KRYLOV_RTOL * float(np.linalg.norm(f))
-    x, r = np.zeros(f.size), f
-    for _ in range(_KRYLOV_CYCLES):
-        beta = float(np.linalg.norm(r))
-        if beta <= target:
-            return x, 0
-        if not math.isfinite(beta):
-            return x, -1
-        basis, zs, cols, rotations, g = [r / beta], [], [], [], [beta]
-        for j in range(_KRYLOV_RESTART):
-            zs.append(solve(basis[-1]))
-            w = jac(zs[-1])
-            col = []
-            for b in basis:  # modified Gram--Schmidt
-                col.append(float(w @ b))
-                w = w - col[-1] * b
-            h_next = float(np.linalg.norm(w))
-            for i, (c, s) in enumerate(rotations):
-                col[i], col[i + 1] = c * col[i] + s * col[i + 1], c * col[i + 1] - s * col[i]
-            diag = math.hypot(col[j], h_next)
-            if not 0.0 < diag < math.inf:
-                return x, -1
-            c, s = col[j] / diag, h_next / diag
-            rotations.append((c, s))
-            col[j] = diag
-            cols.append(col)
-            g.append(-s * g[j])
-            g[j] *= c
-            if abs(g[-1]) <= target:
-                break
-            basis.append(w / h_next)
-        # back substitution on the rotated triangle R y = g
-        y = [0.0] * len(cols)
-        for i in reversed(range(len(cols))):
-            y[i] = (g[i] - sum(cols[l][i] * y[l] for l in range(i + 1, len(cols)))) / cols[i][i]
-        x = x + sum(yi * z for yi, z in zip(y, zs))
-        r = f - jac(x)
-    return x, 0 if float(np.linalg.norm(r)) <= target else 1
+
+    def matvec(v: np.ndarray) -> np.ndarray:
+        out = jac(solve(v))
+        if not np.isfinite(out).all():
+            raise FloatingPointError("J M^-1 v is not finite")
+        return out
+
+    # with its dtype given, the operator is never probed with J 0
+    op = LinearOperator((f.size, f.size), matvec=matvec, dtype=float)
+    try:
+        y, info = gmres(op, f, rtol=_KRYLOV_RTOL, atol=0.0, restart=_KRYLOV_RESTART,
+                        maxiter=_KRYLOV_CYCLES)
+    except FloatingPointError:
+        return np.zeros(f.size), -1
+    return solve(y), info
 
 
 def newton_refine(u: RadialFunction, q: float, model: NonlinearityModel) -> SolveReport:
@@ -341,11 +318,11 @@ def newton_refine(u: RadialFunction, q: float, model: NonlinearityModel) -> Solv
     Jacobian action applied matrix-free through the exact linearization of
     the residual map (finite-difference directional derivatives carry an
     h^-2-amplified noise floor that stalls the Krylov solver).  Each Newton
-    step J s = f is solved by flexible GMRES (`_fgmres`) to 1e-8 relative,
-    right-preconditioned with the exact local part of J at u: the band of
-    -Delta_r + V - g'(u) with the Robin row (`_band_solver`, -Delta_r read
-    off the grid's `laplacian`), factored once per Newton step.  Each Krylov
-    iteration costs one J application and one banded solve; only the
+    step J s = f is solved by restarted GMRES (`_krylov_step`) to 1e-8
+    relative, right-preconditioned with the exact local part of J at u: the
+    band of -Delta_r + V - g'(u) with the Robin row (`_band_solver`, -Delta_r
+    read off the grid's `laplacian`), factored once per Newton step.  Each
+    Krylov iteration costs one J application and one banded solve; only the
     nonlocal gauge term is left to the iteration.  Each iterate's gauge terms
     and strong residual are evaluated once and kept on it, where the
     linearization and the certificate read them.  A singular preconditioner
@@ -366,7 +343,7 @@ def newton_refine(u: RadialFunction, q: float, model: NonlinearityModel) -> Solv
         if solve is None:
             converged = False
             break
-        step, info = _fgmres(_linearization(u, q, model), solve, f)
+        step, info = _krylov_step(_linearization(u, q, model), solve, f)
         if info != 0:
             break
         if not np.all(np.isfinite(step)):
@@ -518,12 +495,13 @@ def nodal_shoot(q: float, model: NonlinearityModel, grid: RadialGrid, k: int,
 # ---------------------------------------------------------------------------
 
 
-def initial_path(model: NonlinearityModel, grid: RadialGrid, q: float = 0.0) -> list[RadialFunction]:
-    """Discrete path from 0 to a negative-energy profile.
+def negative_energy_endpoint(model: NonlinearityModel, grid: RadialGrid,
+                             q: float = 0.0) -> RadialFunction:
+    """A profile of negative truncated energy: the end of a path from 0 over the pass.
 
-    The endpoint bump exp(-r^2) is first amplified until int G > 0, then
-    spatially spread (dilation doubling, at most 60 times) until its
-    truncated energy is negative.
+    The bump exp(-r^2) is first amplified until int G > 0, then spatially
+    spread (dilation doubling, at most 60 times) until its truncated energy
+    is negative.
     """
     bump = RadialFunction(grid, np.exp(-grid.nodes**2))
     amp = 1.0
@@ -536,13 +514,9 @@ def initial_path(model: NonlinearityModel, grid: RadialGrid, q: float = 0.0) -> 
     endpoint = RadialFunction(grid, amp * bump.values)
     for _ in range(60):
         if j_trunc(endpoint, q, model).total < 0:
-            break
+            return endpoint
         endpoint = dilate(endpoint, 0.5)
-    else:
-        raise RuntimeError("could not reach negative energy within 60 dilation doublings")
-
-    sigmas = np.linspace(0.0, 1.0, _PATH_POINTS)
-    return [RadialFunction(grid, s * endpoint.values) for s in sigmas]
+    raise RuntimeError("could not reach negative energy within 60 dilation doublings")
 
 
 def mountain_pass(q: float, model: NonlinearityModel, grid: RadialGrid) -> SolveReport:
@@ -552,13 +526,13 @@ def mountain_pass(q: float, model: NonlinearityModel, grid: RadialGrid) -> Solve
     profile and takes a damped steepest-descent step in the Sobolev-gradient
     metric from that maximizer; the descended point gives the next ray.  Once
     the gradient at the maximizer is below 1e-3 the candidate is handed
-    to newton_refine.  If no start ray can be built (`initial_path` raises),
-    the zero profile is returned with converged=False.
+    to newton_refine.  The first ray runs through `negative_energy_endpoint`;
+    if that raises, the zero profile is returned with converged=False.
     """
     if q < 0:
         raise ValueError("q must be non-negative")
     try:
-        direction = initial_path(model, grid, q)[-1]
+        direction = negative_energy_endpoint(model, grid, q)
     except RuntimeError:
         return _report(RadialFunction(grid, np.zeros(grid.n)), q, model, 0, converged=False)
 

@@ -18,16 +18,16 @@ from cssolve.nonlinearity import power_model, table_model
 from cssolve.solver import (
     _band_solver,
     _evaluate,
-    _fgmres,
     _jacobian_apply,
+    _krylov_step,
     _linearization,
     _march,
     _shoot,
     continuation_in_q,
     count_nodes,
-    initial_path,
     mountain_pass,
     multiplicity_run,
+    negative_energy_endpoint,
     newton_refine,
     nodal_shoot,
     save_branch_csv,
@@ -224,21 +224,21 @@ class TestRaySearch:
 
 
 class TestInitialPath:
+    """The endpoint of the mountain pass's first ray."""
+
     def test_endpoint_energy_negative(self, model):
         g = make_grid(24.0, 1025)
-        path = initial_path(model, g)
-        assert j_trunc(path[-1], 0.0, model).total < 0
-
-    def test_starts_at_zero(self, model):
-        g = make_grid(24.0, 1025)
-        path = initial_path(model, g)
-        assert np.all(path[0].values == 0.0)
-        assert j_trunc(path[0], 0.0, model).total == 0.0
+        endpoint = negative_energy_endpoint(model, g)
+        assert j_trunc(endpoint, 0.0, model).total < 0
 
     def test_max_energy_positive(self, model):
         g = make_grid(24.0, 1025)
-        path = initial_path(model, g)
-        assert max(j_trunc(p, 0.0, model).total for p in path) > 0
+        endpoint = negative_energy_endpoint(model, g)
+        levels = [j_trunc(RadialFunction(g, s * endpoint.values), 0.0, model).total
+                  for s in np.linspace(0.0, 1.0, 17)]
+        # the segment s * endpoint, s in [0, 1], runs from 0 over the pass
+        assert levels[0] == 0.0
+        assert max(levels) > 0
 
 
 class TestNewtonRefine:
@@ -284,7 +284,7 @@ class TestLinearization:
         assert err < 1e-6 * np.max(np.abs(fd[:-1]))
 
 
-class TestFgmres:
+class TestKrylovStep:
     """The Newton step's Krylov solve on the polish's own J and preconditioner."""
 
     @staticmethod
@@ -303,7 +303,7 @@ class TestFgmres:
 
     def test_meets_the_relative_tolerance(self, model):
         jac, solve, f = self._step(model, 1e-3)
-        x, info = _fgmres(jac, solve, f)
+        x, info = _krylov_step(jac, solve, f)
         assert info == 0
         assert np.linalg.norm(f - jac(x)) <= 1e-8 * np.linalg.norm(f)
 
@@ -311,20 +311,41 @@ class TestFgmres:
         # at q = 0, J is its own local part, so M = J^-1 up to rounding
         applications, solves = [], []
         jac, solve, f = self._step(model, 0.0)
-        x, info = _fgmres(self._counted(jac, applications), self._counted(solve, solves), f)
+        x, info = _krylov_step(self._counted(jac, applications), self._counted(solve, solves), f)
         assert info == 0
-        assert len(solves) == 1
-        # one iteration and the true-residual check
+        # one iteration and the true-residual check, each J M^-1, then x = M^-1 y
         assert len(applications) == 2
+        assert len(solves) <= 3
         assert np.linalg.norm(f - jac(x)) <= 1e-8 * np.linalg.norm(f)
 
     def test_stagnation_runs_out_of_budget(self):
         # GMRES(30) on a cyclic shift of 64 unknowns makes no progress from e_0
         f = np.zeros(64)
         f[0] = 1.0
-        x, info = _fgmres(lambda z: np.roll(z, 1), lambda v: v, f)
-        assert info == 1
+        x, info = _krylov_step(lambda z: np.roll(z, 1), lambda v: v, f)
+        assert info != 0
         assert np.isfinite(x).all()
+
+    def test_non_finite_application_stops_the_solve(self, model, grid, ground_state,
+                                                    monkeypatch):
+        applications = []
+
+        def linearization(*args):
+            apply = _linearization(*args)
+
+            def nan_on_second_call(z):
+                applications.append(1)
+                return np.full(z.size, np.nan) if len(applications) == 2 else apply(z)
+
+            return nan_on_second_call
+
+        monkeypatch.setattr(solver, "_linearization", linearization)
+        rough = RadialFunction(grid, ground_state.u.values * (1 + 1e-4))
+        rep = newton_refine(rough, 1e-3, model)
+        # scipy's GMRES alone would carry the NaN through 200 cycles of 30
+        assert len(applications) == 2
+        assert not rep.converged
+        assert np.array_equal(rep.u.values, rough.values)
 
 
 class TestReorderedKernels:
@@ -496,7 +517,7 @@ class TestReorderedKernels:
         def counted(fn, calls):
             return lambda *args: calls.append(1) or fn(*args)
 
-        monkeypatch.setattr(solver, "_fgmres", counted(_fgmres, krylov))
+        monkeypatch.setattr(solver, "_krylov_step", counted(_krylov_step, krylov))
         # the 3-point frozen problem was factored by LAPACK's tridiagonal gttrf
         monkeypatch.setattr(lapack, "dgttrf", counted(lapack.dgttrf, tridiagonal))
         monkeypatch.setattr(solver, "dgttrf", counted(lapack.dgttrf, tridiagonal),
@@ -669,7 +690,7 @@ class TestFailurePaths:
         assert rep.iterations == 1
 
     def test_non_finite_step_fails_newton_refine(self, model, grid, ground_state, monkeypatch):
-        monkeypatch.setattr(solver, "_fgmres",
+        monkeypatch.setattr(solver, "_krylov_step",
                             lambda jac, solve, f: (np.full(f.size, np.nan), 0))
         rough = RadialFunction(grid, ground_state.u.values * (1 + 1e-4))
         rep = newton_refine(rough, 0.0, model)
