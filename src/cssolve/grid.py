@@ -2,14 +2,14 @@
 
 A radial function u(r) stands for the planar field u(|x|); all integrals
 are plane integrals, i.e. carry the measure 2*pi*r*dr.  A grid is the
-pair (R_max, n) of an equispaced grid, with composite-Simpson weights and
-a Simpson-consistent cumulative rule.  The cumulative rule is written
-once, as the grid's increment matrix `RadialGrid.cumulative_increments`;
-its adjoint is that matrix's transpose.  The derivative is written once,
-as the matrix `RadialGrid.derivative`.  The Laplacian is written once,
-as the matrix `RadialGrid.laplacian`.  A grid keeps what depends on it
-alone; a `RadialFunction` keeps, in its `memo`, what the `per_iterate`
-functions compute of it.
+pair (R_max, n) of an equispaced grid.  Its quadrature rule is written
+once, as the grid's increment matrix B, `RadialGrid.cumulative_increments`:
+the cumulative integral sums its rows, the adjoint is its transpose, and
+the weights of a plain integral are its column sums B^T 1.  The
+derivative is written once, as the matrix `RadialGrid.derivative`.  The
+Laplacian is written once, as the matrix `RadialGrid.laplacian`.  A grid
+keeps what depends on it alone; a `RadialFunction` keeps, in its `memo`,
+what the `per_iterate` functions compute of it.
 """
 
 from __future__ import annotations
@@ -39,9 +39,9 @@ class RadialGrid:
     A grid is the pair (r_max, n), so grids compare and hash by value.  All
     else is derived from it on first use and kept read-only: the nodes
     np.linspace(0, r_max, n), the spacing h = r_1 - r_0 that every stencil
-    reads, the composite-Simpson weights of the 1-D integral
-    int_0^{r_max} f(r) dr (positive, summing to r_max), and the stencil
-    matrices below.
+    reads, the weights B^T 1 of the 1-D integral int_0^{r_max} f(r) dr
+    (composite Simpson on odd n; on even n the last interval closes with
+    B's backward quadratic), and the stencil matrices below.
     """
 
     r_max: float
@@ -66,7 +66,8 @@ class RadialGrid:
 
     @cached_property
     def weights(self) -> np.ndarray:
-        return _read_only(_simpson_weights(self.n, self.r_max / (self.n - 1)))
+        """The column sums B^T 1 of `cumulative_increments`: int f dr is C(f)[-1]."""
+        return _read_only(self.cumulative_increments_t @ np.ones(self.n - 1))
 
     @cached_property
     def laplacian(self) -> sp.csr_matrix:
@@ -89,10 +90,7 @@ class RadialGrid:
                      inner.ravel(), *tail]
         cols = np.r_[0:3, 0:4, (i[:, None] + np.arange(-2, 3)).ravel(), n - 6:n, n - 6:n]
         indptr = np.r_[0, np.cumsum(np.r_[3, 4, np.full(n - 4, 5), 6, 6])]
-        lap = sp.csr_matrix((data, cols, indptr), shape=(n, n))
-        for a in (lap.data, lap.indices, lap.indptr):
-            a.setflags(write=False)
-        return lap
+        return _read_only(sp.csr_matrix((data, cols, indptr), shape=(n, n)))
 
     @cached_property
     def robin_band(self) -> np.ndarray:
@@ -127,18 +125,13 @@ class RadialGrid:
         fwd = (k % 2 == 1) & (k < n - 1)
         cols = np.where(fwd, k - 1, k - 2)[:, None] + np.arange(3)
         data = np.where(fwd[:, None], [c * 5.0, c * 8.0, -c], [-c, c * 8.0, c * 5.0])
-        b = sp.csr_matrix((data.ravel(), cols.ravel(), np.arange(n) * 3), shape=(n - 1, n))
-        for a in (b.data, b.indices, b.indptr):
-            a.setflags(write=False)
-        return b
+        return _read_only(sp.csr_matrix((data.ravel(), cols.ravel(), np.arange(n) * 3),
+                                         shape=(n - 1, n)))
 
     @cached_property
     def cumulative_increments_t(self) -> sp.csc_matrix:
         """B^T, the CSC transpose of `cumulative_increments`, read-only; built on first use."""
-        bt = self.cumulative_increments.T
-        for a in (bt.data, bt.indices, bt.indptr):
-            a.setflags(write=False)
-        return bt
+        return _read_only(self.cumulative_increments.T)
 
     @cached_property
     def three_point_rows(self) -> tuple[np.ndarray, np.ndarray]:
@@ -148,10 +141,8 @@ class RadialGrid:
         lower/upper = -1/h^2 +/- 1/(2 h r_i).  Read-only; built on first use.
         """
         r, h = self.nodes[1:-1], self.h
-        rows = -1.0 / h**2 + 1.0 / (2.0 * h * r), -1.0 / h**2 - 1.0 / (2.0 * h * r)
-        for a in rows:
-            a.setflags(write=False)
-        return rows
+        return (_read_only(-1.0 / h**2 + 1.0 / (2.0 * h * r)),
+                _read_only(-1.0 / h**2 - 1.0 / (2.0 * h * r)))
 
     @cached_property
     def derivative(self) -> sp.csr_matrix:
@@ -165,10 +156,8 @@ class RadialGrid:
         i = np.arange(1, n - 1)
         cols = np.r_[np.c_[i - 1, i + 1].ravel(), n - 3, n - 2, n - 1]
         data = np.r_[np.tile([-c, c], n - 2), robin_row(np.eye(3), self.h, 0.0)]
-        d = sp.csr_matrix((data, cols, np.r_[0, 0, 2 * i, 2 * n - 1]), shape=(n, n))
-        for a in (d.data, d.indices, d.indptr):
-            a.setflags(write=False)
-        return d
+        indptr = np.r_[0, 0, 2 * i, 2 * n - 1]
+        return _read_only(sp.csr_matrix((data, cols, indptr), shape=(n, n)))
 
     @cached_property
     def sobolev_metrics(self) -> dict:
@@ -219,37 +208,11 @@ def per_iterate(fn):
     return memoized
 
 
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
+def _read_only(a):
+    """a, frozen in place and returned: an array, or the arrays behind a sparse matrix."""
+    for x in (a.data, a.indices, a.indptr) if sp.issparse(a) else (a,):
+        x.setflags(write=False)
     return a
-
-
-def _simpson_weights(n: int, h: float) -> np.ndarray:
-    """Composite Simpson weights for n equispaced nodes.
-
-    An odd interval count is handled with a Simpson 3/8 closure on the last
-    three intervals; all weights stay positive.
-    """
-    m = n - 1
-    w = np.zeros(n)
-    if m % 2 == 0:
-        w[0] = w[-1] = 1.0
-        w[1:-1:2] = 4.0
-        w[2:-1:2] = 2.0
-        w *= h / 3.0
-    else:
-        k = m - 3
-        if k > 0:
-            w[0] = 1.0
-            w[1:k:2] = 4.0
-            w[2:k:2] = 2.0
-            w[k] = 1.0
-            w[: k + 1] *= h / 3.0
-        w[k] += 3.0 * h / 8.0
-        w[k + 1] += 9.0 * h / 8.0
-        w[k + 2] += 9.0 * h / 8.0
-        w[k + 3] += 3.0 * h / 8.0
-    return w
 
 
 def make_grid(r_max: float, n: int) -> RadialGrid:

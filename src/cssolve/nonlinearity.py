@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field
-from typing import Callable, Optional
+from typing import Callable, ClassVar, Optional
 
 import numpy as np
 
@@ -35,16 +35,14 @@ class NonlinearityModel:
     big_g: Callable[[np.ndarray], np.ndarray]
     gprime: Callable[[np.ndarray], np.ndarray]
     m0: float
-    p0: float = 2.0
     delta0: Optional[float] = None
-    description: str = ""
     _bar_cache: dict = field(default_factory=dict, repr=False)
+    # the exponent of the envelope lambda_bar, the same for every model
+    p0: ClassVar[float] = 2.0
 
     def __post_init__(self):
         if self.m0 <= 0:
             raise ValueError("m0 must be positive")
-        if self.p0 <= 1:
-            raise ValueError("p0 must exceed 1")
 
     # -- envelope machinery -------------------------------------------------
 
@@ -75,7 +73,7 @@ class NonlinearityModel:
         return xi, Lam, Lam_bar
 
 
-def power_model(p: float, omega: float, p0: float = 2.0) -> NonlinearityModel:
+def power_model(p: float, omega: float) -> NonlinearityModel:
     """g(xi) = |xi|^{p-1} xi - omega xi; m0 = omega/2 and delta0 = (omega/2)^{1/(p-1)} exactly."""
     if not (1.0 < p <= 5.0):
         raise ValueError("p must lie in (1, 5]")
@@ -98,14 +96,12 @@ def power_model(p: float, omega: float, p0: float = 2.0) -> NonlinearityModel:
         g=g,
         big_g=big_g,
         m0=omega / 2.0,
-        p0=p0,
         delta0=(omega / 2.0) ** (1.0 / (p - 1.0)),
         gprime=gprime,
-        description=f"power p={p} omega={omega}",
     )
 
 
-def table_model(samples, p0: float = 2.0) -> NonlinearityModel:
+def table_model(samples) -> NonlinearityModel:
     """Nonlinearity from (xi, g(xi)) samples on xi >= 0, extended oddly.
 
     g is monotone-cubic interpolated and clamped beyond the last sample; G is
@@ -146,7 +142,7 @@ def table_model(samples, p0: float = 2.0) -> NonlinearityModel:
     m0 = -0.5 * float(g(small) / small)
     if m0 <= 0:
         raise ValueError("sampled nonlinearity has no negative slope at 0")
-    return NonlinearityModel(g=g, big_g=big_g, gprime=gprime, m0=m0, p0=p0, description="table")
+    return NonlinearityModel(g=g, big_g=big_g, gprime=gprime, m0=m0)
 
 
 def lambda_of(model: NonlinearityModel, xi) -> np.ndarray | float:

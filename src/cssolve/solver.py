@@ -115,9 +115,13 @@ def _is_zero(u: RadialFunction) -> bool:
     return float(np.max(np.abs(u.values))) < 1e-8
 
 
-def _residual_floor(grid: RadialGrid) -> float:
-    """Sup-norm residual floor 3e3 eps / h^2 set by the stencils' h^-2 roundoff."""
-    return 3e3 * np.finfo(float).eps / grid.h**2
+def _residual_tol(u: RadialFunction) -> float:
+    """Sup-norm residual target of u: max(1e-9, 3e3 eps / h^2 max(1, |u|_inf)).
+
+    3e3 eps / h^2 is the floor that the stencils' h^-2 roundoff sets.
+    """
+    floor = 3e3 * np.finfo(float).eps / u.grid.h**2
+    return max(_NEWTON_TOL, floor * max(1.0, float(np.max(np.abs(u.values)))))
 
 
 # ---------------------------------------------------------------------------
@@ -155,8 +159,8 @@ def _shoot(grid: RadialGrid, model: NonlinearityModel, k: int) -> Optional[np.nd
     overshooting rung of the amplitude ladder 1.5^j (j < 11) brackets u(0);
     each pass then cuts the bracket into 33 parts, marched together, until
     it is 1e-13 wide relative to u(0).  Returns the profile with an
-    exponential tail patch, or None if no rung overshoots or the profile at
-    the bracket's midpoint is not finite.
+    exponential tail patch past its k-th sign change, or None if no rung
+    overshoots or the profile at the bracket's midpoint is not finite.
     """
 
     def overshoots(amps):
@@ -180,10 +184,13 @@ def _shoot(grid: RadialGrid, model: NonlinearityModel, k: int) -> Optional[np.nd
     if not np.isfinite(u[-1]):
         return None
     # beyond the resolvable decay the trajectory blows up; patch with the
-    # linearized exponential tail from the first tiny-and-growing node.
+    # linearized exponential tail from the first tiny-and-growing node past
+    # the k-th sign change (a sample next to a node crossing is tiny too).
     kappa = _decay_rate(model, 0.0)
     mag = np.abs(u)
+    crossings = np.r_[0, np.cumsum(np.diff(np.signbit(u)))]
     tiny_and_growing = (mag < 1e-6 * mag.max()) & np.r_[np.diff(mag) > 0, True]
+    tiny_and_growing &= crossings >= k
     if tiny_and_growing.any():
         i = int(np.argmax(tiny_and_growing))
         if 0 < i < grid.n - 1:
@@ -329,13 +336,12 @@ def newton_refine(u: RadialFunction, q: float, model: NonlinearityModel) -> Solv
     or a non-finite step stops the iteration with converged=False.
     """
     g = u.grid
-    floor = _residual_floor(g)
     f = _evaluate(u, q, model)
     iterations = 0
     converged = None
     for it in range(_MAX_STEPS):
         nf = float(np.max(np.abs(f)))
-        tol = max(_NEWTON_TOL, floor * max(1.0, float(np.max(np.abs(u.values)))))
+        tol = _residual_tol(u)
         if nf < tol:
             break
         iterations = it + 1
@@ -368,8 +374,7 @@ def _report(u: RadialFunction, q: float, model: NonlinearityModel,
     """The certificate of u, read off the gauge terms, strong residual and energy pieces on u."""
     sup, _ = residual_pde(u, q, model)
     if converged is None:
-        floor = _residual_floor(u.grid) * max(1.0, float(np.max(np.abs(u.values))))
-        converged = sup < max(10.0 * _NEWTON_TOL, 10.0 * floor)
+        converged = sup < 10.0 * _residual_tol(u)
     if converged and _is_zero(u):
         converged = False
     return SolveReport(

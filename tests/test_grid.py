@@ -10,7 +10,6 @@ from cssolve.grid import (
     RadialFunction,
     RadialGrid,
     _fornberg,
-    _simpson_weights,
     cumulative_adjoint,
     cumulative_integral,
     diff_matrix,
@@ -139,7 +138,11 @@ class TestMakeGrid:
         grid = make_grid(24.0, n)
         assert not {"nodes", "weights", "h"} & set(vars(grid))
         assert np.array_equal(grid.nodes, np.linspace(0.0, 24.0, n))
-        assert np.array_equal(grid.weights, _simpson_weights(n, 24.0 / (n - 1)))
+        # the weights are the column sums of the cumulative rule, in interval order
+        idx, coef = _reference_increments(grid)
+        col_sums = np.zeros(n)
+        np.add.at(col_sums, idx, coef)
+        assert np.array_equal(grid.weights, col_sums)
         assert grid.h == grid.nodes[1] - grid.nodes[0]
         assert grid.nodes is grid.nodes and grid.weights is grid.weights
         assert not grid.nodes.flags.writeable and not grid.weights.flags.writeable
@@ -155,6 +158,28 @@ class TestIntegration:
         # Simpson is exact on cubics: 2 pi int r^2 * r dr over [0,8]
         f = RadialFunction(uniform, uniform.nodes**2)
         assert math.isclose(integrate_plane(f), 2 * math.pi * 8.0**4 / 4, rel_tol=1e-13)
+
+    @pytest.mark.parametrize("r_max", [8.0, 24.0, 31.7])
+    @pytest.mark.parametrize("n", [17, 33, 1025, 4097, 8193])
+    def test_odd_n_weights_are_composite_simpson(self, r_max, n):
+        grid = make_grid(r_max, n)
+        pattern = np.full(n, 2.0)
+        pattern[1::2] = 4.0
+        pattern[0] = pattern[-1] = 1.0
+        # B reads grid.h, so a weight may differ from h/3 * pattern by an ulp
+        np.testing.assert_allclose(grid.weights, pattern * grid.h / 3.0, rtol=1e-15, atol=0.0)
+
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(n=st.integers(16, 3000), seed=st.integers(0, 2**32 - 1))
+    @example(n=16, seed=1)
+    @example(n=17, seed=2)
+    def test_plane_integral_is_the_cumulative_rules_last_value(self, n, seed):
+        # one rule: the weights close every n, odd or even, as the cumulative integral does
+        grid = make_grid(8.0, n)
+        f = np.random.default_rng(seed).uniform(0.5, 1.5, n)
+        whole = 2.0 * math.pi * cumulative_integral(grid, grid.nodes * f)[-1]
+        assert math.isclose(integrate_plane(grid, f), whole, rel_tol=1e-14)
+        assert grid.weights.min() > 0.0
 
     def test_grid_values_call_form(self, uniform):
         u = gauss(uniform)

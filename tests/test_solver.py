@@ -162,6 +162,12 @@ class TestShoot:
         kappa = math.sqrt(2.0 * model.m0)
         assert abs(robin_row(shot, h, kappa)) < 1e-3 * kappa * abs(shot[-1])
 
+    def test_tail_patch_keeps_the_outer_nodes(self, model):
+        # at this grid a sample next to the third crossing is below 1e-6 max|u|
+        # and growing; the patch must not start there and cut off the last node
+        g = make_grid(24.0, 8193)
+        assert count_nodes(RadialFunction(g, _shoot(g, model, 3))) == 3
+
     def test_no_bracket_reports_nonconvergence(self, model):
         g = make_grid(24.0, 1025)
         assert _shoot(g, model, 40) is None
