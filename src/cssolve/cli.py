@@ -255,8 +255,9 @@ def cmd_gauge(cfg: dict, out: Path) -> int:
                               f"n={u.grid.n}) is not the config's (R={grid.r_max:g}, n={grid.n})")
     else:
         rep = nodal_shoot(_scalar_q(cfg), model, grid, int(cfg.get("nodes", 0)))
-        if not rep.converged:
-            print("gauge: underlying solve did not converge", file=sys.stderr)
+        ok, why = _report_ok(rep)
+        if not ok:
+            print(f"gauge failed: {why}", file=sys.stderr)
             return 1
         u = rep.u
     fields = gauge_fields(u, consts)

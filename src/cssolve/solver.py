@@ -110,9 +110,12 @@ def _decay_rate(model: NonlinearityModel, v_end: float) -> float:
     return math.sqrt(max(2.0 * model.m0 + v_end, 1e-12))
 
 
-def _is_zero(u: RadialFunction) -> bool:
-    """max|u| < 1e-8: the zero profile solves the equation exactly but is not a solution."""
-    return float(np.max(np.abs(u.values))) < 1e-8
+def _is_zero(u: RadialFunction, start: RadialFunction) -> bool:
+    """max|u| <= 1e-3 max|start|: u has collapsed from start towards the zero profile.
+
+    The zero profile solves the equation exactly but is not a solution.
+    """
+    return float(np.max(np.abs(u.values))) <= 1e-3 * float(np.max(np.abs(start.values)))
 
 
 def _residual_tol(u: RadialFunction) -> float:
@@ -241,40 +244,28 @@ def _evaluate(u: RadialFunction, q: float, model: NonlinearityModel) -> np.ndarr
     return f
 
 
-def _linearization(u: RadialFunction, q: float, model: NonlinearityModel):
-    """Exact linearization at u of f, `_evaluate`'s residual with the Robin row: z -> J(u) z.
+def _jacobian_apply(u: RadialFunction, q: float, model: NonlinearityModel,
+                    z: np.ndarray) -> np.ndarray:
+    """J(u) z: the exact linearization at u of f, `_evaluate`'s residual with the Robin row.
 
     V(u) = 2q A_u + q h_u^2/r^2 is differentiated through the cumulative
-    quadrature that defines it, so J is exact to roundoff.  The terms in u
-    alone are read once, off u (`gauge_potential`); each application costs
-    two quadratures.  The Robin rate kappa is frozen, which
-    perturbs only the last row of J.
+    quadrature that defines it, so J is exact to roundoff.  h_u and V are
+    read off u (`gauge_potential`); each application costs two quadratures.
+    The Robin rate kappa is frozen, which perturbs only the last row of J.
     """
     g = u.grid
     r, uv = g.nodes, u.values
     h_u, v_pot = gauge_potential(u, q)
-    gp = model.gprime(uv)
-    kappa = _decay_rate(model, float(v_pot[-1]))
-
-    def apply(z: np.ndarray) -> np.ndarray:
-        dh = cumulative_integral(g, 2.0 * r * uv * z)
-        f2 = np.zeros(g.n)
-        f2[1:] = (2.0 * uv[1:] * z[1:] * h_u[1:] + uv[1:] ** 2 * dh[1:]) / r[1:]
-        cs = cumulative_integral(g, f2)
-        dv = 2.0 * q * (cs[-1] - cs)
-        if q != 0.0:
-            dv[1:] += 2.0 * q * h_u[1:] * dh[1:] / r[1:] ** 2
-        out = -laplacian_radial(g, z) + v_pot * z + dv * uv - gp * z
-        out[-1] = robin_row(z, g.h, kappa)
-        return out
-
-    return apply
-
-
-def _jacobian_apply(u: RadialFunction, q: float, model: NonlinearityModel,
-                    z: np.ndarray) -> np.ndarray:
-    """_linearization(u, q, model) applied to the single vector z."""
-    return _linearization(u, q, model)(z)
+    dh = cumulative_integral(g, 2.0 * r * uv * z)
+    f2 = np.zeros(g.n)
+    f2[1:] = (2.0 * uv[1:] * z[1:] * h_u[1:] + uv[1:] ** 2 * dh[1:]) / r[1:]
+    cs = cumulative_integral(g, f2)
+    dv = 2.0 * q * (cs[-1] - cs)
+    if q != 0.0:
+        dv[1:] += 2.0 * q * h_u[1:] * dh[1:] / r[1:] ** 2
+    out = -laplacian_radial(g, z) + v_pot * z + dv * uv - model.gprime(uv) * z
+    out[-1] = robin_row(z, g.h, _decay_rate(model, float(v_pot[-1])))
+    return out
 
 
 # Newton-step tolerance ||f - J x||_2 <= rtol ||f||_2 and restart budget
@@ -332,10 +323,10 @@ def newton_refine(u: RadialFunction, q: float, model: NonlinearityModel) -> Solv
     Krylov iteration costs one J application and one banded solve; only the
     nonlocal gauge term is left to the iteration.  Each iterate's gauge terms
     and strong residual are evaluated once and kept on it, where the
-    linearization and the certificate read them.  A singular preconditioner
-    or a non-finite step stops the iteration with converged=False.
+    linearization and the certificate read them.  A singular preconditioner,
+    a non-finite step or a collapse towards zero (`_is_zero`) gives converged=False.
     """
-    g = u.grid
+    g, start = u.grid, u
     f = _evaluate(u, q, model)
     iterations = 0
     converged = None
@@ -349,7 +340,7 @@ def newton_refine(u: RadialFunction, q: float, model: NonlinearityModel) -> Solv
         if solve is None:
             converged = False
             break
-        step, info = _krylov_step(_linearization(u, q, model), solve, f)
+        step, info = _krylov_step(lambda z: _jacobian_apply(u, q, model, z), solve, f)
         if info != 0:
             break
         if not np.all(np.isfinite(step)):
@@ -366,7 +357,7 @@ def newton_refine(u: RadialFunction, q: float, model: NonlinearityModel) -> Solv
             lam *= 0.5
         else:
             break
-    return _report(u, q, model, iterations, converged)
+    return _report(u, q, model, iterations, False if _is_zero(u, start) else converged)
 
 
 def _report(u: RadialFunction, q: float, model: NonlinearityModel,
@@ -375,8 +366,6 @@ def _report(u: RadialFunction, q: float, model: NonlinearityModel,
     sup, _ = residual_pde(u, q, model)
     if converged is None:
         converged = sup < 10.0 * _residual_tol(u)
-    if converged and _is_zero(u):
-        converged = False
     return SolveReport(
         u=u,
         level=j_trunc(u, q, model).total,
@@ -468,7 +457,7 @@ def nodal_shoot(q: float, model: NonlinearityModel, grid: RadialGrid, k: int,
     or polishes it when the chord stalled.  The certificate reads the gauge
     terms and strong residual kept on the last iterate.  `iterations` counts
     chord and Newton steps.  A polish that changes the node count or collapses
-    the profile to zero (`_is_zero`; at large q it can do either) has left
+    the profile towards zero (`_is_zero`; at large q it can do either) has left
     the k-node branch, so the report then carries the chord's last iterate
     with converged=False.
     """
@@ -490,7 +479,7 @@ def nodal_shoot(q: float, model: NonlinearityModel, grid: RadialGrid, k: int,
         return _report(u, q, model, steps, converged=False)
     report = newton_refine(u, q, model)
     iterations = steps + report.iterations
-    if report.node_count != k or _is_zero(report.u):
+    if report.node_count != k or _is_zero(report.u, u):
         return _report(u, q, model, iterations, converged=False)
     return replace(report, iterations=iterations)
 

@@ -142,6 +142,15 @@ class TestSolve:
         for name in ("profile.csv", "profile_report.json", "profile_verification.json"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
+    def test_active_truncation_exit_1(self, tmp_path, capsys):
+        # the ground state converges at q = 0.01 on n = 1025, but with qN(u) > 1
+        cfg = base_config(n=1025)
+        cfg["q"] = 0.01
+        path = write_config(tmp_path, cfg)
+        assert main(["solve", "--config", path, "--out", str(tmp_path)]) == 1
+        assert "truncation active" in capsys.readouterr().err
+        assert json.loads((tmp_path / "profile_report.json").read_text())["converged"]
+
 
 class TestMountainPassSolve:
     def test_unbuildable_start_ray_exit_1(self, tmp_path, capsys):
@@ -229,6 +238,17 @@ class TestGauge:
         assert main(["gauge", "--config", path, "--out", str(tmp_path)]) == 0
         data = json.loads((tmp_path / "gauge.json").read_text())
         assert abs(data["flux"] + data["charge"] / 2.5) < 1e-10
+
+    @pytest.mark.parametrize("command", ["solve", "gauge"])
+    def test_uncertified_solve_exits_1(self, tmp_path, capsys, command):
+        # on n = 1025 the q = 0 ground state converges, but its Nehari residual
+        # fails the certificate
+        cfg = base_config(n=1025)
+        cfg["q"] = 0.0
+        path = write_config(tmp_path, cfg)
+        assert main([command, "--config", path, "--out", str(tmp_path)]) == 1
+        assert "Nehari residual" in capsys.readouterr().err
+        assert not (tmp_path / "gauge.json").exists()
 
     def test_nonuniform_profile_exits_2(self, tmp_path, capsys):
         csv = tmp_path / "nonuniform.csv"

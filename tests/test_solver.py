@@ -10,7 +10,7 @@ from scipy.linalg.lapack import dgbtrf
 
 import cssolve
 from cssolve import solver
-from cssolve.energy import j_trunc
+from cssolve.energy import j_trunc, riesz_gradient
 from cssolve.gauge import big_n, gauge_potential, prefix_h, suffix_a
 from cssolve.grid import (RadialFunction, _fornberg, integrate_plane, laplacian_radial, make_grid,
                           norm_lp, robin_row)
@@ -20,7 +20,6 @@ from cssolve.solver import (
     _evaluate,
     _jacobian_apply,
     _krylov_step,
-    _linearization,
     _march,
     _shoot,
     continuation_in_q,
@@ -228,6 +227,26 @@ class TestRaySearch:
         assert not rep.converged
         assert np.all(rep.u.values == 0.0)
 
+    def test_non_descent_direction_keeps_the_ray_maximizer(self, model, monkeypatch):
+        # a gradient of the wrong sign raises j_trunc at every step size from the
+        # ray maximizer, so each sweep halves the step below 1e-12 and keeps it
+        grid = make_grid(24.0, 1025)
+        starts = []
+
+        def recorded(u, q, model):
+            starts.append(u.values)
+            return newton_refine(u, q, model)
+
+        monkeypatch.setattr(solver, "newton_refine", recorded)
+        monkeypatch.setattr(solver, "riesz_gradient",
+                            lambda *args: RadialFunction(grid, -riesz_gradient(*args).values))
+        for sweeps in (0, 3):
+            monkeypatch.setattr(solver, "_MAX_SWEEPS", sweeps)
+            mountain_pass(0.0, model, grid)
+        # the polish starts where it would with no sweep at all, up to the ray
+        # maximization's sqrt(eps) accuracy in t on a flat maximum
+        np.testing.assert_allclose(starts[1], starts[0], rtol=1e-7, atol=0.0)
+
 
 class TestInitialPath:
     """The endpoint of the mountain pass's first ray."""
@@ -271,12 +290,13 @@ class TestLinearization:
         z = np.cos(g.nodes) * np.exp(-g.nodes**2 / 8.0)
         return u, z
 
-    def test_frozen_closure_equals_jacobian_apply(self, point, model):
+    def test_application_keeps_no_state(self, point, model):
         u, z = point
-        lin = _linearization(u, self.Q, model)
-        # reused across directions, as the Krylov solver reuses it within a Newton step
-        for w in (z, z**2, np.sin(3.0 * u.grid.nodes) * z, z):
-            assert np.array_equal(lin(w), _jacobian_apply(u, self.Q, model, w))
+        first = _jacobian_apply(u, self.Q, model, z)
+        # other directions at the same u, as the Krylov solver applies J within a Newton step
+        for w in (z**2, np.sin(3.0 * u.grid.nodes) * z):
+            _jacobian_apply(u, self.Q, model, w)
+        assert np.array_equal(_jacobian_apply(u, self.Q, model, z), first)
 
     def test_matches_central_difference(self, point, model):
         u, z = point
@@ -284,7 +304,7 @@ class TestLinearization:
         plus = _evaluate(RadialFunction(u.grid, u.values + eps * z), self.Q, model)
         minus = _evaluate(RadialFunction(u.grid, u.values - eps * z), self.Q, model)
         fd = (plus - minus) / (2.0 * eps)
-        jz = _linearization(u, self.Q, model)(z)
+        jz = _jacobian_apply(u, self.Q, model, z)
         # the last row is left out: kappa is frozen there (see the docstring)
         err = np.max(np.abs(jz[:-1] - fd[:-1]))
         assert err < 1e-6 * np.max(np.abs(fd[:-1]))
@@ -297,7 +317,8 @@ class TestKrylovStep:
     def _step(model, q, n=1025):
         g = make_grid(24.0, n)
         u = RadialFunction(g, 2.4 * np.exp(-g.nodes**2 / 3.0))
-        return _linearization(u, q, model), _band_solver(u, q, model), _evaluate(u, q, model)
+        return (lambda z: _jacobian_apply(u, q, model, z), _band_solver(u, q, model),
+                _evaluate(u, q, model))
 
     @staticmethod
     def _counted(fn, calls):
@@ -336,16 +357,12 @@ class TestKrylovStep:
                                                     monkeypatch):
         applications = []
 
-        def linearization(*args):
-            apply = _linearization(*args)
+        def nan_on_second_call(u, q, model, z):
+            applications.append(1)
+            return np.full(z.size, np.nan) if len(applications) == 2 else _jacobian_apply(
+                u, q, model, z)
 
-            def nan_on_second_call(z):
-                applications.append(1)
-                return np.full(z.size, np.nan) if len(applications) == 2 else apply(z)
-
-            return nan_on_second_call
-
-        monkeypatch.setattr(solver, "_linearization", linearization)
+        monkeypatch.setattr(solver, "_jacobian_apply", nan_on_second_call)
         rough = RadialFunction(grid, ground_state.u.values * (1 + 1e-4))
         rep = newton_refine(rough, 1e-3, model)
         # scipy's GMRES alone would carry the NaN through 200 cycles of 30
@@ -445,8 +462,11 @@ class TestReorderedKernels:
         # newton_refine's preconditioner factors
         g = make_grid(24.0, n)
         u = RadialFunction(g, 2.4 * np.exp(-g.nodes**2 / 3.0))
-        jac = _linearization(u, 0.0, model)
         solve = _band_solver(u, 0.0, model)
+
+        def jac(z):
+            return _jacobian_apply(u, 0.0, model, z)
+
         # J is banded, so combs of period 8 split it column by column: |J| |x| from J alone
         combs = np.arange(n) % 8 == np.arange(8)[:, None]
         rng = np.random.default_rng(n)
@@ -462,6 +482,10 @@ class TestReorderedKernels:
     def test_warm_step_matvec_count(self, model, grid, ground_state, excited_state,
                                     monkeypatch, k, q, most_solves):
         applications, factorizations, solves = [], [], []
+
+        def counted_jacobian(*args):
+            applications.append(1)
+            return _jacobian_apply(*args)
 
         def counted(make, calls):
             def wrapped_make(*args, **kwargs):
@@ -479,7 +503,7 @@ class TestReorderedKernels:
             factorizations.append(1)
             return dgbtrf(*args, **kwargs)
 
-        monkeypatch.setattr(solver, "_linearization", counted(_linearization, applications))
+        monkeypatch.setattr(solver, "_jacobian_apply", counted_jacobian)
         monkeypatch.setattr(solver, "_band_solver", counted(_band_solver, solves))
         monkeypatch.setattr(solver, "dgbtrf", counted_lu)
         rep = nodal_shoot(q, model, grid, k, warm_start=(ground_state, excited_state)[k].u)
@@ -564,16 +588,11 @@ class TestReorderedKernels:
     def test_polish_never_applies_jacobian_to_zero(self, model, grid, ground_state, monkeypatch):
         directions = []
 
-        def recorded(*args, **kwargs):
-            apply = _linearization(*args, **kwargs)
+        def recorded(u, q, model, z):
+            directions.append(np.array(z))
+            return _jacobian_apply(u, q, model, z)
 
-            def wrapper(z):
-                directions.append(np.array(z))
-                return apply(z)
-
-            return wrapper
-
-        monkeypatch.setattr(solver, "_linearization", recorded)
+        monkeypatch.setattr(solver, "_jacobian_apply", recorded)
         rough = RadialFunction(grid, ground_state.u.values * (1 + 1e-4))
         for q in (5.9e-5, 1e-3):
             assert newton_refine(rough, q, model).converged
@@ -753,6 +772,33 @@ class TestFailurePaths:
         assert not rep.converged
         assert rep.node_count == 0
         assert np.max(np.abs(rep.u.values)) > 1.0
+
+    def test_polish_that_collapses_to_small_profile_is_not_certified(self, model, grid,
+                                                                     monkeypatch):
+        # past the k = 0 fold the chord stalls after one step at max|u| = 2.79 and
+        # newton_refine takes it to max|u| = 1.3e-8, where the residual meets its
+        # target; the collapse is judged against the polish's start
+        polished = []
+
+        def refine(*args, **kwargs):
+            polished.append(newton_refine(*args, **kwargs))
+            return polished[-1]
+
+        monkeypatch.setattr(solver, "newton_refine", refine)
+        rep = nodal_shoot(0.02, model, grid, 0)
+        [polish] = polished
+        assert np.max(np.abs(polish.u.values)) < 1e-6
+        assert not polish.converged
+        assert not rep.converged
+        assert rep.node_count == 0
+        assert np.max(np.abs(rep.u.values)) > 1.0
+
+    def test_chord_that_changes_the_node_count_fails(self, model, grid, excited_state):
+        # the chord's first step from a 1-node solution keeps its node
+        rep = nodal_shoot(5.9e-5, model, grid, 0, warm_start=excited_state.u)
+        assert not rep.converged
+        assert rep.iterations == 0
+        assert np.array_equal(rep.u.values, excited_state.u.values)
 
     def test_warm_start_on_another_grid_is_rejected(self, model, grid, ground_state):
         for other in (make_grid(24.0, 4097), make_grid(20.0, 8193)):
