@@ -93,23 +93,26 @@ class RadialGrid:
         return _read_only(sp.csr_matrix((data, cols, indptr), shape=(n, n)))
 
     @cached_property
-    def robin_band(self) -> np.ndarray:
-        """-`laplacian` with its last row replaced by the kappa-free `robin_row`, for gbtrf.
+    def tridiagonal(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+        """(lower, diag, upper, m): the 3-point -Delta_r and kappa-free Robin row, for gttrf.
 
-        That matrix has 4 sub- and 2 superdiagonals (the last Laplacian row's
-        entry 5 left of the diagonal goes with it).  LAPACK gbtrf storage:
-        A_ij at band[6 + i - j, j], below 4 zero rows of room for the fill-in.
-        Fortran-ordered and read-only; built on first use and then kept.
+        Row 0 is -4(u_1 - u_0)/h^2 (the even extension), then `three_point_rows`;
+        the last is `robin_row` at kappa = 0 less m = 1/(2h lower_{n-2}) times
+        row n-2, which removes its u_{n-3} entry, so a diagonal added to row n-2
+        enters it times -m.  Read-only; built on first use.
         """
-        kl, ku = 4, 2
-        n = self.n
-        band = np.zeros((2 * kl + ku + 1, n), order="F")
-        lap = self.laplacian[:-1].tocoo()
-        band[kl + ku + lap.row - lap.col, lap.col] = lap.data
-        np.negative(band[kl:], out=band[kl:])
-        cols = np.arange(n - 1 - kl, n)
-        band[kl + ku + n - 1 - cols, cols] = np.r_[np.zeros(kl - 2), robin_row(np.eye(3), self.h, 0.0)]
-        return _read_only(band)
+        (lower, upper), h2 = self.three_point_rows, self.h**2
+        robin = robin_row(np.eye(3), self.h, 0.0)
+        m = robin[0] / lower[-1]
+        diag = np.r_[4.0 / h2, np.full(self.n - 2, 2.0 / h2), robin[2] - m * upper[-1]]
+        return (_read_only(np.r_[lower, robin[1] - m * 2.0 / h2]), _read_only(diag),
+                _read_only(np.r_[-4.0 / h2, upper]), m)
+
+    @cached_property
+    def five_point_diagonal(self) -> np.ndarray:
+        """The diagonal of -`laplacian`, the kappa-free `robin_row`'s 3/(2h) last; read-only."""
+        robin = robin_row(np.eye(3), self.h, 0.0)
+        return _read_only(np.r_[-self.laplacian.diagonal()[:-1], robin[2]])
 
     @cached_property
     def cumulative_increments(self) -> sp.csr_matrix:

@@ -8,16 +8,16 @@ Three complementary engines:
 * ``nodal_shoot`` — a cold start shoots on the 3-point rows of the q = 0
   local problem for a k-node profile; from it, or from a warm start, a
   chord iteration solves the full nonlocal system on the 5-point rows with
-  the banded LU of J's local part at the first iterate, factored once, one
-  evaluation and one banded solve per step.  Each chord step is mixed with
+  one M for J's local part at the first iterate (`_band_solver`: a 3-point
+  tridiagonal LU, factored once, and a Jacobi sweep on the 5-point rows),
+  one evaluation and one M solve per step.  Each chord step is mixed with
   the previous one (depth-one Anderson, a secant step that recovers part of
-  the nonlocal J that the band leaves out); the last step stays plain.
+  the nonlocal J that M leaves out); the last step stays plain.
 * ``newton_refine`` — matrix-free Newton--Krylov polish of the full
   nonlocal strong-form system: each Newton step is solved by scipy's
-  restarted GMRES, right-preconditioned by the banded LU of J's exact local
-  part on the 5-point rows, one J application and one banded solve per
-  iteration.  It certifies the chord's result, and takes over when the
-  chord stalls.
+  restarted GMRES, right-preconditioned by the same M at the Newton
+  iterate, one J application and one M solve per iteration.  It certifies
+  the chord's result, and takes over when the chord stalls.
 
 Each iterate's gauge terms and strong residual are kept on it
 (`grid.per_iterate`): the step that evaluates it, J's linearization at it
@@ -37,7 +37,7 @@ from typing import Optional
 import numpy as np
 # not called: the benchmark's tracer counts calls through this binding
 from scipy.integrate import solve_ivp  # noqa: F401
-from scipy.linalg.lapack import dgbtrf, dgbtrs
+from scipy.linalg.lapack import dgttrf, dgttrs
 from scipy.optimize import minimize_scalar
 from scipy.sparse.linalg import LinearOperator, gmres
 
@@ -202,28 +202,39 @@ def _shoot(grid: RadialGrid, model: NonlinearityModel, k: int) -> Optional[np.nd
 
 
 def _band_solver(u: RadialFunction, q: float, model: NonlinearityModel):
-    """solve(b) = A^{-1} b for A the local part of J at u, or None if A is singular.
+    """solve(b) = M^{-1} b for the chord's M, the polish's preconditioner; None if T is singular.
 
-    A is the chord's M and the polish's preconditioner: the rows of
-    -Delta_r + V - g'(u) inside (the grid's `laplacian`, and V kept on u) and
-    the Robin row u'(R) + kappa u(R) at the outer edge.  With the last
-    Laplacian row replaced, A has 4 sub- and 2 superdiagonals.  Each call
-    copies the grid's gbtrf template `robin_band`, adds V - g'(u) and kappa;
-    LAPACK gbtrf factors A once and each solve is one gbtrs.
+    M stands for A, J's local part at u: -Delta_r + V - g'(u) on the grid's
+    5-point `laplacian` rows (V kept on u), the Robin row u'(R) + kappa u(R)
+    last.  A solve first solves T x = b, the same operator on the 3-point
+    rows (`RadialGrid.tridiagonal`), factored once by LAPACK gttrf, one gttrs
+    each; then it takes one damped Jacobi sweep on A's own rows,
+    x += (15/32) D^{-1} (b - A x), D = diag(A).  Inside, with
+    t = sin^2(theta/2), T^{-1} A has symbol 1 + t/3 and h^2 D = 5/2, so
+    I - M^{-1} A has symbol -(t/3)(1 - (15/32)(8t + 8t^2/3)/5): 0 at the
+    highest frequency, at most 0.095, and O(h^2) on smooth errors.  T alone
+    leaves the highest frequency at a third.
     """
-    kl, ku = 4, 2
+    g, (lower, diag, upper, m) = u.grid, u.grid.tridiagonal
     _, v_pot = gauge_potential(u, q)
-    template = u.grid.robin_band
-    ab = template.copy(order="F")
-    ab[kl + ku] += v_pot - model.gprime(u.values)
-    # the Robin row takes kappa on its diagonal, not V - g'(u)
-    ab[kl + ku, -1] = template[kl + ku, -1] + _decay_rate(model, float(v_pot[-1]))
-    lu, piv, info = dgbtrf(ab, kl, ku, overwrite_ab=1)
+    c = v_pot - model.gprime(u.values)
+    kappa = _decay_rate(model, float(v_pot[-1]))
+    # the Robin row takes kappa on its diagonal, and -m times row n - 2's V - g'(u)
+    dl = lower.copy()
+    dl[-1] -= m * c[-2]
+    c_robin = np.r_[c[:-1], kappa]
+    *lu, info = dgttrf(dl, diag + c_robin, upper, overwrite_dl=1, overwrite_d=1)
     if info != 0:
         return None
+    jacobi = _JACOBI_DAMPING / (g.five_point_diagonal + c_robin)
 
     def solve(b: np.ndarray) -> np.ndarray:
-        return dgbtrs(lu, kl, ku, b, piv)[0]
+        rhs = b.copy()
+        rhs[-1] -= m * b[-2]
+        x = dgttrs(*lu, rhs, overwrite_b=1)[0]
+        r = b + laplacian_radial(g, x) - c * x
+        r[-1] = b[-1] - robin_row(x, g.h, kappa)
+        return x + jacobi * r
 
     return solve
 
@@ -280,6 +291,8 @@ _GRAD_TOL = 1e-3
 # step budget of the chord and of the Newton polish, and the polish's sup-norm target
 _MAX_STEPS = 60
 _NEWTON_TOL = 1e-9
+# the weight of _band_solver's Jacobi sweep, which zeroes the highest frequency
+_JACOBI_DAMPING = 15.0 / 32.0
 
 
 def _krylov_step(jac, solve, f: np.ndarray) -> tuple[np.ndarray, int]:
@@ -317,14 +330,15 @@ def newton_refine(u: RadialFunction, q: float, model: NonlinearityModel) -> Solv
     the residual map (finite-difference directional derivatives carry an
     h^-2-amplified noise floor that stalls the Krylov solver).  Each Newton
     step J s = f is solved by restarted GMRES (`_krylov_step`) to 1e-8
-    relative, right-preconditioned with the exact local part of J at u: the
-    band of -Delta_r + V - g'(u) with the Robin row (`_band_solver`, -Delta_r
-    read off the grid's `laplacian`), factored once per Newton step.  Each
-    Krylov iteration costs one J application and one banded solve; only the
-    nonlocal gauge term is left to the iteration.  Each iterate's gauge terms
-    and strong residual are evaluated once and kept on it, where the
-    linearization and the certificate read them.  A singular preconditioner,
-    a non-finite step or a collapse towards zero (`_is_zero`) gives converged=False.
+    relative, right-preconditioned with the chord's M at u (`_band_solver`:
+    the tridiagonal LU of J's local part on the 3-point rows, factored once
+    per Newton step, and one damped Jacobi sweep on its 5-point rows).  Each
+    Krylov iteration costs one J application and one M solve; the nonlocal
+    gauge term and what the sweep leaves of the 3-point error are left to
+    the iteration.  Each iterate's gauge terms and strong residual are
+    evaluated once and kept on it, where the linearization and the
+    certificate read them.  A singular preconditioner, a non-finite step or
+    a collapse towards zero (`_is_zero`) gives converged=False.
     """
     g, start = u.grid, u
     f = _evaluate(u, q, model)
@@ -388,9 +402,10 @@ def _report(u: RadialFunction, q: float, model: NonlinearityModel,
 def _inner_newton(u: RadialFunction, q: float, model: NonlinearityModel, k: int):
     """Chord (simplified Newton) iteration for a k-node solution of the full system.
 
-    M is `newton_refine`'s preconditioner at the start iterate, the banded LU
-    of J's local part -Delta_r + V - g'(u) with the Robin row (`_band_solver`),
-    factored once.  Each step evaluates the iterate once (`_evaluate`: the
+    M is `newton_refine`'s preconditioner at the start iterate (`_band_solver`):
+    J's local part -Delta_r + V - g'(u) with the Robin row, solved on its
+    3-point rows by a tridiagonal LU factored once, then one damped Jacobi
+    sweep on its 5-point rows.  Each step evaluates the iterate once (`_evaluate`: the
     gauge terms and strong residual kept on it, and the Robin row) and takes
     the chord step s_k = M^{-1} f(u_k).  The nonlocal part of J left out of M
     sets the chord's rate, so each step is mixed with the previous one: depth-one

@@ -337,23 +337,30 @@ class TestDerivatives:
         assert np.all(err <= 8.0 * np.finfo(float).eps * scale)
 
     @pytest.mark.parametrize("n", [16, 1025])
-    def test_robin_band_cached_read_only_and_built_on_first_use(self, n):
+    def test_tridiagonal_cached_read_only_and_built_on_first_use(self, n):
         grid = make_grid(24.0, n)
-        assert "robin_band" not in vars(grid)
-        band = grid.robin_band
-        assert grid.robin_band is band
-        assert not band.flags.writeable and band.flags.f_contiguous
-        assert band.shape == (11, n)
-        # gbtrf's fill-in rows, then -L on its 4 sub- and 2 superdiagonals
-        assert not band[:4].any()
-        lap = grid.laplacian[:-1].tocoo()
-        ref = np.zeros((7, n))
-        ref[2 + lap.row - lap.col, lap.col] = -lap.data
-        assert np.array_equal(band[4:, :-5], ref[:, :-5])
-        # the last row is the kappa-free Robin row (3 u_{n-1} - 4 u_{n-2} + u_{n-3}) / 2h
+        assert "tridiagonal" not in vars(grid) and "five_point_diagonal" not in vars(grid)
+        lower, diag, upper, m = rows = grid.tridiagonal
+        assert grid.tridiagonal is rows
+        diagonal = grid.five_point_diagonal
+        assert grid.five_point_diagonal is diagonal
+        for a in (lower, diag, upper, diagonal):
+            assert not a.flags.writeable
+        assert lower.shape == upper.shape == (n - 1,) and diag.shape == diagonal.shape == (n,)
         h = grid.nodes[1] - grid.nodes[0]
-        last = [band[6 + n - 1 - j, j] for j in range(n - 5, n)]
-        assert last == [0.0, 0.0, 1.0 / (2.0 * h), -4.0 / (2.0 * h), 3.0 / (2.0 * h)]
+        r = grid.nodes[1:-1]
+        # the origin row -4(u_1 - u_0)/h^2, then the 3-point rows
+        assert diag[0] == 4.0 / h**2 and upper[0] == -4.0 / h**2
+        assert np.array_equal(lower[:-1], -1.0 / h**2 + 1.0 / (2.0 * h * r))
+        assert np.array_equal(diag[1:-1], np.full(n - 2, 2.0 / h**2))
+        assert np.array_equal(upper[1:], -1.0 / h**2 - 1.0 / (2.0 * h * r))
+        # the kappa-free Robin row (u_{n-3} - 4 u_{n-2} + 3 u_{n-1}) / 2h less m times row n - 2
+        assert m == 1.0 / (2.0 * h) / lower[-2]
+        assert lower[-1] == -4.0 / (2.0 * h) - m * 2.0 / h**2
+        assert diag[-1] == 3.0 / (2.0 * h) - m * upper[-1]
+        # the diagonal of -L, with the Robin row's 3/2h last
+        assert np.array_equal(diagonal[:-1], -grid.laplacian.diagonal()[:-1])
+        assert diagonal[-1] == 3.0 / (2.0 * h)
 
 
 class TestNorms:

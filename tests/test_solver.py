@@ -5,8 +5,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from scipy.linalg import lapack, solve_banded
-from scipy.linalg.lapack import dgbtrf
+import scipy.sparse.linalg as spla
+from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgttrf
 
 import cssolve
 from cssolve import solver
@@ -124,6 +125,15 @@ class TestNodalShoot:
         assert rep.converged and rep.node_count == 1
         assert rep.level == pytest.approx(50.36795101505306, rel=1e-12)
         assert rep.u.values[0] == pytest.approx(3.5983789007745135, rel=5e-12)
+
+    @pytest.mark.parametrize("k, q", [(0, 5.9e-5), (1, 2e-4)], ids=["k=0", "k=1"])
+    def test_warm_step_ends_at_the_residual_floor(self, model, grid, ground_state, excited_state,
+                                                  k, q):
+        # the pinned warm steps: 2.6e-10 and 2.5e-10 with the exact banded LU as M, 2.9e-9
+        # at k = 1 with M's tridiagonal stage alone, which leaves the high frequencies
+        rep = nodal_shoot(q, model, grid, k, warm_start=(ground_state, excited_state)[k].u)
+        assert rep.converged
+        assert rep.residual_pde <= 1e-9
 
     def test_cold_shot_converges_in_few_steps(self, model):
         # the plain chord took 18 steps here; the mixed one takes 8
@@ -335,9 +345,10 @@ class TestKrylovStep:
         assert np.linalg.norm(f - jac(x)) <= 1e-8 * np.linalg.norm(f)
 
     def test_exact_preconditioner_takes_one_iteration(self, model):
-        # at q = 0, J is its own local part, so M = J^-1 up to rounding
+        # M = J^-1 up to rounding: SuperLU of J, assembled column by column on a small grid
         applications, solves = [], []
-        jac, solve, f = self._step(model, 0.0)
+        jac, _, f = self._step(model, 0.0, n=129)
+        solve = spla.splu(sp.csc_matrix(np.column_stack([jac(e) for e in np.eye(f.size)]))).solve
         x, info = _krylov_step(self._counted(jac, applications), self._counted(solve, solves), f)
         assert info == 0
         # one iteration and the true-residual check, each J M^-1, then x = M^-1 y
@@ -385,20 +396,44 @@ class TestReorderedKernels:
         assert np.array_equal(h_u, h)
         assert np.array_equal(v_pot, v)
 
+    @staticmethod
+    def _local_part(model, n):
+        """(u, V - g'(u), kappa) at q = 1e-3 on make_grid(24, n)."""
+        g = make_grid(24.0, n)
+        u = RadialFunction(g, 2.4 * np.exp(-g.nodes**2 / 3.0))
+        _, v_pot = gauge_potential(u, 1e-3)
+        return u, v_pot - model.gprime(u.values), math.sqrt(2.0 * model.m0 + v_pot[-1])
+
+    @staticmethod
+    def _stages(model, u):
+        """(T^-1, M^-1) of the chord's M at q = 1e-3: with no Jacobi sweep, the solve is T's."""
+        with pytest.MonkeyPatch.context() as patched:
+            patched.setattr(solver, "_JACOBI_DAMPING", 0.0)
+            t_solve = _band_solver(u, 1e-3, model)
+        return t_solve, _band_solver(u, 1e-3, model)
+
     @pytest.mark.parametrize("n", [16, 17, 1025, 4096, 4097, 8193])
     def test_preconditioner_matches_solve_banded(self, model, n):
-        # the chord's M and the polish's preconditioner, the 5-point -Delta_r + V - g'(u)
-        # with the Robin row, against LAPACK gbsv on a band built here from the stencils
-        # of the grid's Laplacian written out (not read off the grid's laplacian)
-        g = make_grid(24.0, n)
-        r, h = g.nodes, g.nodes[1] - g.nodes[0]
+        # the chord's M and the polish's preconditioner: T's stage against LAPACK gtsv
+        # on T written out here from the 3-point, origin and Robin rows (not read off
+        # the grid), then one Jacobi sweep on the 5-point rows written out here
+        u, diag, kappa = self._local_part(model, n)
+        r, h = u.grid.nodes, u.grid.nodes[1] - u.grid.nodes[0]
         h2, h1 = 12.0 * h * h, 12.0 * h
-        u = RadialFunction(g, 2.4 * np.exp(-r**2 / 3.0))
-        _, v_pot = gauge_potential(u, 1e-3)
-        diag = v_pot - model.gprime(u.values)
-        kappa = math.sqrt(2.0 * model.m0 + v_pot[-1])
+        # solve_banded storage: T_ij at tb[1 + i - j, j]
+        tb = np.zeros((3, n))
+        tb[0, 1], tb[1, 0] = -4.0 / h**2, 4.0 / h**2 + diag[0]
+        i = np.arange(1, n - 1)
+        tb[2, i - 1] = -1.0 / h**2 + 1.0 / (2.0 * h * r[i])
+        tb[1, i] = 2.0 / h**2 + diag[i]
+        tb[0, i + 1] = -1.0 / h**2 - 1.0 / (2.0 * h * r[i])
+        # the Robin row (1/2h, -4/2h, 3/2h + kappa) less m times row n - 2, which removes
+        # its u_{n-3} entry: the diagonal of row n - 2 is taken off after its 2/h^2
+        m = 1.0 / (2.0 * h) / tb[2, n - 3]
+        tb[2, n - 2] = (-4.0 / (2.0 * h) - m * 2.0 / h**2) - m * diag[n - 2]
+        tb[1, n - 1] = (3.0 / (2.0 * h) - m * tb[0, n - 1]) + kappa
         kl, ku = 4, 2
-        # solve_banded storage: A_ij at ab[ku + i - j, j]
+        # A, the 5-point rows: A_ij at ab[ku + i - j, j]
         ab = np.zeros((kl + ku + 1, n))
 
         def put(i, cols, laplacian_row):
@@ -413,26 +448,46 @@ class TestReorderedKernels:
         put(n - 2, np.arange(n - 6, n),
             _fornberg(r[n - 6 :], r[n - 2], 2) + _fornberg(r[n - 6 :], r[n - 2], 1) / r[n - 2])
         ab[ku] += diag
-        # Robin row (1/2h, -4/2h, 3/2h + kappa) in place of the last Laplacian row
+        # the Robin row in place of the last Laplacian row
         ab[ku + n - 1 - np.arange(n - 3, n), np.arange(n - 3, n)] = [
             1.0 / (2.0 * h), -4.0 / (2.0 * h), 3.0 / (2.0 * h) + kappa]
-        solve = _band_solver(u, 1e-3, model)
+
+        def a_times(x):
+            out = np.zeros(n)
+            for d in range(-kl, ku + 1):
+                rows = slice(max(0, -d), min(n, n - d))
+                cols = slice(rows.start + d, rows.stop + d)
+                out[rows] += ab[ku - d, cols] * x[cols]
+            return out
+
+        t_solve, solve = self._stages(model, u)
         rng = np.random.default_rng(n)
         for _ in range(4):
             b = rng.standard_normal(n) * 10.0 ** rng.uniform(-8.0, 8.0)
-            assert np.array_equal(solve(b), solve_banded((kl, ku), ab, b))
+            rhs = b.copy()
+            rhs[-1] -= m * b[-2]
+            x = solve_banded((1, 1), tb, rhs)
+            assert np.array_equal(t_solve(b), x)
+            want = x + 15.0 / 32.0 * (b - a_times(x)) / ab[ku]
+            assert np.max(np.abs(solve(b) - want)) <= 1e-12 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("n", [16, 17, 1025, 4096, 4097, 8193])
     def test_local_solver_matches_sparse_assembly(self, model, n):
-        # the chord's solve on the local -Delta_r + V - g'(u): the matrix is assembled
-        # independently as CSR from laplacian_radial applied to each unit vector, with
-        # the last row replaced by the Robin row
-        g = make_grid(24.0, n)
+        # the chord's M on the local -Delta_r + V - g'(u): T is assembled here as CSR
+        # from the 3-point, origin and Robin rows, A from laplacian_radial applied to
+        # each unit vector with the last row replaced by the Robin row
+        u, diag, kappa = self._local_part(model, n)
+        g = u.grid
         r, h = g.nodes, g.nodes[1] - g.nodes[0]
-        u = RadialFunction(g, 2.4 * np.exp(-r**2 / 3.0))
-        _, v_pot = gauge_potential(u, 1e-3)
-        diag = v_pot - model.gprime(u.values)
-        kappa = math.sqrt(2.0 * model.m0 + v_pot[-1])
+        robin = [1.0 / (2.0 * h), -2.0 / h, 3.0 / (2.0 * h) + kappa]
+        i = np.arange(1, n - 1)
+        three_point = np.c_[-1.0 / h**2 + 1.0 / (2.0 * h * r[i]), np.full(n - 2, 2.0 / h**2),
+                            -1.0 / h**2 - 1.0 / (2.0 * h * r[i])]
+        t = sp.csr_matrix((np.r_[4.0 / h**2, -4.0 / h**2, three_point.ravel(), robin],
+                           (np.r_[0, 0, np.repeat(i, 3), np.full(3, n - 1)],
+                            np.r_[0, 1, (i[:, None] + np.arange(-1, 2)).ravel(),
+                                  np.arange(n - 3, n)])),
+                          shape=(n, n)) + sp.diags(np.r_[diag[:-1], 0.0])
         rows, cols, vals = [], [], []
         e = np.zeros(n)
         for j in range(n):
@@ -445,37 +500,39 @@ class TestReorderedKernels:
             vals.append(column[i])
         rows.append(np.full(3, n - 1))
         cols.append(np.arange(n - 3, n))
-        vals.append([1.0 / (2.0 * h), -2.0 / h, 3.0 / (2.0 * h) + kappa])
+        vals.append(robin)
         a = sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
                           shape=(n, n)) + sp.diags(np.r_[diag[:-1], 0.0])
-        solve = _band_solver(u, 1e-3, model)
+        t_solve, solve = self._stages(model, u)
         rng = np.random.default_rng(n)
         for _ in range(4):
             b = rng.standard_normal(n) * 10.0 ** rng.uniform(-8.0, 8.0)
-            x = solve(b)
-            # normwise backward error: |A x - b| against |A| |x|
-            assert np.max(np.abs(a @ x - b)) <= 1e-12 * np.max(abs(a) @ np.abs(x))
+            x = t_solve(b)
+            # normwise backward error: |T x - b| against |T| |x|
+            assert np.max(np.abs(t @ x - b)) <= 1e-12 * np.max(abs(t) @ np.abs(x))
+            want = x + 15.0 / 32.0 * (b - a @ x) / a.diagonal()
+            assert np.max(np.abs(solve(b) - want)) <= 1e-12 * np.max(np.abs(want))
 
-    @pytest.mark.parametrize("n", [16, 17, 1025, 4096, 4097])
+    @pytest.mark.parametrize("n", [1025, 4096, 4097, 8193])
     def test_band_solver_inverts_local_jacobian(self, model, n):
-        # at q = 0 the gauge terms vanish and J is exactly the local part that
-        # newton_refine's preconditioner factors
+        # at q = 0, J is its local part A.  With t = sin^2(theta/2), I - M^-1 A has symbol
+        # -(t/3)(1 - (15/32)(8t + 8t^2/3)/5): 0 at the highest frequency, O(h^2) on smooth
+        # errors, 0.094 at theta = pi/2, the largest.  T alone leaves theta = pi at 1/3,
+        # and a sweep weighted 1/2 at 1/45
         g = make_grid(24.0, n)
-        u = RadialFunction(g, 2.4 * np.exp(-g.nodes**2 / 3.0))
+        r, i = g.nodes, np.arange(n)
+        u = RadialFunction(g, 2.4 * np.exp(-r**2 / 3.0))
         solve = _band_solver(u, 0.0, model)
 
-        def jac(z):
-            return _jacobian_apply(u, 0.0, model, z)
+        def shrink(z):
+            e = z - solve(_jacobian_apply(u, 0.0, model, z))
+            return np.max(np.abs(e)) / np.max(np.abs(z))
 
-        # J is banded, so combs of period 8 split it column by column: |J| |x| from J alone
-        combs = np.arange(n) % 8 == np.arange(8)[:, None]
-        rng = np.random.default_rng(n)
-        for _ in range(4):
-            b = rng.standard_normal(n) * 10.0 ** rng.uniform(-8.0, 8.0)
-            x = solve(b)
-            abs_jx = sum(np.abs(jac(np.where(comb, x, 0.0))) for comb in combs)
-            # normwise backward error: |J x - b| against |J| |x|
-            assert np.max(np.abs(jac(x) - b)) <= 1e-12 * np.max(abs_jx)
+        bump = np.exp(-((r - 12.0) ** 2))
+        # measured at n = 1025: 1.5e-4, 1.2e-5 and 0.094
+        assert shrink((-1.0) ** i * bump) <= 1e-3
+        assert shrink(np.exp(-((r - 8.0) ** 2) / 4.0)) <= 1e-3
+        assert shrink(np.cos(0.5 * np.pi * i) * bump) <= 0.1
 
     @pytest.mark.parametrize("k, q, most_solves", [(0, 5.9e-5, 4), (1, 2e-4, 6)],
                              ids=["k=0", "k=1"])
@@ -501,14 +558,14 @@ class TestReorderedKernels:
 
         def counted_lu(*args, **kwargs):
             factorizations.append(1)
-            return dgbtrf(*args, **kwargs)
+            return dgttrf(*args, **kwargs)
 
         monkeypatch.setattr(solver, "_jacobian_apply", counted_jacobian)
         monkeypatch.setattr(solver, "_band_solver", counted(_band_solver, solves))
-        monkeypatch.setattr(solver, "dgbtrf", counted_lu)
+        monkeypatch.setattr(solver, "dgttrf", counted_lu)
         rep = nodal_shoot(q, model, grid, k, warm_start=(ground_state, excited_state)[k].u)
         assert rep.converged
-        # the chord factors M once at the warm start and applies it once per
+        # the chord factors T once at the warm start and applies M once per
         # step (measured: 4 at k = 0; 6 at k = 1, where the plain chord took 8);
         # no Newton step, so J is never applied
         assert applications == []
@@ -542,20 +599,18 @@ class TestReorderedKernels:
     @pytest.mark.parametrize("k, q", [(0, 5.9e-5), (1, 5e-5)])
     def test_warm_step_makes_no_newton_krylov_step(self, model, grid, ground_state,
                                                    excited_state, monkeypatch, k, q):
-        krylov, tridiagonal = [], []
+        krylov, factorizations = [], []
 
         def counted(fn, calls):
-            return lambda *args: calls.append(1) or fn(*args)
+            return lambda *args, **kwargs: calls.append(1) or fn(*args, **kwargs)
 
         monkeypatch.setattr(solver, "_krylov_step", counted(_krylov_step, krylov))
-        # the 3-point frozen problem was factored by LAPACK's tridiagonal gttrf
-        monkeypatch.setattr(lapack, "dgttrf", counted(lapack.dgttrf, tridiagonal))
-        monkeypatch.setattr(solver, "dgttrf", counted(lapack.dgttrf, tridiagonal),
-                            raising=False)
+        # the chord's one factorization: T's, by LAPACK's tridiagonal gttrf
+        monkeypatch.setattr(solver, "dgttrf", counted(dgttrf, factorizations))
         start = (ground_state, excited_state)[k].u
         rep = nodal_shoot(q, model, grid, k, warm_start=start)
         assert rep.converged and rep.node_count == k
-        assert krylov == [] and tridiagonal == []
+        assert krylov == [] and len(factorizations) == 1
 
     def test_stalled_chord_hands_over_to_newton_refine(self, model, grid, ground_state,
                                                        monkeypatch):
@@ -694,12 +749,12 @@ class TestCertificate:
 
 class TestFailurePaths:
     @staticmethod
-    def _band_zero_pivot(ab, kl, ku, **kwargs):
-        return ab, np.arange(1, ab.shape[1] + 1, dtype=np.int32), 1
+    def _tridiagonal_zero_pivot(dl, d, du, **kwargs):
+        return dl, d, du, np.zeros(d.size - 2), np.arange(1, d.size + 1, dtype=np.int32), 1
 
     def test_singular_local_solver_fails_nodal_shoot(self, model, grid, ground_state, monkeypatch):
-        # the chord's M is the band LU of the first iterate
-        monkeypatch.setattr(solver, "dgbtrf", self._band_zero_pivot)
+        # the chord's M factors T at the first iterate
+        monkeypatch.setattr(solver, "dgttrf", self._tridiagonal_zero_pivot)
         start = RadialFunction(grid, ground_state.u.values * (1 + 1e-4))
         rep = nodal_shoot(5.9e-5, model, grid, 0, warm_start=start)
         assert not rep.converged
@@ -708,7 +763,7 @@ class TestFailurePaths:
 
     def test_singular_preconditioner_fails_newton_refine(self, model, grid, ground_state,
                                                          monkeypatch):
-        monkeypatch.setattr(solver, "dgbtrf", self._band_zero_pivot)
+        monkeypatch.setattr(solver, "dgttrf", self._tridiagonal_zero_pivot)
         rough = RadialFunction(grid, ground_state.u.values * (1 + 1e-4))
         rep = newton_refine(rough, 0.0, model)
         assert not rep.converged
