@@ -105,8 +105,8 @@ def j_trunc(u: RadialFunction, q: float, model: NonlinearityModel) -> EnergyBrea
 
 def i_comparison(u: RadialFunction, model: NonlinearityModel) -> float:
     """Comparison functional (1/2)||grad u||^2 - int Lambda_bar(u); a lower bound for j_trunc."""
-    dirichlet = 0.5 * integrate_plane(u.grid, differentiate(u).values ** 2)
-    return dirichlet - integrate_plane(u.grid, capital_lambda_bar(model, u.values))
+    return (energy_pieces(u, model).dirichlet
+            - integrate_plane(u.grid, capital_lambda_bar(model, u.values)))
 
 
 def j_tilde(theta: float, u: RadialFunction, q: float,
@@ -132,18 +132,25 @@ def j_tilde(theta: float, u: RadialFunction, q: float,
 def d_theta_j_tilde(theta: float, u: RadialFunction, q: float, model: NonlinearityModel) -> float:
     """theta-derivative of j_tilde:
 
-        2 q e^{4 theta} phi(s) N + 2 q^2 e^{8 theta} phi'(s) N^2 - 2 e^{2 theta} int G(u),
-        s = q e^{4 theta} N(u).
+        2C + D - 2 e^{2 theta} int G(u),    (C, D) = truncation_bounds(theta, u, q).
 
     At theta = 0 with inactive truncation this is the scale-invariance
     (Pohozaev) residual 2qN - 2 int G, which vanishes at solutions.
     """
     if not math.isfinite(theta):
         raise ValueError("theta must be finite")
-    *_, n_val, big_g_int = energy_pieces(u, model)
-    e4, e2 = math.exp(4.0 * theta), math.exp(2.0 * theta)
+    c, d = truncation_bounds(theta, u, q)
+    return 2.0 * c + d - 2.0 * math.exp(2.0 * theta) * energy_pieces(u, model).big_g_int
+
+
+def truncation_bounds(theta: float, u: RadialFunction, q: float) -> tuple[float, float]:
+    """C = q e^{4 theta} phi(s) N >= 0 and D = 2 q^2 e^{8 theta} phi'(s) N^2 <= 0,
+    s = q e^{4 theta} N(u); C in [0, 2) and |D| < 16 whenever s < 2, and both
+    vanish when s >= 2."""
+    n_val = big_n(u)
+    e4 = math.exp(4.0 * theta)
     s = q * e4 * n_val
-    return 2.0 * q * e4 * phi(s) * n_val + 2.0 * q * q * e4 * e4 * phi_prime(s) * n_val**2 - 2.0 * e2 * big_g_int
+    return q * e4 * phi(s) * n_val, 2.0 * q * q * e4 * e4 * phi_prime(s) * n_val**2
 
 
 def weak_gradient(

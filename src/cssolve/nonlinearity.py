@@ -17,8 +17,13 @@ from dataclasses import asdict, dataclass, field
 from typing import Callable, ClassVar, Optional
 
 import numpy as np
+from scipy.integrate import cumulative_trapezoid
 
-_BAR_SAMPLES = 4096
+# equal steps of the envelope table on [0, 1] and on each octave above it
+_STEPS = 16384
+# check_hypotheses samples g at this many equal steps up to this bound
+_CHECK_XI_MAX = 30.0
+_CHECK_SAMPLES = 2000
 
 
 @dataclass(eq=False)
@@ -36,7 +41,8 @@ class NonlinearityModel:
     gprime: Callable[[np.ndarray], np.ndarray]
     m0: float
     delta0: Optional[float] = None
-    _bar_cache: dict = field(default_factory=dict, repr=False)
+    # (nodes, running max of lambda/xi^p0, Lambda, Lambda_bar), see `_envelopes`
+    _table: Optional[tuple] = field(default=None, init=False, repr=False)
     # the exponent of the envelope lambda_bar, the same for every model
     p0: ClassVar[float] = 2.0
 
@@ -44,33 +50,24 @@ class NonlinearityModel:
         if self.m0 <= 0:
             raise ValueError("m0 must be positive")
 
-    # -- envelope machinery -------------------------------------------------
+    def _envelopes(self, xi_max: float) -> tuple:
+        """The envelope table, on nodes reaching at least xi_max.
 
-    def _bar_table(self, xi_max: float):
-        """Running max of lambda(tau)/tau^p0 on log-spaced samples of (0, xi_max]."""
-        key = self._bar_cache.get("xi_max", 0.0)
-        if key >= xi_max and "tau" in self._bar_cache:
-            return self._bar_cache["tau"], self._bar_cache["runmax"]
-        hi = max(xi_max, 1.0)
-        tau = np.geomspace(hi * 1e-12, hi, _BAR_SAMPLES)
-        ratio = lambda_of(self, tau) / tau**self.p0
-        runmax = np.maximum.accumulate(ratio)
-        self._bar_cache.update(xi_max=hi, tau=tau, runmax=runmax)
-        return tau, runmax
-
-    def _lambda_table(self, xi_max: float):
-        """Dense tables of Lambda and Lambda_bar on [0, xi_max] (cumulative trapezoid)."""
-        key = self._bar_cache.get("lam_xi_max", 0.0)
-        if key >= xi_max and "lam_xi" in self._bar_cache:
-            return self._bar_cache["lam_xi"], self._bar_cache["Lam"], self._bar_cache["Lam_bar"]
-        hi = max(xi_max, 1.0)
-        xi = np.linspace(0.0, hi, 16385)
-        lam = lambda_of(self, xi)
-        lam_bar = lambda_bar_of(self, xi)
-        Lam = np.concatenate(([0.0], np.cumsum((lam[1:] + lam[:-1]) / 2.0 * np.diff(xi))))
-        Lam_bar = np.concatenate(([0.0], np.cumsum((lam_bar[1:] + lam_bar[:-1]) / 2.0 * np.diff(xi))))
-        self._bar_cache.update(lam_xi_max=hi, lam_xi=xi, Lam=Lam, Lam_bar=Lam_bar)
-        return xi, Lam, Lam_bar
+        The nodes take _STEPS equal steps on [0, 1] and on each octave
+        [2^(i-1), 2^i] above it, and the table grows one octave at a time, so
+        its size is logarithmic in xi_max and its value at a node does not
+        depend on how far it reaches.  Lambda and Lambda_bar are cumulative
+        trapezoids of lambda and of lambda_bar = xi^p0 times the running max.
+        """
+        if self._table is None or self._table[0][-1] < xi_max < np.inf:
+            xi = np.linspace(0.0, 1.0, _STEPS + 1)
+            while xi[-1] < xi_max < np.inf:
+                xi = np.concatenate((xi, xi[-1] * (1.0 + np.arange(1, _STEPS + 1) / _STEPS)))
+            lam = lambda_of(self, xi)
+            runmax = np.maximum.accumulate(_over_p0(lam, xi))
+            self._table = (xi, runmax, cumulative_trapezoid(lam, xi, initial=0),
+                           cumulative_trapezoid(xi**self.p0 * runmax, xi, initial=0))
+        return self._table
 
 
 def power_model(p: float, omega: float) -> NonlinearityModel:
@@ -145,48 +142,46 @@ def table_model(samples) -> NonlinearityModel:
     return NonlinearityModel(g=g, big_g=big_g, gprime=gprime, m0=m0)
 
 
+def _scalar_or_array(xi, out: np.ndarray) -> np.ndarray | float:
+    """out as a float when the query xi is a scalar, else as an array."""
+    return float(out) if np.ndim(xi) == 0 else out
+
+
+def _over_p0(lam, a: np.ndarray) -> np.ndarray:
+    """lam/a^p0 for a >= 0, taken as 0 at a = 0."""
+    return np.divide(lam, a**NonlinearityModel.p0, out=np.zeros_like(a), where=a > 0)
+
+
 def lambda_of(model: NonlinearityModel, xi) -> np.ndarray | float:
     """lambda(xi) = max(g(xi) + m0 xi, 0) for xi >= 0, odd in xi."""
     arr = np.asarray(xi, dtype=float)
     a = np.abs(arr)
-    val = np.maximum(model.g(a) + model.m0 * a, 0.0)
-    out = np.sign(arr) * val
-    return float(out) if np.isscalar(xi) or arr.ndim == 0 else out
+    return _scalar_or_array(xi, np.sign(arr) * np.maximum(model.g(a) + model.m0 * a, 0.0))
 
 
 def lambda_bar_of(model: NonlinearityModel, xi) -> np.ndarray | float:
     """Envelope xi^{p0} sup_{0<tau<=xi} lambda(tau)/tau^{p0}, odd, 0 at 0."""
-    arr = np.atleast_1d(np.asarray(xi, dtype=float))
+    arr = np.asarray(xi, dtype=float)
     a = np.abs(arr)
-    out = np.zeros_like(a)
-    pos = a > 0
-    if pos.any():
-        tau, runmax = model._bar_table(float(a.max()))
-        idx = np.searchsorted(tau, a[pos], side="right") - 1
-        sup = np.where(idx >= 0, runmax[np.maximum(idx, 0)], 0.0)
-        # include the query point itself in the sup
-        sup = np.maximum(sup, lambda_of(model, a[pos]) / a[pos] ** model.p0)
-        out[pos] = a[pos] ** model.p0 * sup
-    out = np.sign(arr) * out
-    return float(out[0]) if np.isscalar(xi) or np.asarray(xi).ndim == 0 else out
+    nodes, runmax, _, _ = model._envelopes(a.max(initial=0.0))
+    # the sup over the table's nodes up to a, and over the query point itself
+    sup = np.maximum(runmax[np.searchsorted(nodes, a, side="right") - 1],
+                     _over_p0(lambda_of(model, a), a))
+    return _scalar_or_array(xi, np.sign(arr) * (a**model.p0 * sup))
 
 
 def capital_lambda(model: NonlinearityModel, xi) -> np.ndarray | float:
     """Lambda(xi) = int_0^xi lambda; even and non-negative."""
-    arr = np.atleast_1d(np.asarray(xi, dtype=float))
-    a = np.abs(arr)
-    grid, lam, _ = model._lambda_table(float(a.max()) if a.size else 1.0)
-    out = np.interp(a, grid, lam)
-    return float(out[0]) if np.isscalar(xi) or np.asarray(xi).ndim == 0 else out
+    a = np.abs(np.asarray(xi, dtype=float))
+    nodes, _, lam, _ = model._envelopes(a.max(initial=0.0))
+    return _scalar_or_array(xi, np.interp(a, nodes, lam))
 
 
 def capital_lambda_bar(model: NonlinearityModel, xi) -> np.ndarray | float:
     """Lambda_bar(xi) = int_0^xi lambda_bar; even, >= Lambda."""
-    arr = np.atleast_1d(np.asarray(xi, dtype=float))
-    a = np.abs(arr)
-    grid, _, lam_bar = model._lambda_table(float(a.max()) if a.size else 1.0)
-    out = np.interp(a, grid, lam_bar)
-    return float(out[0]) if np.isscalar(xi) or np.asarray(xi).ndim == 0 else out
+    a = np.abs(np.asarray(xi, dtype=float))
+    nodes, _, _, lam_bar = model._envelopes(a.max(initial=0.0))
+    return _scalar_or_array(xi, np.interp(a, nodes, lam_bar))
 
 
 @dataclass
@@ -213,14 +208,14 @@ class HypothesisReport:
         return json.dumps(asdict(self), indent=2)
 
 
-def check_hypotheses(model: NonlinearityModel, xi_max: float = 30.0, samples: int = 2000) -> HypothesisReport:
+def check_hypotheses(model: NonlinearityModel) -> HypothesisReport:
     """Sample-based report on oddness, slope at 0, subcritical growth, G > 0.
 
     The limsup of g(xi)/xi at 0 is estimated on the geometric sequence
     xi = 2^{-k}; the growth condition is checked against exp(alpha xi^2)
     for alpha in {0.1, 1}.
     """
-    xi = np.linspace(xi_max / samples, xi_max, samples)
+    xi = np.linspace(_CHECK_XI_MAX / _CHECK_SAMPLES, _CHECK_XI_MAX, _CHECK_SAMPLES)
     odd_violation = float(np.max(np.abs(model.g(-xi) + model.g(xi))))
 
     small = 2.0 ** -np.arange(1, 41, dtype=float)
@@ -230,7 +225,7 @@ def check_hypotheses(model: NonlinearityModel, xi_max: float = 30.0, samples: in
     m0_est = -0.5 * limsup if g2prime_ok else float("nan")
 
     growth_ok = True
-    tail = xi[xi >= 0.5 * xi_max]
+    tail = xi[xi >= 0.5 * _CHECK_XI_MAX]
     for alpha in (0.1, 1.0):
         ratio = np.abs(model.g(tail)) * np.exp(-alpha * tail**2)
         if not (ratio[-1] < 1e-6 and ratio[-1] <= ratio[0] + 1e-12):

@@ -531,12 +531,14 @@ def negative_energy_endpoint(model: NonlinearityModel, grid: RadialGrid,
 def mountain_pass(q: float, model: NonlinearityModel, grid: RadialGrid) -> SolveReport:
     """Lowest positive critical level: ray maximization, Sobolev steepest descent, polish.
 
-    Each sweep maximizes j_trunc along the ray t -> t w through the current
-    profile and takes a damped steepest-descent step in the Sobolev-gradient
-    metric from that maximizer; the descended point gives the next ray.  Once
-    the gradient at the maximizer is below 1e-3 the candidate is handed
-    to newton_refine.  The first ray runs through `negative_energy_endpoint`;
-    if that raises, the zero profile is returned with converged=False.
+    Each sweep takes a steepest-descent step u* - s w from the ray maximizer
+    u*, w the Sobolev gradient there, and maximizes j_trunc along the ray
+    through the descended point.  The step s starts at 1/2 and halves until
+    that ray maximum lies below j_trunc(u*) - s ||w||^2 / 2 (an Armijo test in
+    the Sobolev metric).  Once the gradient at the maximizer is below 1e-3,
+    or no s above 1e-12 passes, the maximizer is handed to newton_refine.
+    The first ray runs through `negative_energy_endpoint`; if that raises,
+    the zero profile is returned with converged=False.
     """
     if q < 0:
         raise ValueError("q must be non-negative")
@@ -576,14 +578,16 @@ def mountain_pass(q: float, model: NonlinearityModel, grid: RadialGrid) -> Solve
         if gnorm < _GRAD_TOL:
             break
         step = _DESCENT_STEP
-        moved = u_star
         while step > 1e-12:
-            trial = RadialFunction(grid, u_star.values - step * w.values)
-            if j_trunc(trial, q, model).total < e_star:
-                moved = trial
+            trial, e_trial = ray_max(RadialFunction(grid, u_star.values - step * w.values))
+            # sufficient decrease of the ray maximum: s ||w||^2 / 2 below e*
+            if e_trial < e_star - 0.5 * step * gnorm**2:
+                u_star, e_star = trial, e_trial
                 break
             step *= 0.5
-        u_star, e_star = ray_max(moved)
+        else:
+            # u* and so w stay as they are, and every later sweep would fail the same way
+            break
     report = newton_refine(u_star, q, model)
     # solutions come in (u, -u) pairs; report the peak-positive member
     peak = report.u.values[int(np.argmax(np.abs(report.u.values)))]

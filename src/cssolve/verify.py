@@ -11,7 +11,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .energy import d_theta_j_tilde, energy_pieces, j_tilde, phi, phi_prime, weak_gradient
+from .energy import d_theta_j_tilde, energy_pieces, j_tilde, truncation_bounds, weak_gradient
 from .gauge import big_n, gauge_potential
 from .grid import (RadialFunction, differentiate, integrate_plane, laplacian_radial, norm_lp,
                    per_iterate)
@@ -69,24 +69,15 @@ def ledger_identity(theta: float, u: RadialFunction, q: float, model: Nonlineari
     """Algebraic identity linking level, dilation derivative and Dirichlet norm:
 
         2 Jt(theta, u) - dJt/dtheta = ||grad u||^2 - C - D,
-        C = q e^{4 theta} phi(s) N >= 0,  D = 2 q^2 e^{8 theta} phi'(s) N^2 <= 0,
 
-    with s = q e^{4 theta} N(u). Returns the absolute defect, which is pure
-    roundoff for any input. Equivalently ||grad u||^2 = (2 Jt - dJt) + C + D.
+    with (C, D) = truncation_bounds(theta, u, q). Returns the absolute defect,
+    which is pure roundoff for any input. Equivalently
+    ||grad u||^2 = (2 Jt - dJt) + C + D.
     """
     c, d = truncation_bounds(theta, u, q)
-    grad2 = integrate_plane(u.grid, energy_pieces(u, model).du ** 2)
+    grad2 = 2.0 * energy_pieces(u, model).dirichlet
     lhs = 2.0 * j_tilde(theta, u, q, model).total - d_theta_j_tilde(theta, u, q, model)
     return abs(lhs - (grad2 - c - d))
-
-
-def truncation_bounds(theta: float, u: RadialFunction, q: float) -> tuple[float, float]:
-    """The (C, D) pair from ledger_identity; C in [0, 2) and |D| < 16 whenever
-    q e^{4 theta} N < 2, and both vanish when q e^{4 theta} N >= 2."""
-    n_val = big_n(u)
-    e4 = math.exp(4.0 * theta)
-    s = q * e4 * n_val
-    return q * e4 * phi(s) * n_val, 2.0 * q * q * e4 * e4 * phi_prime(s) * n_val**2
 
 
 def bhs_inequality(u: RadialFunction) -> bool:

@@ -97,6 +97,40 @@ class TestEnvelopes:
         assert isinstance(lambda_bar_of(model, 1.0), float)
 
 
+def saturable_model():
+    xi = np.linspace(0.0, 8.0, 400)
+    return table_model(np.column_stack([xi, xi**3 / (1.0 + xi**2) - xi / 2.0]))
+
+
+class TestEnvelopeTable:
+    """The envelopes read one table per model, whose nodes do not depend on the call."""
+
+    @pytest.mark.parametrize("make", [lambda: power_model(2.0, 1.0), saturable_model],
+                             ids=["power", "saturable"])
+    def test_values_do_not_depend_on_earlier_calls(self, make):
+        envelopes = (lambda_bar_of, capital_lambda, capital_lambda_bar)
+        probes = (0.5, 2.0, 7.9)
+        fresh = [[f(make(), xi) for xi in probes] for f in envelopes]
+        grown = make()
+        for f in envelopes:
+            f(grown, 30.0)
+        assert [[f(grown, xi) for xi in probes] for f in envelopes] == fresh
+
+    def test_capital_lambda_vanishes_at_delta0_after_a_large_call(self):
+        model = power_model(2.0, 1.0)
+        capital_lambda(model, 10.0)
+        assert capital_lambda(model, 0.5) == 0.0
+
+    def test_table_grows_by_octaves(self):
+        # 16384 steps on [0, 1] and on each of the 14 octaves up to 2^14 > 1e4
+        model = power_model(2.0, 1.0)
+        capital_lambda(model, 1e4)
+        nodes = model._table[0]
+        assert nodes.size == 15 * 16384 + 1
+        assert nodes[-1] == 2.0**14
+        assert np.all(np.diff(nodes) > 0)
+
+
 class TestTableModel:
     def test_reproduces_power_nonlinearity(self):
         xi = np.linspace(0.0, 6.0, 400)

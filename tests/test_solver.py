@@ -135,6 +135,14 @@ class TestNodalShoot:
         assert rep.converged
         assert rep.residual_pde <= 1e-9
 
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_cold_shot_certifies_well_inside_the_residual_target(self, model, k):
+        # the chord stops on its step, not on the residual, and M leaves the high
+        # frequencies to about 1e-3 per step; the margins were 1134x, 4.7x and 15.7x
+        rep = nodal_shoot(3e-5, model, make_grid(24.0, 2049), k)
+        assert rep.converged and rep.node_count == k
+        assert rep.residual_pde <= 0.5 * solver._residual_tol(rep.u)
+
     def test_cold_shot_converges_in_few_steps(self, model):
         # the plain chord took 18 steps here; the mixed one takes 8
         rep = nodal_shoot(1e-2, model, make_grid(24.0, 1025), 0)
@@ -208,6 +216,18 @@ class TestMountainPass:
     def test_level_positive(self, mp_ground_state):
         assert mp_ground_state.level > 0
 
+    @pytest.mark.parametrize("first_step", [1.0, 1.5, 2.0])
+    def test_long_first_step_is_cut_back(self, model, monkeypatch, first_step):
+        # any step lowers j_trunc once it is long enough; accepting that, the pass
+        # spent its 400 sweeps (1 and 2) or ended uncertified (1.5), and a decrease
+        # of 1e-4 s ||w||^2 in place of s ||w||^2 / 2 still took 406 iterations at 1 and 2
+        grid = make_grid(24.0, 1025)
+        reference = mountain_pass(0.0, model, grid)
+        monkeypatch.setattr(solver, "_DESCENT_STEP", first_step)
+        rep = mountain_pass(0.0, model, grid)
+        assert rep.converged and rep.iterations <= 40
+        assert rep.level == pytest.approx(reference.level, rel=1e-12)
+
     def test_small_q_level_close_and_above(self, model, mp_ground_state):
         g = make_grid(24.0, 2049)
         rep = mountain_pass(1e-3, model, g)
@@ -238,8 +258,8 @@ class TestRaySearch:
         assert np.all(rep.u.values == 0.0)
 
     def test_non_descent_direction_keeps_the_ray_maximizer(self, model, monkeypatch):
-        # a gradient of the wrong sign raises j_trunc at every step size from the
-        # ray maximizer, so each sweep halves the step below 1e-12 and keeps it
+        # a gradient of the wrong sign raises the ray maximum at every step size,
+        # so the first sweep halves the step below 1e-12 and the descent stops there
         grid = make_grid(24.0, 1025)
         starts = []
 
