@@ -15,7 +15,6 @@ import sys
 from pathlib import Path
 
 import jsonschema
-import numpy as np
 
 from .gauge import PhysicalConstants, gauge_fields, save_gauge_csv
 from .grid import load_profile_csv, make_grid, save_profile_csv
@@ -28,10 +27,7 @@ from .solver import (
     nodal_shoot,
     save_branch_csv,
 )
-from .verify import distinctness, verification_report
-
-PDE_TOL = 1e-6
-IDENTITY_TOL = 1e-5
+from .verify import certificate_failure, distinctness, verification_report
 
 CONFIG_SCHEMA = {
     "type": "object",
@@ -153,22 +149,6 @@ def _scalar_q(cfg: dict) -> float:
     return float(q)
 
 
-def _report_ok(rep: SolveReport) -> tuple[bool, str]:
-    if not rep.converged:
-        return False, "solver did not converge"
-    scale = max(abs(rep.level), 1.0)
-    if rep.residual_pde > PDE_TOL * max(1.0, float(np.max(np.abs(rep.u.values)))):
-        return False, f"PDE residual {rep.residual_pde:.3e} above threshold"
-    if rep.truncation_inactive:
-        if abs(rep.residual_nehari) > IDENTITY_TOL * scale:
-            return False, f"Nehari residual {rep.residual_nehari:.3e} above threshold"
-        if abs(rep.residual_pohozaev) > IDENTITY_TOL * scale:
-            return False, f"Pohozaev residual {rep.residual_pohozaev:.3e} above threshold"
-    else:
-        return False, "truncation active (qN(u) > 1): not a solution of the untruncated problem"
-    return True, ""
-
-
 def _write_solution(out: Path, stem: str, rep: SolveReport, model, q: float) -> None:
     save_profile_csv(out / f"{stem}.csv", rep.u)
     (out / f"{stem}_report.json").write_text(rep.to_json() + "\n")
@@ -189,8 +169,8 @@ def cmd_solve(cfg: dict, out: Path) -> int:
     else:
         rep = nodal_shoot(q, model, grid, nodes)
     _write_solution(out, "profile", rep, model, q)
-    ok, why = _report_ok(rep)
-    if not ok:
+    why = certificate_failure(rep)
+    if why:
         print(f"solve failed: {why}", file=sys.stderr)
         return 1
     print(f"converged: level={rep.level!r} residual_pde={rep.residual_pde!r}")
@@ -214,10 +194,6 @@ def cmd_multiplicity(cfg: dict, out: Path) -> int:
              "flagged_pairs": flagged}, indent=2) + "\n")
     if failure is not None:
         print(f"multiplicity failed: {failure}", file=sys.stderr)
-        return 1
-    bad = [why for rep in reports for ok, why in [_report_ok(rep)] if not ok]
-    if bad:
-        print(f"multiplicity failed: {bad[0]}", file=sys.stderr)
         return 1
     print(f"{n} distinct solutions verified")
     return 0
@@ -255,8 +231,8 @@ def cmd_gauge(cfg: dict, out: Path) -> int:
                               f"n={u.grid.n}) is not the config's (R={grid.r_max:g}, n={grid.n})")
     else:
         rep = nodal_shoot(_scalar_q(cfg), model, grid, int(cfg.get("nodes", 0)))
-        ok, why = _report_ok(rep)
-        if not ok:
+        why = certificate_failure(rep)
+        if why:
             print(f"gauge failed: {why}", file=sys.stderr)
             return 1
         u = rep.u

@@ -186,7 +186,7 @@ def riesz_gradient(
     with the factors that `sobolev_metric` keeps per (grid, m0).
     """
     g = u.grid
-    w_plane = 2.0 * math.pi * g.weights * g.nodes
+    w_plane = g.plane_weights
     d, solve = sobolev_metric(g, model.m0)
     n_val = big_n(u)
     e4, e2 = math.exp(4.0 * theta), math.exp(2.0 * theta)

@@ -41,7 +41,7 @@ class RadialGrid:
     np.linspace(0, r_max, n), the spacing h = r_1 - r_0 that every stencil
     reads, the weights B^T 1 of the 1-D integral int_0^{r_max} f(r) dr
     (composite Simpson on odd n; on even n the last interval closes with
-    B's backward quadratic), and the stencil matrices below.
+    B's backward quadratic), the plane measure 2 pi w r, and the stencil matrices below.
     """
 
     r_max: float
@@ -68,6 +68,11 @@ class RadialGrid:
     def weights(self) -> np.ndarray:
         """The column sums B^T 1 of `cumulative_increments`: int f dr is C(f)[-1]."""
         return _read_only(self.cumulative_increments_t @ np.ones(self.n - 1))
+
+    @cached_property
+    def plane_weights(self) -> np.ndarray:
+        """2 pi w r, the plane measure: integrate_plane(g, f) is plane_weights . f; read-only."""
+        return _read_only(TWO_PI * self.weights * self.nodes)
 
     @cached_property
     def laplacian(self) -> sp.csr_matrix:
@@ -228,11 +233,8 @@ def integrate_plane(f, values: Optional[np.ndarray] = None) -> float:
 
     Accepts either a RadialFunction or a (grid, values) pair.
     """
-    if values is None:
-        g, vals = f.grid, f.values
-    else:
-        g, vals = f, np.asarray(values)
-    return TWO_PI * float(np.sum(g.weights * vals * g.nodes))
+    g, vals = (f.grid, f.values) if values is None else (f, values)
+    return float(np.dot(g.plane_weights, vals))
 
 
 def cumulative_integral(grid: RadialGrid, f: np.ndarray) -> np.ndarray:
@@ -274,7 +276,7 @@ def sobolev_metric(grid: RadialGrid, m0: float):
     """
     if m0 not in grid.sobolev_metrics:
         d = diff_matrix(grid)
-        big_w = sp.diags(TWO_PI * grid.weights * grid.nodes)
+        big_w = sp.diags(grid.plane_weights)
         grid.sobolev_metrics[m0] = d, spla.splu((d.T @ big_w @ d + m0 * big_w).tocsc()).solve
     return grid.sobolev_metrics[m0]
 

@@ -46,8 +46,8 @@ from .gauge import big_n, gauge_potential
 from .grid import (RadialFunction, RadialGrid, cumulative_integral, dilate, integrate_plane,
                    laplacian_radial, norm_sobolev, robin_row)
 from .nonlinearity import NonlinearityModel
-from .verify import (distinctness, nehari_residual, pohozaev_residual, residual_pde,
-                     strong_residual)
+from .verify import (certificate_failure, distinctness, nehari_residual, pohozaev_residual,
+                     residual_pde, strong_residual)
 
 
 @dataclass(frozen=True)
@@ -608,7 +608,9 @@ def continuation_in_q(model: NonlinearityModel, grid: RadialGrid, k: int,
 
     Returns (branch_points, q_star): q_star is the first q where the branch
     fails to converge or the truncation activates (qN(u) > 1); None if the
-    branch survives to q_end.
+    branch survives to q_end.  Not `verify.certificate_failure`: a sweep may
+    run on a grid too coarse for the Nehari and Pohozaev identities, and its
+    branch must still end where the truncation activates.
     """
     if q_start >= q_end:
         raise ValueError("q_start must be below q_end")
@@ -638,31 +640,25 @@ def multiplicity_run(q: float, model: NonlinearityModel, grid: RadialGrid, n: in
     """n distinct solutions at coupling q: k-node profiles for k = 0..n-1.
 
     Returns (reports, failure) where failure names the first failing branch
-    (None on full success).  Checks: convergence, truncation inactivity,
-    successive branches distinct by `verify.distinctness` (plane-L^2
-    distance at least DISTINCT_TOL), and strictly increasing levels.
+    (None on full success).  Checks: each branch certified by
+    `verify.certificate_failure`, successive branches distinct by
+    `verify.distinctness` (plane-L^2 distance at least DISTINCT_TOL), and
+    strictly increasing levels.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
     reports: list[SolveReport] = []
-    failure = None
     for k in range(n):
         rep = nodal_shoot(q, model, grid, k)
         reports.append(rep)
-        if not rep.converged:
-            failure = f"branch k={k} did not converge at q={q}"
-            break
-        if not rep.truncation_inactive:
-            failure = f"branch k={k} has active truncation at q={q}"
-            break
-        if reports[:-1]:
-            if distinctness(reports[-2:])[2]:
-                failure = f"branch k={k} not distinct from k={k-1}"
-                break
-            if rep.level <= reports[-2].level:
-                failure = f"level ordering violated at k={k}"
-                break
-    return reports, failure
+        why = certificate_failure(rep)
+        if why:
+            return reports, f"branch k={k} at q={q}: {why}"
+        if k and distinctness(reports[-2:])[2]:
+            return reports, f"branch k={k} not distinct from k={k-1}"
+        if k and rep.level <= reports[-2].level:
+            return reports, f"level ordering violated at k={k}"
+    return reports, None
 
 
 def save_branch_csv(path, branch: list[BranchPoint]) -> None:

@@ -1,6 +1,8 @@
-"""Independent checks on candidate solutions.
+"""Independent checks on candidate solutions, and the rule that accepts one.
 
-Everything here only reports numbers; pass/fail policy lives with callers.
+The checks report numbers.  `certificate_failure` is the acceptance rule,
+with its thresholds `PDE_TOL` and `IDENTITY_TOL`; the CLI and
+`solver.multiplicity_run` apply it.
 """
 
 from __future__ import annotations
@@ -19,6 +21,10 @@ from .nonlinearity import NonlinearityModel
 
 # plane-L^2 distance below which two solutions are not distinct
 DISTINCT_TOL = 0.1
+# certificate_failure's gates: the strong residual's relative to max(1, sup|u|),
+# the Nehari and Pohozaev residuals' relative to max(1, |level|)
+PDE_TOL = 1e-6
+IDENTITY_TOL = 1e-5
 
 
 @dataclass(frozen=True)
@@ -115,6 +121,25 @@ def distinctness(reports):
             if d < DISTINCT_TOL:
                 flagged.append((i, j))
     return dist, gaps, flagged
+
+
+def certificate_failure(rep) -> str:
+    """Why the solve report rep is not certified; "" when it is.
+
+    rep has the fields of `solver.SolveReport`.  The gates, in order:
+    convergence, the strong residual, qN(u) <= 1, then the Nehari and
+    Pohozaev residuals, which hold only where the truncation is inactive.
+    """
+    if not rep.converged:
+        return "solver did not converge"
+    if rep.residual_pde > PDE_TOL * max(1.0, float(np.max(np.abs(rep.u.values)))):
+        return f"PDE residual {rep.residual_pde:.3e} above threshold"
+    if not rep.truncation_inactive:
+        return "truncation active (qN(u) > 1): not a solution of the untruncated problem"
+    for name, res in (("Nehari", rep.residual_nehari), ("Pohozaev", rep.residual_pohozaev)):
+        if abs(res) > IDENTITY_TOL * max(abs(rep.level), 1.0):
+            return f"{name} residual {res:.3e} above threshold"
+    return ""
 
 
 def verification_report(u: RadialFunction, q: float, model: NonlinearityModel) -> VerificationReport:

@@ -147,6 +147,17 @@ class TestMakeGrid:
         assert grid.nodes is grid.nodes and grid.weights is grid.weights
         assert not grid.nodes.flags.writeable and not grid.weights.flags.writeable
 
+    @pytest.mark.parametrize("n", [16, 1025, 8193])
+    def test_plane_weights_built_on_first_use(self, n):
+        grid = make_grid(24.0, n)
+        assert "plane_weights" not in vars(grid)
+        w = grid.plane_weights
+        assert grid.plane_weights is w and not w.flags.writeable
+        assert np.array_equal(w, 2.0 * math.pi * grid.weights * grid.nodes)
+        f = np.exp(-grid.nodes**2)
+        assert integrate_plane(grid, f) == float(np.dot(w, f))
+        assert integrate_plane(RadialFunction(grid, f)) == integrate_plane(grid, f)
+
 
 class TestIntegration:
     def test_plane_integral_of_gaussian(self, uniform):

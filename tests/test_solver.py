@@ -951,6 +951,13 @@ class TestMultiplicity:
         for r in reports:
             assert r.residual_pde < 1e-8
 
+    def test_uncertified_branch_fails_the_run(self, model):
+        # on n = 1025 the ground state converges with qN < 1, but its Nehari
+        # residual (-1.5e-3) is above the certificate's gate (7.8e-5)
+        reports, failure = multiplicity_run(3e-5, model, make_grid(24.0, 1025), 2)
+        assert len(reports) == 1 and reports[0].converged and reports[0].truncation_inactive
+        assert failure.startswith("branch k=0 at q=3e-05: Nehari residual")
+
     def test_branches_closer_than_tolerance_are_not_distinct(self, model, grid, ground_state,
                                                             monkeypatch):
         bump = RadialFunction(grid, np.exp(-grid.nodes**2))

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,8 +9,12 @@ from cssolve.energy import d_theta_j_tilde, energy_pieces, weak_gradient
 from cssolve.gauge import big_n, gauge_potential, prefix_h
 from cssolve.grid import RadialFunction, differentiate, dilate, make_grid
 from cssolve.nonlinearity import power_model
+from cssolve.solver import nodal_shoot
 from cssolve.verify import (
+    IDENTITY_TOL,
+    PDE_TOL,
     bhs_inequality,
+    certificate_failure,
     distinctness,
     ledger_identity,
     nehari_residual,
@@ -157,6 +162,47 @@ class TestDistinctness:
         v = RadialFunction(other, np.zeros(129))
         with pytest.raises(ValueError):
             distinctness([_FakeReport(gauss, 1.0), _FakeReport(v, 1.0)])
+
+
+class TestCertificateFailure:
+    @pytest.fixture(scope="class")
+    def certified(self, model):
+        return nodal_shoot(0.0, model, make_grid(24.0, 8193), 0)
+
+    def test_ground_state_is_certified(self, certified):
+        assert certified.converged and certified.truncation_inactive
+        assert certificate_failure(certified) == ""
+
+    # (field, value as a multiple of its gate, the message's start)
+    GATES = [
+        ("converged", None, "solver did not converge"),
+        ("residual_pde", 1.01, "PDE residual"),
+        ("truncation_inactive", None, "truncation active"),
+        ("residual_nehari", -1.01, "Nehari residual"),
+        ("residual_pohozaev", 1.01, "Pohozaev residual"),
+    ]
+
+    def _gate(self, rep, field):
+        if field == "residual_pde":
+            return PDE_TOL * max(1.0, float(np.max(np.abs(rep.u.values))))
+        return IDENTITY_TOL * max(1.0, abs(rep.level))
+
+    @pytest.mark.parametrize("field, factor, message", GATES, ids=[g[0] for g in GATES])
+    def test_names_each_gate(self, certified, field, factor, message):
+        value = False if factor is None else factor * self._gate(certified, field)
+        why = certificate_failure(replace(certified, **{field: value}))
+        assert why.startswith(message)
+        if factor is not None:
+            # at the gate itself the report is still certified
+            at_gate = math.copysign(self._gate(certified, field), factor)
+            assert certificate_failure(replace(certified, **{field: at_gate})) == ""
+
+    def test_first_failing_gate_is_named(self, certified):
+        # later gates are not read once one fails
+        rep = replace(certified, truncation_inactive=False,
+                      residual_nehari=1.0, residual_pohozaev=1.0)
+        assert certificate_failure(rep).startswith("truncation active")
+        assert certificate_failure(replace(rep, converged=False)) == "solver did not converge"
 
 
 class TestVerificationReport:
