@@ -5,7 +5,10 @@ functional Jt(theta, u) = J_trunc(u(e^{-theta} .)) in closed form, its theta-
 and u-derivatives, Sobolev (Riesz) gradients, and the frequency rescaling
 between the fixed-frequency and gauged normalizations of the equation.
 Each reads u', ||grad u||^2, N(u) and int G(u) from `energy_pieces`, which
-keeps them on u, so a certificate computes them once.
+keeps them on u, so a certificate computes them once.  The cutoff phi is
+evaluated only in `truncation_bounds`, and the u-gradient is one vector,
+`_gradient`: `weak_gradient` (and so the Nehari residual) pairs it with a
+direction, and `riesz_gradient` solves the Sobolev metric for it.
 """
 
 from __future__ import annotations
@@ -120,12 +123,11 @@ def j_tilde(theta: float, u: RadialFunction, q: float,
     if q < 0:
         raise ValueError("q must be non-negative")
     _, dirichlet, n_val, big_g_int = energy_pieces(u, model)
-    s = q * math.exp(4.0 * theta) * n_val
-    nonlocal_term = 0.5 * q * math.exp(4.0 * theta) * phi(s) * n_val
+    nonlocal_term = 0.5 * truncation_bounds(theta, u, q)[0]
     potential = -math.exp(2.0 * theta) * big_g_int
     return EnergyBreakdown(
         dirichlet, nonlocal_term, potential, dirichlet + nonlocal_term + potential,
-        q, theta, bool(s > 1.0),
+        q, theta, bool(q * math.exp(4.0 * theta) * n_val > 1.0),
     )
 
 
@@ -153,10 +155,25 @@ def truncation_bounds(theta: float, u: RadialFunction, q: float) -> tuple[float,
     return q * e4 * phi(s) * n_val, 2.0 * q * q * e4 * e4 * phi_prime(s) * n_val**2
 
 
-def weak_gradient(
-    theta: float, u: RadialFunction, q: float, model: NonlinearityModel, v: RadialFunction
-) -> float:
-    """Directional u-derivative of j_tilde at (theta, u) in direction v:
+def _gradient(theta: float, u: RadialFunction, q: float, model: NonlinearityModel) -> np.ndarray:
+    """G with weak_gradient(theta, u, q, model, v) = G . v for every grid v:
+
+        G = D^T W D u - e^{2 theta} W g(u) + ((C/2 + D/4)/N) grad N(u),
+
+    D the derivative matrix, W the plane weights, (C, D) = truncation_bounds(theta, u, q).
+    """
+    w_plane = u.grid.plane_weights
+    du, _, n_val, _ = energy_pieces(u, model)
+    out = u.grid.derivative.T @ (w_plane * du) - math.exp(2.0 * theta) * w_plane * model.g(u.values)
+    c, d = truncation_bounds(theta, u, q)
+    if c != 0.0 or d != 0.0:
+        out = out + (0.5 * c + 0.25 * d) / n_val * big_n_gradient(u)
+    return out
+
+
+def weak_gradient(theta: float, u: RadialFunction, q: float, model: NonlinearityModel,
+                  v: RadialFunction) -> float:
+    """Directional u-derivative of j_tilde at (theta, u) in direction v, `_gradient` . v:
 
         int grad u . grad v
         + [(q/2) e^{4 theta} phi(s) + (q^2/2) e^{8 theta} phi'(s) N] N'(u)[v]
@@ -164,38 +181,20 @@ def weak_gradient(
     """
     if u.grid != v.grid:
         raise ValueError("u and v must live on the same grid")
-    g = u.grid
-    du, _, n_val, _ = energy_pieces(u, model)
-    dirich = integrate_plane(g, du * differentiate(v).values)
-    e4, e2 = math.exp(4.0 * theta), math.exp(2.0 * theta)
-    s = q * e4 * n_val
-    coef = 0.5 * q * e4 * phi(s) + 0.5 * q * q * e4 * e4 * phi_prime(s) * n_val
-    nprime = float(np.dot(big_n_gradient(u), v.values)) if coef != 0.0 else 0.0
-    return dirich + coef * nprime - e2 * integrate_plane(g, model.g(u.values) * v.values)
+    return float(np.dot(_gradient(theta, u, q, model), v.values))
 
 
-def riesz_gradient(
-    theta: float, u: RadialFunction, q: float, model: NonlinearityModel
-) -> RadialFunction:
+def riesz_gradient(theta: float, u: RadialFunction, q: float,
+                   model: NonlinearityModel) -> RadialFunction:
     """Riesz representative w of the weak gradient in the Sobolev metric:
 
         <w, v>_{H1, m0} = weak_gradient(theta, u, q, model, v)  for every grid v,
 
-    realized exactly in the discrete metric by solving (D^T W D + m0 W) w = rhs,
-    D the differentiation matrix and W the plane-measure quadrature weights,
+    realized exactly in the discrete metric by solving (D^T W D + m0 W) w = `_gradient`,
     with the factors that `sobolev_metric` keeps per (grid, m0).
     """
-    g = u.grid
-    w_plane = g.plane_weights
-    d, solve = sobolev_metric(g, model.m0)
-    n_val = big_n(u)
-    e4, e2 = math.exp(4.0 * theta), math.exp(2.0 * theta)
-    s = q * e4 * n_val
-    coef = 0.5 * q * e4 * phi(s) + 0.5 * q * q * e4 * e4 * phi_prime(s) * n_val
-    rhs = d.T @ (w_plane * (d @ u.values)) - e2 * w_plane * model.g(u.values)
-    if coef != 0.0:
-        rhs = rhs + coef * big_n_gradient(u)
-    return RadialFunction(g, solve(rhs))
+    _, solve = sobolev_metric(u.grid, model.m0)
+    return RadialFunction(u.grid, solve(_gradient(theta, u, q, model)))
 
 
 def rescale_omega(u: RadialFunction, omega: float, p: float) -> tuple[RadialFunction, float]:

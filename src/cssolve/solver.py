@@ -42,7 +42,7 @@ from scipy.optimize import minimize_scalar
 from scipy.sparse.linalg import LinearOperator, gmres
 
 from .energy import j_trunc, riesz_gradient
-from .gauge import big_n, gauge_potential
+from .gauge import gauge_potential
 from .grid import (RadialFunction, RadialGrid, cumulative_integral, dilate, integrate_plane,
                    laplacian_radial, norm_sobolev, robin_row)
 from .nonlinearity import NonlinearityModel
@@ -380,15 +380,16 @@ def _report(u: RadialFunction, q: float, model: NonlinearityModel,
     sup, _ = residual_pde(u, q, model)
     if converged is None:
         converged = sup < 10.0 * _residual_tol(u)
+    breakdown = j_trunc(u, q, model)
     return SolveReport(
         u=u,
-        level=j_trunc(u, q, model).total,
+        level=breakdown.total,
         q=q,
         node_count=count_nodes(u),
         residual_pde=sup,
         residual_nehari=nehari_residual(u, q, model),
         residual_pohozaev=pohozaev_residual(u, q, model),
-        truncation_inactive=bool(q * big_n(u) <= 1.0),
+        truncation_inactive=not breakdown.truncation_active,
         iterations=iterations,
         converged=bool(converged),
     )

@@ -33,7 +33,6 @@ class VerificationReport:
     residual_pde_l2: float
     nehari: float
     pohozaev: float
-    q_n_check: bool
     bhs_inequality_ok: bool
     ledger_identity_err: float
 
@@ -154,7 +153,6 @@ def verification_report(u: RadialFunction, q: float, model: NonlinearityModel) -
         residual_pde_l2=l2,
         nehari=nehari_residual(u, q, model),
         pohozaev=pohozaev_residual(u, q, model),
-        q_n_check=bool(q * big_n(u) <= 1.0),
         bhs_inequality_ok=bhs_ok,
         ledger_identity_err=ledger_identity(0.2, u, q, model),
     )

@@ -18,7 +18,7 @@ from cssolve.energy import (
     riesz_gradient,
     weak_gradient,
 )
-from cssolve.gauge import big_n
+from cssolve.gauge import big_n, big_n_prime
 from cssolve.grid import (RadialFunction, diff_matrix, differentiate, dilate, integrate_plane,
                           make_grid, sobolev_metric)
 from cssolve.nonlinearity import power_model
@@ -165,6 +165,25 @@ class TestDerivatives:
                   ) / (2 * eps)
             an = weak_gradient(theta, u, q, model, v)
             assert abs(fd - an) < 1e-6 * max(abs(an), 1.0)
+
+    @pytest.mark.parametrize("theta", [-0.3, 0.0, 0.2])
+    @pytest.mark.parametrize("s", [0.5, 1.5, 3.0], ids=["s<1", "1<s<2", "s>2"])
+    def test_weak_gradient_matches_its_formula(self, model, theta, s):
+        # G . v against the formula with N'(u)[v] from big_n_prime, in each
+        # piece of the cutoff: phi = 1, phi' != 0, and phi = phi' = 0
+        g = make_grid(8.0, 1025)
+        u = RadialFunction(g, 1.7 * np.exp(-g.nodes**2 / 2.0))
+        rng = np.random.default_rng(7)
+        v = RadialFunction(g, rng.standard_normal(g.n) * np.exp(-0.5 * g.nodes))
+        n_val = big_n(u)
+        e4 = math.exp(4.0 * theta)
+        q = s / (e4 * n_val)
+        weight = 0.5 * q * e4 * phi(s) + 0.5 * q * q * e4 * e4 * phi_prime(s) * n_val
+        reference = (integrate_plane(g, differentiate(u).values * differentiate(v).values)
+                     + weight * big_n_prime(u, v)
+                     - math.exp(2.0 * theta) * integrate_plane(g, model.g(u.values) * v.values))
+        an = weak_gradient(theta, u, q, model, v)
+        assert abs(an - reference) <= 1e-12 * abs(reference)
 
     def test_weak_gradient_diagonal_identity(self, gauss, model):
         # v = u, theta = 0, truncation inactive:

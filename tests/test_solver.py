@@ -764,7 +764,6 @@ class TestCertificate:
         assert ver.residual_pde_sup == rep.residual_pde
         assert ver.nehari == rep.residual_nehari
         assert ver.pohozaev == rep.residual_pohozaev
-        assert ver.q_n_check == rep.truncation_inactive
 
 
 class TestFailurePaths:
