@@ -1,9 +1,9 @@
 """Command-line driver.
 
 Subcommands: solve | multiplicity | sweep | gauge | hypotheses, all taking
-``--config <json> --out <dir>`` plus optional ``--seed`` and ``--threads``.
-The solvers are deterministic, so ``--seed`` is accepted and ignored; so is
-``--threads``, since everything runs on one thread.
+``--config <json> --out <dir>`` plus an optional ``--threads``, which is
+accepted and ignored, since everything runs on one thread.  The config's
+numbers must be finite.
 Exit codes: 0 success, 1 numerical failure, 2 usage or configuration error.
 """
 
@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -117,10 +118,18 @@ class ConfigError(Exception):
     pass
 
 
+def _finite(token: str, kind=float):
+    """kind(token) for json.load, which reads NaN, Infinity, 1e400 and 10**400 unchecked."""
+    if not math.isfinite(float(token)):
+        raise ConfigError(f"config numbers must be finite, got {token}")
+    return kind(token)
+
+
 def load_config(path: str) -> dict:
     try:
         with open(path) as fh:
-            cfg = json.load(fh)
+            cfg = json.load(fh, parse_float=_finite, parse_constant=_finite,
+                            parse_int=lambda token: _finite(token, int))
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
@@ -267,8 +276,6 @@ def main(argv=None) -> int:
     parser.add_argument("command", choices=sorted(COMMANDS))
     parser.add_argument("--config", required=True, help="JSON configuration file")
     parser.add_argument("--out", default=".", help="output directory")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="accepted and ignored: the solvers are deterministic")
     parser.add_argument("--threads", type=int, default=None,
                         help="accepted and ignored: the solvers run on one thread")
     args = parser.parse_args(argv)

@@ -193,8 +193,7 @@ def riesz_gradient(theta: float, u: RadialFunction, q: float,
     realized exactly in the discrete metric by solving (D^T W D + m0 W) w = `_gradient`,
     with the factors that `sobolev_metric` keeps per (grid, m0).
     """
-    _, solve = sobolev_metric(u.grid, model.m0)
-    return RadialFunction(u.grid, solve(_gradient(theta, u, q, model)))
+    return RadialFunction(u.grid, sobolev_metric(u.grid, model.m0)(_gradient(theta, u, q, model)))
 
 
 def rescale_omega(u: RadialFunction, omega: float, p: float) -> tuple[RadialFunction, float]:

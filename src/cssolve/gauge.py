@@ -26,6 +26,7 @@ from .grid import (
     cumulative_integral,
     differentiate,
     integrate_plane,
+    over_r,
     per_iterate,
 )
 
@@ -75,9 +76,7 @@ def prefix_h(u: RadialFunction) -> RadialFunction:
 def _suffix_a_values(u: RadialFunction) -> np.ndarray:
     """The samples of A_u, a fresh array; `suffix_a` and `gauge_potential` read them."""
     g = u.grid
-    f = np.zeros(g.n)
-    f[1:] = u.values[1:] ** 2 * prefix_h(u).values[1:] / g.nodes[1:]
-    cum = cumulative_integral(g, f)
+    cum = cumulative_integral(g, over_r(g, u.values**2 * prefix_h(u).values))
     return cum[-1] - cum
 
 
@@ -100,7 +99,7 @@ def gauge_potential(u: RadialFunction, q: float) -> tuple[np.ndarray, np.ndarray
     g = u.grid
     h = prefix_h(u).values
     v = 2.0 * q * _suffix_a_values(u)
-    v[1:] += q * (h[1:] / g.nodes[1:]) ** 2
+    v += q * over_r(g, h) ** 2
     v.setflags(write=False)
     return h, v
 
@@ -109,9 +108,7 @@ def gauge_potential(u: RadialFunction, q: float) -> tuple[np.ndarray, np.ndarray
 def big_n(u: RadialFunction) -> float:
     """Nonlocal energy N(u) = 2*pi int u^2 h_u^2 / r dr >= 0."""
     g = u.grid
-    hu = prefix_h(u).values
-    f = np.zeros(g.n)
-    f[1:] = u.values[1:] ** 2 * hu[1:] ** 2 / g.nodes[1:]
+    f = over_r(g, u.values**2 * prefix_h(u).values ** 2)
     return TWO_PI * float(np.sum(g.weights * f))
 
 
@@ -127,10 +124,8 @@ def big_n_prime(u: RadialFunction, v: RadialFunction) -> float:
         raise ValueError("u and v must live on the same grid")
     hu = prefix_h(u).values
     k = cumulative_integral(g, g.nodes * u.values * v.values)
-    t1 = np.zeros(g.n)
-    t1[1:] = u.values[1:] * v.values[1:] * hu[1:] ** 2 / g.nodes[1:]
-    t2 = np.zeros(g.n)
-    t2[1:] = u.values[1:] ** 2 * hu[1:] * k[1:] / g.nodes[1:]
+    t1 = over_r(g, u.values * v.values * hu**2)
+    t2 = over_r(g, u.values**2 * hu * k)
     return TWO_PI * float(np.sum(g.weights * (2.0 * t1 + 4.0 * t2)))
 
 
@@ -143,10 +138,8 @@ def big_n_gradient(u: RadialFunction) -> np.ndarray:
     g = u.grid
     hu = prefix_h(u).values
     w = TWO_PI * g.weights
-    t1 = np.zeros(g.n)
-    t1[1:] = u.values[1:] * hu[1:] ** 2 / g.nodes[1:]
-    z = np.zeros(g.n)
-    z[1:] = w[1:] * u.values[1:] ** 2 * hu[1:] / g.nodes[1:]
+    t1 = over_r(g, u.values * hu**2)
+    z = over_r(g, w * u.values**2 * hu)
     return 2.0 * w * t1 + 4.0 * g.nodes * u.values * cumulative_adjoint(g, z)
 
 
@@ -161,8 +154,6 @@ def gauge_fields(u: RadialFunction, consts: PhysicalConstants = PhysicalConstant
     h = prefix_h(u)
     a0_scale = consts.e_coupling**3 / (consts.mass * consts.c_light**2 * kap**2)
     a0 = RadialFunction(g, a0_scale * suffix_a(u).values)
-    a_tan = np.zeros(g.n)
-    a_tan[1:] = (e / kap) * h.values[1:] / g.nodes[1:]
     b = RadialFunction(g, -(e / kap) * u.values**2)
     e_r = RadialFunction(g, -differentiate(a0).values)
     charge = e * integrate_plane(RadialFunction(g, u.values**2))
@@ -170,7 +161,7 @@ def gauge_fields(u: RadialFunction, consts: PhysicalConstants = PhysicalConstant
     return GaugeFields(
         h=h,
         a0=a0,
-        a_tangential=RadialFunction(g, a_tan),
+        a_tangential=RadialFunction(g, over_r(g, (e / kap) * h.values)),
         b_field=b,
         e_field=e_r,
         charge=charge,

@@ -169,7 +169,7 @@ class RadialGrid:
 
     @cached_property
     def sobolev_metrics(self) -> dict:
-        """{m0: (D, solve)}, filled by `sobolev_metric`."""
+        """{m0: solve}, filled by `sobolev_metric`."""
         return {}
 
 
@@ -237,6 +237,13 @@ def integrate_plane(f, values: Optional[np.ndarray] = None) -> float:
     return float(np.dot(g.plane_weights, vals))
 
 
+def over_r(grid: RadialGrid, x: np.ndarray) -> np.ndarray:
+    """x / r, with 0 at r = 0: the limit there of x / r for the x = O(r^2) it is given."""
+    out = np.zeros(grid.n)
+    np.divide(x[1:], grid.nodes[1:], out=out[1:])
+    return out
+
+
 def cumulative_integral(grid: RadialGrid, f: np.ndarray) -> np.ndarray:
     """C_i = int_0^{r_i} f dr with the grid's cumulative rule (C_0 = 0)."""
     out = np.zeros(grid.n)
@@ -269,7 +276,7 @@ def diff_matrix(grid: RadialGrid) -> sp.csr_matrix:
 
 
 def sobolev_metric(grid: RadialGrid, m0: float):
-    """(D, solve): D = `diff_matrix(grid)` and solve(b) = (D^T W D + m0 W)^{-1} b, W = 2 pi w r.
+    """solve(b) = (D^T W D + m0 W)^{-1} b, with D = `diff_matrix(grid)` and W = 2 pi w r.
 
     The discrete metric of `norm_sobolev`, factored by SuperLU on first use
     for each (grid, m0) and kept on the grid.
@@ -277,7 +284,7 @@ def sobolev_metric(grid: RadialGrid, m0: float):
     if m0 not in grid.sobolev_metrics:
         d = diff_matrix(grid)
         big_w = sp.diags(grid.plane_weights)
-        grid.sobolev_metrics[m0] = d, spla.splu((d.T @ big_w @ d + m0 * big_w).tocsc()).solve
+        grid.sobolev_metrics[m0] = spla.splu((d.T @ big_w @ d + m0 * big_w).tocsc()).solve
     return grid.sobolev_metrics[m0]
 
 

@@ -44,10 +44,10 @@ from scipy.sparse.linalg import LinearOperator, gmres
 from .energy import j_trunc, riesz_gradient
 from .gauge import gauge_potential
 from .grid import (RadialFunction, RadialGrid, cumulative_integral, dilate, integrate_plane,
-                   laplacian_radial, norm_sobolev, robin_row)
+                   laplacian_radial, norm_sobolev, over_r, robin_row)
 from .nonlinearity import NonlinearityModel
 from .verify import (certificate_failure, distinctness, nehari_residual, pohozaev_residual,
-                     residual_pde, strong_residual)
+                     residual_pde, robin_rate, strong_residual)
 
 
 @dataclass(frozen=True)
@@ -104,10 +104,6 @@ def count_nodes(u: RadialFunction) -> int:
     # the samples kept are nonzero, so their sign bits are their signs
     neg = np.signbit(vals[np.abs(vals) > 1e-7 * scale])
     return int(np.count_nonzero(neg[1:] != neg[:-1]))
-
-
-def _decay_rate(model: NonlinearityModel, v_end: float) -> float:
-    return math.sqrt(max(2.0 * model.m0 + v_end, 1e-12))
 
 
 def _is_zero(u: RadialFunction, start: RadialFunction) -> bool:
@@ -189,7 +185,7 @@ def _shoot(grid: RadialGrid, model: NonlinearityModel, k: int) -> Optional[np.nd
     # beyond the resolvable decay the trajectory blows up; patch with the
     # linearized exponential tail from the first tiny-and-growing node past
     # the k-th sign change (a sample next to a node crossing is tiny too).
-    kappa = _decay_rate(model, 0.0)
+    kappa = robin_rate(model, 0.0)
     mag = np.abs(u)
     crossings = np.r_[0, np.cumsum(np.diff(np.signbit(u)))]
     tiny_and_growing = (mag < 1e-6 * mag.max()) & np.r_[np.diff(mag) > 0, True]
@@ -218,7 +214,7 @@ def _band_solver(u: RadialFunction, q: float, model: NonlinearityModel):
     g, (lower, diag, upper, m) = u.grid, u.grid.tridiagonal
     _, v_pot = gauge_potential(u, q)
     c = v_pot - model.gprime(u.values)
-    kappa = _decay_rate(model, float(v_pot[-1]))
+    kappa = robin_rate(model, float(v_pot[-1]))
     # the Robin row takes kappa on its diagonal, and -m times row n - 2's V - g'(u)
     dl = lower.copy()
     dl[-1] -= m * c[-2]
@@ -244,20 +240,9 @@ def _band_solver(u: RadialFunction, q: float, model: NonlinearityModel):
 # ---------------------------------------------------------------------------
 
 
-def _evaluate(u: RadialFunction, q: float, model: NonlinearityModel) -> np.ndarray:
-    """f(u): the strong residual of the iterate u, its last entry the Robin outer row.
-
-    The gauge terms and the strong residual it reads stay on u, for the
-    linearization and the certificate.
-    """
-    f = strong_residual(u, q, model).copy()
-    f[-1] = robin_row(u.values, u.grid.h, _decay_rate(model, float(gauge_potential(u, q)[1][-1])))
-    return f
-
-
 def _jacobian_apply(u: RadialFunction, q: float, model: NonlinearityModel,
                     z: np.ndarray) -> np.ndarray:
-    """J(u) z: the exact linearization at u of f, `_evaluate`'s residual with the Robin row.
+    """J(u) z: the exact linearization at u of f, the residual `verify.strong_residual`.
 
     V(u) = 2q A_u + q h_u^2/r^2 is differentiated through the cumulative
     quadrature that defines it, so J is exact to roundoff.  h_u and V are
@@ -268,14 +253,12 @@ def _jacobian_apply(u: RadialFunction, q: float, model: NonlinearityModel,
     r, uv = g.nodes, u.values
     h_u, v_pot = gauge_potential(u, q)
     dh = cumulative_integral(g, 2.0 * r * uv * z)
-    f2 = np.zeros(g.n)
-    f2[1:] = (2.0 * uv[1:] * z[1:] * h_u[1:] + uv[1:] ** 2 * dh[1:]) / r[1:]
-    cs = cumulative_integral(g, f2)
+    cs = cumulative_integral(g, over_r(g, 2.0 * uv * z * h_u + uv**2 * dh))
     dv = 2.0 * q * (cs[-1] - cs)
     if q != 0.0:
         dv[1:] += 2.0 * q * h_u[1:] * dh[1:] / r[1:] ** 2
     out = -laplacian_radial(g, z) + v_pot * z + dv * uv - model.gprime(uv) * z
-    out[-1] = robin_row(z, g.h, _decay_rate(model, float(v_pot[-1])))
+    out[-1] = robin_row(z, g.h, robin_rate(model, float(v_pot[-1])))
     return out
 
 
@@ -341,7 +324,7 @@ def newton_refine(u: RadialFunction, q: float, model: NonlinearityModel) -> Solv
     a collapse towards zero (`_is_zero`) gives converged=False.
     """
     g, start = u.grid, u
-    f = _evaluate(u, q, model)
+    f = strong_residual(u, q, model)
     iterations = 0
     converged = None
     for it in range(_MAX_STEPS):
@@ -363,7 +346,7 @@ def newton_refine(u: RadialFunction, q: float, model: NonlinearityModel) -> Solv
         lam = 1.0
         while lam > 1e-12:
             trial = RadialFunction(g, u.values - lam * step)
-            ft = _evaluate(trial, q, model)
+            ft = strong_residual(trial, q, model)
             nt = float(np.max(np.abs(ft)))
             if nt < nf * (1.0 - 0.25 * lam) or nt < tol:
                 u, f = trial, ft
@@ -406,8 +389,8 @@ def _inner_newton(u: RadialFunction, q: float, model: NonlinearityModel, k: int)
     M is `newton_refine`'s preconditioner at the start iterate (`_band_solver`):
     J's local part -Delta_r + V - g'(u) with the Robin row, solved on its
     3-point rows by a tridiagonal LU factored once, then one damped Jacobi
-    sweep on its 5-point rows.  Each step evaluates the iterate once (`_evaluate`: the
-    gauge terms and strong residual kept on it, and the Robin row) and takes
+    sweep on its 5-point rows.  Each step evaluates the iterate once
+    (`strong_residual`, Robin row last, kept on it with its gauge terms) and takes
     the chord step s_k = M^{-1} f(u_k).  The nonlocal part of J left out of M
     sets the chord's rate, so each step is mixed with the previous one: depth-one
     Anderson mixing (type II; Walker and Ni, SIAM J. Numer. Anal. 49, 2011)
@@ -428,7 +411,7 @@ def _inner_newton(u: RadialFunction, q: float, model: NonlinearityModel, k: int)
     iterate.
     """
     g = u.grid
-    f = _evaluate(u, q, model)
+    f = strong_residual(u, q, model)
     solve = _band_solver(u, q, model)
     if solve is None:
         return u, 0, False
@@ -455,7 +438,7 @@ def _inner_newton(u: RadialFunction, q: float, model: NonlinearityModel, k: int)
         trial = RadialFunction(g, new)
         if float(np.max(np.abs(trial.values))) > bound or count_nodes(trial) != k:
             return u, steps, False
-        u, f = trial, _evaluate(trial, q, model)
+        u, f = trial, strong_residual(trial, q, model)
         if size < 1e-10:
             return u, steps + 1, True
         last = size

@@ -16,7 +16,7 @@ import numpy as np
 from .energy import d_theta_j_tilde, energy_pieces, j_tilde, truncation_bounds, weak_gradient
 from .gauge import big_n, gauge_potential
 from .grid import (RadialFunction, differentiate, integrate_plane, laplacian_radial, norm_lp,
-                   per_iterate)
+                   per_iterate, robin_row)
 from .nonlinearity import NonlinearityModel
 
 # plane-L^2 distance below which two solutions are not distinct
@@ -40,18 +40,27 @@ class VerificationReport:
         return json.dumps(asdict(self), indent=2)
 
 
+def robin_rate(model: NonlinearityModel, v_end: float) -> float:
+    """kappa = sqrt(2 m0 + V(R)), at least 1e-6: the rate of the outer row u' + kappa u = 0."""
+    return math.sqrt(max(2.0 * model.m0 + v_end, 1e-12))
+
+
 @per_iterate
 def strong_residual(u: RadialFunction, q: float, model: NonlinearityModel) -> np.ndarray:
-    """-Delta u + 2q u A_u + q u h_u^2/r^2 - g(u) at each node; Delta is `grid.laplacian`."""
+    """F(u), the residual of the discrete system that the solver drives to zero.
+
+    Rows 0..n-2 are -Delta u + 2q u A_u + q u h_u^2/r^2 - g(u), Delta the
+    grid's `laplacian`; the last is `robin_row` at `robin_rate` of V(R).
+    """
     _, v_pot = gauge_potential(u, q)
     res = -laplacian_radial(u) + v_pot * u.values - model.g(u.values)
+    res[-1] = robin_row(u.values, u.grid.h, robin_rate(model, float(v_pot[-1])))
     res.setflags(write=False)
     return res
 
 
 def residual_pde(u: RadialFunction, q: float, model: NonlinearityModel) -> tuple[float, float]:
-    """(sup norm, plane L^2 norm) of the strong residual of
-    -Delta u + 2q u A_u + q u h_u^2/r^2 - g(u)."""
+    """(sup norm, plane L^2 norm) of the strong residual F(u), Robin row last."""
     res = strong_residual(u, q, model)
     sup = float(np.max(np.abs(res)))
     l2 = math.sqrt(max(integrate_plane(u.grid, res**2), 0.0))

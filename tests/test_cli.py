@@ -96,13 +96,40 @@ class TestConfigValidation:
 
     def test_infinite_radius_exits_2(self, tmp_path, capsys):
         cfg = base_config(n=64)
-        cfg["grid"]["r_max"] = math.inf  # written as Infinity, which json.load accepts
+        cfg["grid"]["r_max"] = math.inf  # written as Infinity, which load_config rejects
         cfg["q"] = 0.0
         path = write_config(tmp_path, cfg)
         assert main(["solve", "--config", path, "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
-        assert "r_max must be positive and finite" in err and "Traceback" not in err
+        assert "numbers must be finite, got Infinity" in err and "Traceback" not in err
         assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+    @pytest.mark.parametrize("command, key, text", [
+        ("solve", "q", "NaN"),
+        ("sweep", "q", '{"start": NaN, "end": 1e-3, "steps": 3}'),
+        ("solve", "omega", "1e400"),
+        ("solve", "q", "1" + "0" * 400),
+    ])
+    def test_non_finite_number_exits_2_before_solving(self, tmp_path, capsys, monkeypatch,
+                                                       command, key, text):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a solver ran on a rejected config")
+
+        for name in ("nodal_shoot", "mountain_pass", "multiplicity_run", "continuation_in_q"):
+            monkeypatch.setattr(f"cssolve.cli.{name}", no_solve)
+        # the token goes into the text as written: json.dumps writes 1e400 as Infinity
+        cfg = base_config(n=64)
+        if key == "q":
+            cfg["q"] = "TOKEN"
+        else:
+            cfg["model"]["omega"] = "TOKEN"
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg).replace('"TOKEN"', text))
+        out = tmp_path / "out"
+        assert main([command, "--config", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "must be finite" in err
+        assert not out.exists()
 
     def test_unknown_command_usage_error(self, tmp_path):
         path = write_config(tmp_path, base_config(n=64))
@@ -137,8 +164,8 @@ class TestSolve:
         cfg["q"] = 0.0
         path = write_config(tmp_path, cfg)
         out_a, out_b = tmp_path / "a", tmp_path / "b"
-        assert main(["solve", "--config", path, "--out", str(out_a), "--seed", "7"]) == 0
-        assert main(["solve", "--config", path, "--out", str(out_b), "--seed", "7"]) == 0
+        assert main(["solve", "--config", path, "--out", str(out_a)]) == 0
+        assert main(["solve", "--config", path, "--out", str(out_b)]) == 0
         for name in ("profile.csv", "profile_report.json", "profile_verification.json"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 

@@ -224,8 +224,8 @@ class TestRieszGradient:
         g = make_grid(24.0, n)
         # factored on first use, not when the grid is built, and then kept
         assert "sobolev_metrics" not in vars(g)
-        d, solve = sobolev_metric(g, model.m0)
-        assert sobolev_metric(g, model.m0)[1] is solve
+        solve = sobolev_metric(g, model.m0)
+        assert sobolev_metric(g, model.m0) is solve
         w_plane = 2.0 * math.pi * g.weights * g.nodes
         big_w = sp.diags(w_plane)
         fresh = diff_matrix(g)

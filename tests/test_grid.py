@@ -21,6 +21,7 @@ from cssolve.grid import (
     make_grid,
     norm_lp,
     norm_sobolev,
+    over_r,
     robin_row,
     save_profile_csv,
 )
@@ -254,6 +255,17 @@ class TestIntegration:
         f = rng.standard_normal(n) * 10.0 ** rng.uniform(-6.0, 6.0)
         assert np.array_equal(cumulative_integral(grid, f), _reference_cumulative(grid, f))
         assert np.array_equal(cumulative_adjoint(grid, f), _reference_adjoint(grid, f))
+
+
+class TestOverR:
+    @pytest.mark.parametrize("n", [16, 17, 4096, 4097])
+    def test_zero_at_origin_and_the_plain_quotient_elsewhere(self, n):
+        g = make_grid(8.0, n)
+        x = np.random.default_rng(n).standard_normal(n)
+        x[0] = 5.0
+        out = over_r(g, x)
+        assert out[0] == 0.0
+        assert np.array_equal(out[1:], x[1:] / g.nodes[1:])
 
 
 class TestDerivatives:

@@ -18,7 +18,6 @@ from cssolve.grid import (RadialFunction, _fornberg, integrate_plane, laplacian_
 from cssolve.nonlinearity import power_model, table_model
 from cssolve.solver import (
     _band_solver,
-    _evaluate,
     _jacobian_apply,
     _krylov_step,
     _march,
@@ -331,8 +330,8 @@ class TestLinearization:
     def test_matches_central_difference(self, point, model):
         u, z = point
         eps = 1e-4
-        plus = _evaluate(RadialFunction(u.grid, u.values + eps * z), self.Q, model)
-        minus = _evaluate(RadialFunction(u.grid, u.values - eps * z), self.Q, model)
+        plus = strong_residual(RadialFunction(u.grid, u.values + eps * z), self.Q, model)
+        minus = strong_residual(RadialFunction(u.grid, u.values - eps * z), self.Q, model)
         fd = (plus - minus) / (2.0 * eps)
         jz = _jacobian_apply(u, self.Q, model, z)
         # the last row is left out: kappa is frozen there (see the docstring)
@@ -348,7 +347,7 @@ class TestKrylovStep:
         g = make_grid(24.0, n)
         u = RadialFunction(g, 2.4 * np.exp(-g.nodes**2 / 3.0))
         return (lambda z: _jacobian_apply(u, q, model, z), _band_solver(u, q, model),
-                _evaluate(u, q, model))
+                strong_residual(u, q, model))
 
     @staticmethod
     def _counted(fn, calls):
@@ -715,8 +714,8 @@ class TestReorderedKernels:
         q = 5.9e-5
         rep = nodal_shoot(q, model, grid, 0, warm_start=ground_state.u)
         assert rep.converged
-        # the polish's last strong residual, before the Robin row replaced its
-        # last entry, is the one the certificate reads off its iterate
+        # the polish's last strong residual, the Robin row its last entry, is
+        # the one the certificate reads off its iterate
         u, res = evaluated[-1]
         assert u is rep.u
         assert strong_residual(u, q, model) is res

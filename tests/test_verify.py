@@ -7,7 +7,8 @@ import pytest
 
 from cssolve.energy import d_theta_j_tilde, energy_pieces, weak_gradient
 from cssolve.gauge import big_n, gauge_potential, prefix_h
-from cssolve.grid import RadialFunction, differentiate, dilate, make_grid
+from cssolve.grid import (RadialFunction, differentiate, dilate, laplacian_radial, make_grid,
+                          robin_row)
 from cssolve.nonlinearity import power_model
 from cssolve.solver import nodal_shoot
 from cssolve.verify import (
@@ -20,6 +21,7 @@ from cssolve.verify import (
     nehari_residual,
     pohozaev_residual,
     residual_pde,
+    robin_rate,
     strong_residual,
     truncation_bounds,
     verification_report,
@@ -68,6 +70,23 @@ class TestResidualPde:
         r = grid.nodes
         exact = -(4 * r**2 - 4) * np.exp(-(r**2)) + np.exp(-(r**2)) - np.exp(-2 * r**2)
         assert abs(sup - np.max(np.abs(exact))) < 1e-8
+
+    def test_robin_row_last(self, grid, model):
+        # the system the solver drives to zero: PDE rows at nodes 0..n-2, then
+        # u'(R) + kappa u(R) with kappa = robin_rate(model, V(R))
+        u = RadialFunction(grid, 1.0 / (1.0 + grid.nodes**2))
+        q = 0.3
+        _, v_pot = gauge_potential(u, q)
+        res = strong_residual(u, q, model)
+        pde = -laplacian_radial(u) + v_pot * u.values - model.g(u.values)
+        assert np.array_equal(res[:-1], pde[:-1])
+        kappa = robin_rate(model, float(v_pot[-1]))
+        assert kappa == math.sqrt(2.0 * model.m0 + v_pot[-1])
+        assert res[-1] == robin_row(u.values, grid.h, kappa)
+        assert res[-1] != pde[-1]
+
+    def test_robin_rate_floor(self, model):
+        assert robin_rate(model, -2.0 * model.m0 - 1.0) == 1e-6
 
 
 class TestIdentities:
