@@ -158,26 +158,30 @@ def _scalar_q(cfg: dict) -> float:
     return float(q)
 
 
-def _write_solution(out: Path, stem: str, rep: SolveReport, model, q: float) -> None:
-    save_profile_csv(out / f"{stem}.csv", rep.u)
-    (out / f"{stem}_report.json").write_text(rep.to_json() + "\n")
-    (out / f"{stem}_verification.json").write_text(
-        verification_report(rep.u, q, model).to_json() + "\n")
-
-
-def cmd_solve(cfg: dict, out: Path) -> int:
-    model, grid = build_model(cfg), build_grid(cfg)
+def _solve(cfg: dict, model, grid) -> SolveReport:
+    """The config's solve at its scalar q: `method`, and a scalar `nodes` for the nodal one."""
     q = _scalar_q(cfg)
     nodes = cfg.get("nodes", 0)
     if not isinstance(nodes, int):
-        raise ConfigError("solve needs a scalar node count")
+        raise ConfigError("this command needs a scalar node count")
     if cfg.get("method", "nodal") == "mountain-pass":
         if nodes != 0:
             raise ConfigError("mountain-pass method computes the 0-node solution")
-        rep = mountain_pass(q, model, grid)
-    else:
-        rep = nodal_shoot(q, model, grid, nodes)
-    _write_solution(out, "profile", rep, model, q)
+        return mountain_pass(q, model, grid)
+    return nodal_shoot(q, model, grid, nodes)
+
+
+def _write_solution(out: Path, stem: str, rep: SolveReport, model) -> None:
+    save_profile_csv(out / f"{stem}.csv", rep.u)
+    (out / f"{stem}_report.json").write_text(rep.to_json() + "\n")
+    (out / f"{stem}_verification.json").write_text(
+        verification_report(rep.u, rep.q, model).to_json() + "\n")
+
+
+def cmd_solve(cfg: dict, out: Path) -> int:
+    model = build_model(cfg)
+    rep = _solve(cfg, model, build_grid(cfg))
+    _write_solution(out, "profile", rep, model)
     why = certificate_failure(rep)
     if why:
         print(f"solve failed: {why}", file=sys.stderr)
@@ -189,13 +193,13 @@ def cmd_solve(cfg: dict, out: Path) -> int:
 def cmd_multiplicity(cfg: dict, out: Path) -> int:
     model, grid = build_model(cfg), build_grid(cfg)
     q = _scalar_q(cfg)
-    nodes = cfg.get("nodes", 1)
-    n = (max(nodes) + 1) if isinstance(nodes, list) else int(nodes)
-    if n < 1:
-        raise ConfigError(f"multiplicity needs nodes >= 1 (branches k = 0..nodes-1), got {nodes}")
+    n = cfg.get("nodes", 1)
+    if not isinstance(n, int) or n < 1:
+        raise ConfigError(f"multiplicity needs a scalar nodes >= 1 (branches k = 0..nodes-1), "
+                          f"got {n}")
     reports, failure = multiplicity_run(q, model, grid, n)
     for k, rep in enumerate(reports):
-        _write_solution(out, f"profile_k{k}", rep, model, q)
+        _write_solution(out, f"profile_k{k}", rep, model)
     if len(reports) >= 2:
         dist, gaps, flagged = distinctness(reports)
         (out / "distinctness.json").write_text(json.dumps(
@@ -239,7 +243,7 @@ def cmd_gauge(cfg: dict, out: Path) -> int:
             raise ConfigError(f"{cfg['profile_csv']}: the profile's grid (R={u.grid.r_max:g}, "
                               f"n={u.grid.n}) is not the config's (R={grid.r_max:g}, n={grid.n})")
     else:
-        rep = nodal_shoot(_scalar_q(cfg), model, grid, int(cfg.get("nodes", 0)))
+        rep = _solve(cfg, model, grid)
         why = certificate_failure(rep)
         if why:
             print(f"gauge failed: {why}", file=sys.stderr)

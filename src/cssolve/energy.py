@@ -26,22 +26,18 @@ from .grid import (RadialFunction, differentiate, dilate, integrate_plane, per_i
 from .nonlinearity import NonlinearityModel, capital_lambda_bar
 
 
-def phi(s) -> np.ndarray | float:
+def phi(s: float) -> float:
     """Quintic-smoothstep cutoff: 1 on [0,1], 0 on [2,inf), C^2 in between."""
-    arr = np.asarray(s, dtype=float)
-    t = np.clip(arr - 1.0, 0.0, 1.0)
-    out = 1.0 - t**3 * (10.0 - 15.0 * t + 6.0 * t**2)
-    return float(out) if arr.ndim == 0 else out
+    t = min(max(s - 1.0, 0.0), 1.0)
+    return 1.0 - t**3 * (10.0 - 15.0 * t + 6.0 * t**2)
 
 
-def phi_prime(s) -> np.ndarray | float:
+def phi_prime(s: float) -> float:
     """Derivative of phi; zero outside (1, 2), min value -15/8 at s = 3/2."""
-    arr = np.asarray(s, dtype=float)
-    t = arr - 1.0
-    inside = (t > 0.0) & (t < 1.0)
-    t = np.clip(t, 0.0, 1.0)
-    out = np.where(inside, -30.0 * t**2 * (1.0 - t) ** 2, 0.0)
-    return float(out) if arr.ndim == 0 else out
+    t = s - 1.0
+    if not 0.0 < t < 1.0:
+        return 0.0
+    return -30.0 * t**2 * (1.0 - t) ** 2
 
 
 @dataclass(frozen=True)

@@ -73,21 +73,17 @@ def prefix_h(u: RadialFunction) -> RadialFunction:
     return RadialFunction(g, h)
 
 
-def _suffix_a_values(u: RadialFunction) -> np.ndarray:
-    """The samples of A_u, a fresh array; `suffix_a` and `gauge_potential` read them."""
-    g = u.grid
-    cum = cumulative_integral(g, over_r(g, u.values**2 * prefix_h(u).values))
-    return cum[-1] - cum
-
-
 def suffix_a(u: RadialFunction) -> RadialFunction:
     """A_u(r) = int_r^{R_max} (u^2/s) h_u(s) ds; non-increasing, A(R_max) = 0.
 
     The integrand has the analytic limit 0 at s = 0 since h_u = O(s^2).
     """
-    a = _suffix_a_values(u)
+    g = u.grid
+    cum = cumulative_integral(g, over_r(g, u.values**2 * prefix_h(u).values))
+    a = cum[-1] - cum
+    # a fresh array: frozen here, so RadialFunction wraps it without a copy
     a.setflags(write=False)
-    return RadialFunction(u.grid, a)
+    return RadialFunction(g, a)
 
 
 @per_iterate
@@ -98,7 +94,7 @@ def gauge_potential(u: RadialFunction, q: float) -> tuple[np.ndarray, np.ndarray
     """
     g = u.grid
     h = prefix_h(u).values
-    v = 2.0 * q * _suffix_a_values(u)
+    v = 2.0 * q * suffix_a(u).values
     v += q * over_r(g, h) ** 2
     v.setflags(write=False)
     return h, v

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Optional
 
 import numpy as np
@@ -52,13 +52,14 @@ from .verify import (certificate_failure, distinctness, nehari_residual, pohozae
 
 @dataclass(frozen=True)
 class SolveReport:
-    """A candidate critical point with its certification numbers."""
+    """A candidate critical point and its certificate, every number that says u is a solution."""
 
     u: RadialFunction
     level: float
     q: float
     node_count: int
     residual_pde: float
+    residual_pde_l2: float
     residual_nehari: float
     residual_pohozaev: float
     truncation_inactive: bool
@@ -66,21 +67,10 @@ class SolveReport:
     converged: bool
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "level": self.level,
-                "q": self.q,
-                "node_count": self.node_count,
-                "u0": float(self.u.values[0]),
-                "residual_pde": self.residual_pde,
-                "residual_nehari": self.residual_nehari,
-                "residual_pohozaev": self.residual_pohozaev,
-                "truncation_inactive": self.truncation_inactive,
-                "iterations": self.iterations,
-                "converged": self.converged,
-            },
-            indent=2,
-        )
+        """Every field; u is written as its value at the origin, u0."""
+        data = {f.name: getattr(self, f.name) for f in fields(self)}
+        data["u0"] = float(data.pop("u").values[0])
+        return json.dumps(data, indent=2)
 
 
 @dataclass(frozen=True)
@@ -360,7 +350,7 @@ def newton_refine(u: RadialFunction, q: float, model: NonlinearityModel) -> Solv
 def _report(u: RadialFunction, q: float, model: NonlinearityModel,
             iterations: int, converged: Optional[bool] = None) -> SolveReport:
     """The certificate of u, read off the gauge terms, strong residual and energy pieces on u."""
-    sup, _ = residual_pde(u, q, model)
+    sup, l2 = residual_pde(u, q, model)
     if converged is None:
         converged = sup < 10.0 * _residual_tol(u)
     breakdown = j_trunc(u, q, model)
@@ -370,6 +360,7 @@ def _report(u: RadialFunction, q: float, model: NonlinearityModel,
         q=q,
         node_count=count_nodes(u),
         residual_pde=sup,
+        residual_pde_l2=l2,
         residual_nehari=nehari_residual(u, q, model),
         residual_pohozaev=pohozaev_residual(u, q, model),
         truncation_inactive=not breakdown.truncation_active,

@@ -1,5 +1,6 @@
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -156,8 +157,19 @@ class TestSolve:
         report = json.loads((tmp_path / "profile_report.json").read_text())
         assert abs(report["level"] - BL_LEVEL) < 1e-3
         assert (tmp_path / "profile.csv").exists()
+        assert report["residual_pde"] < 1e-6
+
+    def test_one_certificate(self, tmp_path):
+        # on n = 1025 the Nehari residual fails the certificate; both files are written
+        cfg = base_config(n=1025)
+        cfg["q"] = 0.0
+        path = write_config(tmp_path, cfg)
+        assert main(["solve", "--config", path, "--out", str(tmp_path)]) == 1
+        report = json.loads((tmp_path / "profile_report.json").read_text())
         verification = json.loads((tmp_path / "profile_verification.json").read_text())
-        assert verification["residual_pde_sup"] < 1e-6
+        assert "residual_pde_l2" in report
+        assert set(verification) == {"bhs_inequality_ok", "ledger_identity_err"}
+        assert not set(report) & set(verification)
 
     def test_deterministic_output(self, tmp_path):
         cfg = base_config()
@@ -222,6 +234,15 @@ class TestMultiplicity:
         assert "nodes" in capsys.readouterr().err
         assert not list(tmp_path.glob("profile_k*"))
 
+    def test_node_list_exits_2(self, tmp_path, capsys):
+        cfg = base_config(n=64)
+        cfg["q"] = 1e-3
+        cfg["nodes"] = [2]
+        path = write_config(tmp_path, cfg)
+        assert main(["multiplicity", "--config", path, "--out", str(tmp_path)]) == 2
+        assert "scalar nodes" in capsys.readouterr().err
+        assert not list(tmp_path.glob("profile_k*"))
+
 
 class TestSweep:
     def test_branch_csv_and_summary(self, tmp_path):
@@ -276,6 +297,41 @@ class TestGauge:
         assert main([command, "--config", path, "--out", str(tmp_path)]) == 1
         assert "Nehari residual" in capsys.readouterr().err
         assert not (tmp_path / "gauge.json").exists()
+
+    @pytest.mark.parametrize("nodes, message", [(1, "mountain-pass method computes the 0-node"),
+                                                 ([0], "scalar node count")],
+                             ids=["one-node", "node-list"])
+    def test_mountain_pass_config_exits_2(self, tmp_path, capsys, monkeypatch, nodes, message):
+        # gauge reads method and nodes as solve does
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a solver ran on a rejected config")
+
+        for name in ("nodal_shoot", "mountain_pass"):
+            monkeypatch.setattr(f"cssolve.cli.{name}", no_solve)
+        cfg = base_config(n=64)
+        cfg["method"] = "mountain-pass"
+        cfg["nodes"] = nodes
+        path = write_config(tmp_path, cfg)
+        assert main(["gauge", "--config", path, "--out", str(tmp_path)]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "gauge.json").exists()
+
+    def test_mountain_pass_method_used(self, tmp_path, monkeypatch):
+        calls = []
+
+        def record(name):
+            def run(*args):
+                calls.append(name)
+                return SimpleNamespace(converged=False)
+            return run
+
+        for name in ("nodal_shoot", "mountain_pass"):
+            monkeypatch.setattr(f"cssolve.cli.{name}", record(name))
+        cfg = base_config(n=64)
+        cfg["method"] = "mountain-pass"
+        path = write_config(tmp_path, cfg)
+        assert main(["gauge", "--config", path, "--out", str(tmp_path)]) == 1
+        assert calls == ["mountain_pass"]
 
     def test_nonuniform_profile_exits_2(self, tmp_path, capsys):
         csv = tmp_path / "nonuniform.csv"

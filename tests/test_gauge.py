@@ -2,12 +2,14 @@
 import numpy as np
 import pytest
 
+from cssolve import gauge
 from cssolve.gauge import (
     PhysicalConstants,
     big_n,
     big_n_gradient,
     big_n_prime,
     gauge_fields,
+    gauge_potential,
     prefix_h,
     suffix_a,
 )
@@ -47,6 +49,20 @@ class TestSuffixA:
     def test_nonincreasing_for_positive_profile(self, gauss):
         a = suffix_a(gauss).values
         assert np.all(np.diff(a) <= 1e-15)
+
+    def test_gauge_potential_reads_it_once(self, gauss, monkeypatch):
+        calls = []
+
+        def counted(u):
+            calls.append(u)
+            return suffix_a(u)
+
+        monkeypatch.setattr(gauge, "suffix_a", counted)
+        # a copy keeps nothing; the second call reads the potential kept on it
+        fresh = RadialFunction(gauss.grid, gauss.values.copy())
+        gauge_potential(fresh, 0.3)
+        gauge_potential(fresh, 0.3)
+        assert len(calls) == 1 and calls[0] is fresh
 
 
 class TestBigN:

@@ -32,7 +32,7 @@ from cssolve.solver import (
     save_branch_csv,
 )
 from cssolve.verify import (distinctness, nehari_residual, pohozaev_residual, residual_pde,
-                            strong_residual, verification_report)
+                            strong_residual)
 
 from oracles import BL_LEVEL, BL_U0, bl_ground_state
 
@@ -752,17 +752,8 @@ class TestCertificate:
         assert rep.level == j_trunc(fresh(), q, model).total
         assert rep.residual_nehari == nehari_residual(fresh(), q, model)
         assert rep.residual_pohozaev == pohozaev_residual(fresh(), q, model)
-        assert rep.residual_pde == residual_pde(fresh(), q, model)[0]
+        assert (rep.residual_pde, rep.residual_pde_l2) == residual_pde(fresh(), q, model)
         assert rep.truncation_inactive == (q * big_n(fresh()) <= 1.0)
-
-    def test_verification_report_matches_warm_step(self, model, grid, ground_state):
-        q = 5.9e-5
-        rep = nodal_shoot(q, model, grid, 0, warm_start=ground_state.u)
-        assert rep.converged
-        ver = verification_report(rep.u, q, model)
-        assert ver.residual_pde_sup == rep.residual_pde
-        assert ver.nehari == rep.residual_nehari
-        assert ver.pohozaev == rep.residual_pohozaev
 
 
 class TestFailurePaths:
@@ -984,5 +975,5 @@ class TestSolveReport:
 
         data = json.loads(ground_state.to_json())
         assert set(data) == {"level", "q", "node_count", "u0", "residual_pde",
-                             "residual_nehari", "residual_pohozaev",
+                             "residual_pde_l2", "residual_nehari", "residual_pohozaev",
                              "truncation_inactive", "iterations", "converged"}

@@ -227,15 +227,12 @@ class TestCertificateFailure:
 class TestVerificationReport:
     def test_json_fields(self, gauss, model):
         data = json.loads(verification_report(gauss, 0.01, model).to_json())
-        assert set(data) == {
-            "residual_pde_sup", "residual_pde_l2", "nehari", "pohozaev",
-            "bhs_inequality_ok", "ledger_identity_err",
-        }
+        assert set(data) == {"bhs_inequality_ok", "ledger_identity_err"}
 
     def test_reports_unconditionally(self, gauss, model):
         rep = verification_report(gauss, 0.01, model)
-        assert np.isfinite(rep.residual_pde_sup)
-        assert np.isfinite(rep.nehari)
+        assert rep.bhs_inequality_ok
+        assert np.isfinite(rep.ledger_identity_err)
 
 
 # every quantity kept on an iterate, as a call of (u, q, model)
