@@ -19,6 +19,6 @@ from .solver import (
     newton_refine,
     nodal_shoot,
 )
-from .verify import VerificationReport, residual_pde, verification_report
+from .verify import residual_pde
 
 __version__ = "0.1.0"

@@ -3,7 +3,9 @@
 Subcommands: solve | multiplicity | sweep | gauge | hypotheses, all taking
 ``--config <json> --out <dir>`` plus an optional ``--threads``, which is
 accepted and ignored, since everything runs on one thread.  The config's
-numbers must be finite.
+numbers must be finite.  A solution is written as two files, its profile
+`<stem>.csv` and its certificate, the solve report `<stem>_report.json`.
+A sweep traces nodal branches, so its `method` must be "nodal".
 Exit codes: 0 success, 1 numerical failure, 2 usage or configuration error.
 """
 
@@ -28,7 +30,7 @@ from .solver import (
     nodal_shoot,
     save_branch_csv,
 )
-from .verify import certificate_failure, distinctness, verification_report
+from .verify import certificate_failure, distinctness
 
 CONFIG_SCHEMA = {
     "type": "object",
@@ -171,17 +173,15 @@ def _solve(cfg: dict, model, grid) -> SolveReport:
     return nodal_shoot(q, model, grid, nodes)
 
 
-def _write_solution(out: Path, stem: str, rep: SolveReport, model) -> None:
+def _write_solution(out: Path, stem: str, rep: SolveReport) -> None:
     save_profile_csv(out / f"{stem}.csv", rep.u)
     (out / f"{stem}_report.json").write_text(rep.to_json() + "\n")
-    (out / f"{stem}_verification.json").write_text(
-        verification_report(rep.u, rep.q, model).to_json() + "\n")
 
 
 def cmd_solve(cfg: dict, out: Path) -> int:
     model = build_model(cfg)
     rep = _solve(cfg, model, build_grid(cfg))
-    _write_solution(out, "profile", rep, model)
+    _write_solution(out, "profile", rep)
     why = certificate_failure(rep)
     if why:
         print(f"solve failed: {why}", file=sys.stderr)
@@ -199,7 +199,7 @@ def cmd_multiplicity(cfg: dict, out: Path) -> int:
                           f"got {n}")
     reports, failure = multiplicity_run(q, model, grid, n)
     for k, rep in enumerate(reports):
-        _write_solution(out, f"profile_k{k}", rep, model)
+        _write_solution(out, f"profile_k{k}", rep)
     if len(reports) >= 2:
         dist, gaps, flagged = distinctness(reports)
         (out / "distinctness.json").write_text(json.dumps(
@@ -214,6 +214,8 @@ def cmd_multiplicity(cfg: dict, out: Path) -> int:
 
 def cmd_sweep(cfg: dict, out: Path) -> int:
     model, grid = build_model(cfg), build_grid(cfg)
+    if cfg.get("method", "nodal") != "nodal":
+        raise ConfigError(f"sweep traces nodal branches; method must be nodal, got {cfg['method']}")
     qspec = cfg.get("q")
     if not isinstance(qspec, dict):
         raise ConfigError("sweep needs q as {start, end, steps}")

@@ -13,7 +13,6 @@ direction, and `riesz_gradient` solves the Sobolev metric for it.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -51,20 +50,6 @@ class EnergyBreakdown:
     q: float
     theta: float
     truncation_active: bool
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "dirichlet": self.dirichlet,
-                "nonlocal": self.nonlocal_term,
-                "potential": self.potential,
-                "total": self.total,
-                "q": self.q,
-                "theta": self.theta,
-                "truncation_active": self.truncation_active,
-            },
-            indent=2,
-        )
 
 
 class Pieces(NamedTuple):
@@ -160,7 +145,7 @@ def _gradient(theta: float, u: RadialFunction, q: float, model: NonlinearityMode
     """
     w_plane = u.grid.plane_weights
     du, _, n_val, _ = energy_pieces(u, model)
-    out = u.grid.derivative.T @ (w_plane * du) - math.exp(2.0 * theta) * w_plane * model.g(u.values)
+    out = u.grid.derivative_t @ (w_plane * du) - math.exp(2.0 * theta) * w_plane * model.g(u.values)
     c, d = truncation_bounds(theta, u, q)
     if c != 0.0 or d != 0.0:
         out = out + (0.5 * c + 0.25 * d) / n_val * big_n_gradient(u)

@@ -168,6 +168,11 @@ class RadialGrid:
         return _read_only(sp.csr_matrix((data, cols, indptr), shape=(n, n)))
 
     @cached_property
+    def derivative_t(self) -> sp.csc_matrix:
+        """D^T, the CSC transpose of `derivative` on its arrays, read-only; built on first use."""
+        return self.derivative.T
+
+    @cached_property
     def sobolev_metrics(self) -> dict:
         """{m0: solve}, filled by `sobolev_metric`."""
         return {}

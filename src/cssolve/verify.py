@@ -1,22 +1,21 @@
 """Independent checks on candidate solutions, and the rule that accepts one.
 
-The checks report numbers.  `certificate_failure` is the acceptance rule,
-with its thresholds `PDE_TOL` and `IDENTITY_TOL`; the CLI and
-`solver.multiplicity_run` apply it.
+The checks report numbers: the strong residual of the discrete system and
+the Nehari and Pohozaev residuals, which `solver.SolveReport` carries for a
+solve, the ledger identity and pairwise distinctness.  `certificate_failure`
+is the acceptance rule, with its thresholds `PDE_TOL` and `IDENTITY_TOL`;
+the CLI and `solver.multiplicity_run` apply it.
 """
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .energy import d_theta_j_tilde, energy_pieces, j_tilde, truncation_bounds, weak_gradient
-from .gauge import big_n, gauge_potential
-from .grid import (RadialFunction, differentiate, integrate_plane, laplacian_radial, norm_lp,
-                   per_iterate, robin_row)
+from .gauge import gauge_potential
+from .grid import RadialFunction, integrate_plane, laplacian_radial, norm_lp, per_iterate, robin_row
 from .nonlinearity import NonlinearityModel
 
 # plane-L^2 distance below which two solutions are not distinct
@@ -25,17 +24,6 @@ DISTINCT_TOL = 0.1
 # the Nehari and Pohozaev residuals' relative to max(1, |level|)
 PDE_TOL = 1e-6
 IDENTITY_TOL = 1e-5
-
-
-@dataclass(frozen=True)
-class VerificationReport:
-    """The checks that hold for every profile; a solve's certificate is `solver.SolveReport`."""
-
-    bhs_inequality_ok: bool
-    ledger_identity_err: float
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2)
 
 
 def robin_rate(model: NonlinearityModel, v_end: float) -> float:
@@ -92,16 +80,6 @@ def ledger_identity(theta: float, u: RadialFunction, q: float, model: Nonlineari
     return abs(lhs - (grad2 - c - d))
 
 
-def bhs_inequality(u: RadialFunction) -> bool:
-    """||u||_4^4 <= 2 ||grad u||_2 N(u)^{1/2} (an interpolation-type bound)."""
-    if not np.any(u.values):
-        raise ValueError("u must be nonzero")
-    left = norm_lp(u, 4.0) ** 4
-    grad = math.sqrt(max(integrate_plane(u.grid, differentiate(u).values ** 2), 0.0))
-    right = 2.0 * grad * math.sqrt(max(big_n(u), 0.0))
-    return bool(left <= right + 1e-12)
-
-
 def distinctness(reports):
     """Pairwise plane-L^2 distances and level gaps between solve reports.
 
@@ -146,13 +124,3 @@ def certificate_failure(rep) -> str:
         if abs(res) > IDENTITY_TOL * max(abs(rep.level), 1.0):
             return f"{name} residual {res:.3e} above threshold"
     return ""
-
-
-def verification_report(u: RadialFunction, q: float, model: NonlinearityModel) -> VerificationReport:
-    """The interpolation inequality and the ledger identity on u, both true for any profile."""
-    try:
-        bhs_ok = bhs_inequality(u)
-    except ValueError:
-        bhs_ok = True
-    return VerificationReport(bhs_inequality_ok=bhs_ok,
-                              ledger_identity_err=ledger_identity(0.2, u, q, model))

@@ -160,16 +160,15 @@ class TestSolve:
         assert report["residual_pde"] < 1e-6
 
     def test_one_certificate(self, tmp_path):
-        # on n = 1025 the Nehari residual fails the certificate; both files are written
+        # on n = 1025 the Nehari residual fails the certificate; the profile and
+        # its report are written, and they are the only outputs
         cfg = base_config(n=1025)
         cfg["q"] = 0.0
         path = write_config(tmp_path, cfg)
-        assert main(["solve", "--config", path, "--out", str(tmp_path)]) == 1
-        report = json.loads((tmp_path / "profile_report.json").read_text())
-        verification = json.loads((tmp_path / "profile_verification.json").read_text())
-        assert "residual_pde_l2" in report
-        assert set(verification) == {"bhs_inequality_ok", "ledger_identity_err"}
-        assert not set(report) & set(verification)
+        out = tmp_path / "out"
+        assert main(["solve", "--config", path, "--out", str(out)]) == 1
+        assert sorted(p.name for p in out.iterdir()) == ["profile.csv", "profile_report.json"]
+        assert "residual_pde_l2" in json.loads((out / "profile_report.json").read_text())
 
     def test_deterministic_output(self, tmp_path):
         cfg = base_config()
@@ -178,7 +177,10 @@ class TestSolve:
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         assert main(["solve", "--config", path, "--out", str(out_a)]) == 0
         assert main(["solve", "--config", path, "--out", str(out_b)]) == 0
-        for name in ("profile.csv", "profile_report.json", "profile_verification.json"):
+        names = sorted(p.name for p in out_a.iterdir())
+        assert names == ["profile.csv", "profile_report.json"]
+        assert sorted(p.name for p in out_b.iterdir()) == names
+        for name in names:
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
     def test_active_truncation_exit_1(self, tmp_path, capsys):
@@ -257,6 +259,19 @@ class TestSweep:
         summary = json.loads((tmp_path / "sweep.json").read_text())
         assert summary["0"]["q_star"] is None
         assert summary["0"]["points"] == 3
+
+    @pytest.mark.parametrize("method, code", [("mountain-pass", 2), ("nodal", 0)])
+    def test_method_must_be_nodal(self, tmp_path, capsys, method, code):
+        # continuation_in_q traces nodal branches; a mountain pass is rejected before any solve
+        cfg = base_config(n=1025)
+        cfg["q"] = {"start": 1e-4, "end": 1e-3, "steps": 2}
+        cfg["nodes"] = [1]
+        cfg["method"] = method
+        path = write_config(tmp_path, cfg)
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", path, "--out", str(out)]) == code
+        assert ("method must be nodal" in capsys.readouterr().err) == (code == 2)
+        assert (out / "sweep.json").exists() == (code == 0)
 
     def test_threads_flag_ignored(self, tmp_path):
         cfg = base_config(n=1025)

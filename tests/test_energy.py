@@ -1,10 +1,11 @@
-import json
 import math
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cssolve.energy import (
     d_theta_j_tilde,
@@ -23,6 +24,8 @@ from cssolve.grid import (RadialFunction, diff_matrix, differentiate, dilate, in
                           make_grid, sobolev_metric)
 from cssolve.nonlinearity import power_model
 
+from conftest import PROPERTY, profiles, ring_sum
+
 
 @pytest.fixture(scope="module")
 def grid():
@@ -37,14 +40,6 @@ def gauss(grid):
 @pytest.fixture(scope="module")
 def model():
     return power_model(2.0, 1.0)
-
-
-def random_profiles(grid, count, seed=0):
-    rng = np.random.default_rng(seed)
-    for _ in range(count):
-        amp = rng.uniform(0.2, 3.0)
-        sig = rng.uniform(0.5, 2.0)
-        yield RadialFunction(grid, amp * np.exp(-((grid.nodes / sig) ** 2)))
 
 
 class TestPhi:
@@ -88,11 +83,6 @@ class TestJq:
         with pytest.raises(ValueError):
             j_q(gauss, -1.0, model)
 
-    def test_json_fields(self, gauss, model):
-        data = json.loads(j_q(gauss, 1.0, model).to_json())
-        assert set(data) == {"dirichlet", "nonlocal", "potential", "total", "q",
-                             "theta", "truncation_active"}
-
 
 class TestJTrunc:
     def test_inactive_region_matches_j_q(self, gauss, model):
@@ -105,9 +95,10 @@ class TestJTrunc:
         assert eb.nonlocal_term == 0.0
         assert eb.truncation_active
 
-    def test_dominates_comparison_functional(self, grid, model):
-        for u in random_profiles(grid, 200, seed=42):
-            assert j_trunc(u, 0.01, model).total >= i_comparison(u, model) - 1e-10
+    @PROPERTY
+    @given(u=profiles())
+    def test_dominates_comparison_functional(self, model, u):
+        assert j_trunc(u, 0.01, model).total >= i_comparison(u, model) - 1e-10
 
 
 class TestIComparison:
@@ -138,9 +129,20 @@ class TestJTilde:
 
 
 class TestDerivatives:
+    @staticmethod
+    def _gaussians(grid, rng):
+        """Ten centred Gaussians of amplitude in [0.2, 3] and width in [0.5, 2].
+
+        Finite differences at step 1e-6 lose about 1e-10 |j| to roundoff, so
+        these stay on profiles whose action is O(1), not on `profiles`.
+        """
+        for _ in range(10):
+            ring = (rng.uniform(0.2, 3.0), 0.0, rng.uniform(0.5, 2.0))
+            yield RadialFunction(grid, ring_sum(grid, [ring]))
+
     def test_theta_derivative_matches_fd(self, grid, model):
         rng = np.random.default_rng(1)
-        for u in random_profiles(grid, 10, seed=1):
+        for u in self._gaussians(grid, rng):
             theta = rng.uniform(-0.4, 0.4)
             q = rng.uniform(0.0, 0.05)
             s = q * math.exp(4 * theta) * big_n(u)
@@ -153,8 +155,7 @@ class TestDerivatives:
 
     def test_weak_gradient_matches_fd(self, grid, model):
         rng = np.random.default_rng(2)
-        profiles = list(random_profiles(grid, 10, seed=2))
-        for u in profiles:
+        for u in self._gaussians(grid, rng):
             v = RadialFunction(grid, rng.standard_normal(grid.n) * np.exp(-grid.nodes))
             theta = rng.uniform(-0.3, 0.3)
             q = rng.uniform(0.0, 0.05)
@@ -204,14 +205,17 @@ class TestDerivatives:
 
 
 class TestRieszGradient:
-    def test_duality_property(self, grid, gauss, model):
-        w = riesz_gradient(0.2, gauss, 0.03, model)
-        rng = np.random.default_rng(9)
-        for _ in range(10):
-            v = RadialFunction(grid, rng.standard_normal(grid.n) * np.exp(-0.5 * grid.nodes))
-            pairing = (integrate_plane(grid, differentiate(w).values * differentiate(v).values)
-                       + model.m0 * integrate_plane(grid, w.values * v.values))
-            target = weak_gradient(0.2, gauss, 0.03, model, v)
+    @PROPERTY
+    @given(u=profiles(), seed=st.integers(0, 2**32 - 1))
+    def test_duality_property(self, model, u, seed):
+        g = u.grid
+        w = riesz_gradient(0.2, u, 0.03, model)
+        rng = np.random.default_rng(seed)
+        for _ in range(3):
+            v = RadialFunction(g, rng.standard_normal(g.n) * np.exp(-0.5 * g.nodes))
+            pairing = (integrate_plane(g, differentiate(w).values * differentiate(v).values)
+                       + model.m0 * integrate_plane(g, w.values * v.values))
+            target = weak_gradient(0.2, u, 0.03, model, v)
             assert abs(pairing - target) < 1e-8 * max(abs(target), 1.0)
 
     def test_zero_profile(self, grid, model):

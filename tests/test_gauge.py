@@ -1,6 +1,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
 
 from cssolve import gauge
 from cssolve.gauge import (
@@ -15,6 +16,7 @@ from cssolve.gauge import (
 )
 from cssolve.grid import RadialFunction, dilate, make_grid
 
+from conftest import PROPERTY, profiles
 from oracles import GAUSS_A0, GAUSS_N, dense_big_n
 
 
@@ -85,8 +87,10 @@ class TestBigN:
 
 
 class TestBigNPrime:
-    def test_six_n_identity(self, gauss):
-        assert abs(big_n_prime(gauss, gauss) - 6.0 * big_n(gauss)) < 1e-12 * big_n(gauss)
+    @PROPERTY
+    @given(u=profiles())
+    def test_six_n_identity(self, u):
+        assert abs(big_n_prime(u, u) - 6.0 * big_n(u)) < 1e-12 * big_n(u)
 
     def test_matches_finite_difference(self, grid, gauss):
         rng = np.random.default_rng(5)

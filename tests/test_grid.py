@@ -306,6 +306,15 @@ class TestDerivatives:
             assert not du[:-1].any()
             assert abs(du[-1]) <= 8.0 * np.finfo(float).eps * abs(c) / h
         assert np.array_equal(differentiate(RadialFunction(grid, u)).values, d @ u)
+        # its transpose is kept next to it, on its arrays, and multiplies bitwise as d.T does
+        assert "derivative_t" not in vars(grid)
+        dt = grid.derivative_t
+        assert grid.derivative_t is dt and sp.isspmatrix_csc(dt)
+        for a, b in zip((dt.data, dt.indices, dt.indptr), (d.data, d.indices, d.indptr)):
+            assert np.shares_memory(a, b) and not a.flags.writeable
+        assert (dt != d.T).nnz == 0
+        y = np.random.default_rng(n).standard_normal(n)
+        assert np.array_equal(dt @ y, d.T @ y)
 
     def test_laplacian_fourth_order_on_gaussian(self, uniform):
         lap = laplacian_radial(gauss(uniform))
