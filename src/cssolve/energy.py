@@ -7,8 +7,8 @@ between the fixed-frequency and gauged normalizations of the equation.
 Each reads u', ||grad u||^2, N(u) and int G(u) from `energy_pieces`, which
 keeps them on u, so a certificate computes them once.  The cutoff phi is
 evaluated only in `truncation_bounds`, and the u-gradient is one vector,
-`_gradient`: `weak_gradient` (and so the Nehari residual) pairs it with a
-direction, and `riesz_gradient` solves the Sobolev metric for it.
+`_gradient`: `weak_gradient` pairs it with a direction and `riesz_gradient`
+solves the Sobolev metric for it (`verify` reads G . u as a scalar, from N'(u)[u] = 6N).
 """
 
 from __future__ import annotations

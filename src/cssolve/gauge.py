@@ -67,7 +67,8 @@ class GaugeFields:
 def prefix_h(u: RadialFunction) -> RadialFunction:
     """h_u(r) = int_0^r s u(s)^2 ds; h(0) = 0, non-decreasing."""
     g = u.grid
-    h = cumulative_integral(g, g.nodes * u.values**2)
+    f = u.values**2
+    h = cumulative_integral(g, np.multiply(f, g.nodes, out=f))
     # a fresh array: frozen here, so RadialFunction wraps it without a copy
     h.setflags(write=False)
     return RadialFunction(g, h)
@@ -79,8 +80,9 @@ def suffix_a(u: RadialFunction) -> RadialFunction:
     The integrand has the analytic limit 0 at s = 0 since h_u = O(s^2).
     """
     g = u.grid
-    cum = cumulative_integral(g, over_r(g, u.values**2 * prefix_h(u).values))
-    a = cum[-1] - cum
+    f = u.values**2
+    a = cumulative_integral(g, over_r(g, np.multiply(f, prefix_h(u).values, out=f)))
+    np.subtract(a[-1], a, out=a)
     # a fresh array: frozen here, so RadialFunction wraps it without a copy
     a.setflags(write=False)
     return RadialFunction(g, a)
@@ -94,8 +96,10 @@ def gauge_potential(u: RadialFunction, q: float) -> tuple[np.ndarray, np.ndarray
     """
     g = u.grid
     h = prefix_h(u).values
-    v = 2.0 * q * suffix_a(u).values
-    v += q * over_r(g, h) ** 2
+    v = over_r(g, h)
+    v **= 2
+    v *= q
+    v += 2.0 * q * suffix_a(u).values
     v.setflags(write=False)
     return h, v
 

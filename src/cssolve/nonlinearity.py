@@ -79,15 +79,26 @@ def power_model(p: float, omega: float) -> NonlinearityModel:
 
     def g(xi):
         xi = np.asarray(xi, dtype=float)
-        return np.abs(xi) ** (p - 1) * xi - omega * xi
+        out = np.abs(xi)
+        out **= p - 1
+        out *= xi
+        out -= omega * xi
+        return out
 
     def big_g(xi):
         xi = np.asarray(xi, dtype=float)
-        return np.abs(xi) ** (p + 1) / (p + 1) - omega * xi**2 / 2.0
+        out = np.abs(xi)
+        out **= p + 1
+        out /= p + 1
+        out -= omega * xi**2 / 2.0
+        return out
 
     def gprime(xi):
-        xi = np.asarray(xi, dtype=float)
-        return p * np.abs(xi) ** (p - 1) - omega
+        out = np.abs(np.asarray(xi, dtype=float))
+        out **= p - 1
+        out *= p
+        out -= omega
+        return out
 
     return NonlinearityModel(
         g=g,

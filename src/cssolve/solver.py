@@ -218,9 +218,13 @@ def _band_solver(u: RadialFunction, q: float, model: NonlinearityModel):
         rhs = b.copy()
         rhs[-1] -= m * b[-2]
         x = dgttrs(*lu, rhs, overwrite_b=1)[0]
-        r = b + laplacian_radial(g, x) - c * x
+        r = laplacian_radial(g, x)
+        r += b
+        r -= c * x
         r[-1] = b[-1] - robin_row(x, g.h, kappa)
-        return x + jacobi * r
+        r *= jacobi
+        r += x
+        return r
 
     return solve
 
@@ -421,8 +425,10 @@ def _inner_newton(u: RadialFunction, q: float, model: NonlinearityModel, k: int)
         else:
             new = u.values - step
             if prev is not None and size >= 1e-10:
-                du, ds = u.values - prev[0], step - prev[1]
-                new -= float(ds @ step) / float(ds @ ds) * (du - ds)
+                # ds in the last step's array and du - ds in du's, each used once
+                du, ds = u.values - prev[0], np.subtract(step, prev[1], out=prev[1])
+                du -= ds
+                new -= np.multiply(float(ds @ step) / float(ds @ ds), du, out=du)
         prev = u.values, step
         # a fresh array: frozen here, so RadialFunction wraps it without a copy
         new.setflags(write=False)

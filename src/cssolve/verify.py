@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .energy import d_theta_j_tilde, energy_pieces, j_tilde, truncation_bounds, weak_gradient
+from .energy import d_theta_j_tilde, energy_pieces, j_tilde, truncation_bounds
 from .gauge import gauge_potential
 from .grid import RadialFunction, integrate_plane, laplacian_radial, norm_lp, per_iterate, robin_row
 from .nonlinearity import NonlinearityModel
@@ -39,7 +39,9 @@ def strong_residual(u: RadialFunction, q: float, model: NonlinearityModel) -> np
     grid's `laplacian`; the last is `robin_row` at `robin_rate` of V(R).
     """
     _, v_pot = gauge_potential(u, q)
-    res = -laplacian_radial(u) + v_pot * u.values - model.g(u.values)
+    res = v_pot * u.values
+    res -= laplacian_radial(u)
+    res -= model.g(u.values)
     res[-1] = robin_row(u.values, u.grid.h, robin_rate(model, float(v_pot[-1])))
     res.setflags(write=False)
     return res
@@ -54,9 +56,11 @@ def residual_pde(u: RadialFunction, q: float, model: NonlinearityModel) -> tuple
 
 
 def nehari_residual(u: RadialFunction, q: float, model: NonlinearityModel) -> float:
-    """d/dt j_trunc(u + t u) at t = 0; equals ||grad u||^2 + 3qN - int g(u)u
-    when the truncation is inactive. Zero at critical points."""
-    return weak_gradient(0.0, u, q, model, u)
+    """d/dt j_trunc(u + t u) at t = 0: ||grad u||^2 + 3C + (3/2)D - int g(u)u, (C, D) from
+    `truncation_bounds`; `weak_gradient(0, u, q, model, u)` to roundoff, as N'(u)[u] = 6N(u)."""
+    c, d = truncation_bounds(0.0, u, q)
+    g_u = integrate_plane(u.grid, model.g(u.values) * u.values)
+    return 2.0 * energy_pieces(u, model).dirichlet + 3.0 * c + 1.5 * d - g_u
 
 
 def pohozaev_residual(u: RadialFunction, q: float, model: NonlinearityModel) -> float:

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from cssolve.grid import RadialFunction, make_grid
 from cssolve.nonlinearity import (
     capital_lambda,
     capital_lambda_bar,
@@ -38,6 +39,23 @@ class TestPowerModel:
     def test_odd(self, model):
         xi = np.linspace(0.1, 5.0, 50)
         assert np.max(np.abs(model.g(-xi) + model.g(xi))) < 1e-14
+
+    @pytest.mark.parametrize("p", [1.2, 2.0, 3.0, 4.5])
+    def test_in_place_forms_equal_one_line_forms(self, p):
+        # g, g' and G update one array in place, in the one-line form's order
+        m, omega = power_model(p, 0.7), 0.7
+        rng = np.random.default_rng(int(10 * p))
+        xi = rng.standard_normal(1000) * 10.0 ** rng.uniform(-6.0, 2.0, 1000)
+        xi[::9] = 0.0
+        grid = make_grid(24.0, 1025)
+        profile = RadialFunction(grid, 2.4 * np.exp(-grid.nodes**2 / 3.0)).values
+        for x in (xi, profile):
+            assert np.array_equal(m.g(x), np.abs(x) ** (p - 1) * x - omega * x)
+            assert np.array_equal(m.gprime(x), p * np.abs(x) ** (p - 1) - omega)
+            assert np.array_equal(m.big_g(x), np.abs(x) ** (p + 1) / (p + 1) - omega * x**2 / 2.0)
+        assert not profile.flags.writeable
+        for f in (m.g, m.gprime, m.big_g):
+            assert np.ndim(f(-1.5)) == 0 and f(-1.5) == f(np.array([-1.5]))[0]
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
