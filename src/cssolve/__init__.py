@@ -11,7 +11,6 @@ from .gauge import GaugeFields, PhysicalConstants, big_n, gauge_fields, prefix_h
 from .grid import RadialFunction, RadialGrid, dilate, integrate_plane, make_grid
 from .nonlinearity import HypothesisReport, NonlinearityModel, check_hypotheses, power_model, table_model
 from .solver import (
-    BranchPoint,
     SolveReport,
     continuation_in_q,
     mountain_pass,

@@ -224,10 +224,10 @@ def cmd_sweep(cfg: dict, out: Path) -> int:
 
     summary = {}
     for k in ks:
-        branch, q_star = continuation_in_q(model, grid, k, qspec["start"], qspec["end"],
-                                           qspec["steps"])
-        save_branch_csv(out / f"branch_k{k}.csv", branch)
-        summary[str(k)] = {"q_star": q_star, "points": len(branch)}
+        reports, q_star = continuation_in_q(model, grid, k, qspec["start"], qspec["end"],
+                                            qspec["steps"])
+        save_branch_csv(out / f"branch_k{k}.csv", reports)
+        summary[str(k)] = {"q_star": q_star, "points": len(reports)}
     (out / "sweep.json").write_text(json.dumps(summary, indent=2) + "\n")
     print(json.dumps(summary))
     return 0

@@ -47,8 +47,6 @@ class EnergyBreakdown:
     nonlocal_term: float
     potential: float
     total: float
-    q: float
-    theta: float
     truncation_active: bool
 
 
@@ -78,7 +76,7 @@ def j_q(u: RadialFunction, q: float, model: NonlinearityModel) -> EnergyBreakdow
     potential = -big_g_int
     return EnergyBreakdown(
         dirichlet, nonlocal_term, potential, dirichlet + nonlocal_term + potential,
-        q, 0.0, bool(q * n_val > 1.0),
+        bool(q * n_val > 1.0),
     )
 
 
@@ -108,7 +106,7 @@ def j_tilde(theta: float, u: RadialFunction, q: float,
     potential = -math.exp(2.0 * theta) * big_g_int
     return EnergyBreakdown(
         dirichlet, nonlocal_term, potential, dirichlet + nonlocal_term + potential,
-        q, theta, bool(q * math.exp(4.0 * theta) * n_val > 1.0),
+        bool(q * math.exp(4.0 * theta) * n_val > 1.0),
     )
 
 

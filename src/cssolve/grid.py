@@ -101,13 +101,17 @@ class RadialGrid:
     def tridiagonal(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
         """(lower, diag, upper, m): the 3-point -Delta_r and kappa-free Robin row, for gttrf.
 
-        Row 0 is -4(u_1 - u_0)/h^2 (the even extension), then `three_point_rows`;
-        the last is `robin_row` at kappa = 0 less m = 1/(2h lower_{n-2}) times
-        row n-2, which removes its u_{n-3} entry, so a diagonal added to row n-2
-        enters it times -m.  Read-only; built on first use.
+        Row 0 is -4(u_1 - u_0)/h^2 (the even extension).  Interior row i is
+        lower_i u_{i-1} + (2/h^2) u_i + upper_i u_{i+1}, with lower/upper =
+        -1/h^2 +/- 1/(2 h r_i): lower[:-1] and upper[1:] are these rows, which
+        the cold shot marches.  The last is `robin_row` at kappa = 0 less
+        m = 1/(2h lower_{n-2}) times row n-2, which removes its u_{n-3} entry,
+        so a diagonal added to row n-2 enters it times -m.  Read-only; built
+        on first use.
         """
-        (lower, upper), h2 = self.three_point_rows, self.h**2
-        robin = robin_row(np.eye(3), self.h, 0.0)
+        r, h, h2 = self.nodes[1:-1], self.h, self.h**2
+        lower, upper = -1.0 / h2 + 1.0 / (2.0 * h * r), -1.0 / h2 - 1.0 / (2.0 * h * r)
+        robin = robin_row(np.eye(3), h, 0.0)
         m = robin[0] / lower[-1]
         diag = np.r_[4.0 / h2, np.full(self.n - 2, 2.0 / h2), robin[2] - m * upper[-1]]
         return (_read_only(np.r_[lower, robin[1] - m * 2.0 / h2]), _read_only(diag),
@@ -140,17 +144,6 @@ class RadialGrid:
     def cumulative_increments_t(self) -> sp.csc_matrix:
         """B^T, the CSC transpose of `cumulative_increments`, read-only; built on first use."""
         return _read_only(self.cumulative_increments.T)
-
-    @cached_property
-    def three_point_rows(self) -> tuple[np.ndarray, np.ndarray]:
-        """(lower, upper) of the 3-point -u'' - u'/r at the interior nodes.
-
-        Row i is lower_i u_{i-1} + (2/h^2) u_i + upper_i u_{i+1}, with
-        lower/upper = -1/h^2 +/- 1/(2 h r_i).  Read-only; built on first use.
-        """
-        r, h = self.nodes[1:-1], self.h
-        return (_read_only(-1.0 / h**2 + 1.0 / (2.0 * h * r)),
-                _read_only(-1.0 / h**2 - 1.0 / (2.0 * h * r)))
 
     @cached_property
     def derivative(self) -> sp.csr_matrix:

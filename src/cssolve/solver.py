@@ -73,18 +73,6 @@ class SolveReport:
         return json.dumps(data, indent=2)
 
 
-@dataclass(frozen=True)
-class BranchPoint:
-    """One sample of a solution branch traced in the coupling q."""
-
-    q: float
-    level: float
-    u0: float
-    l2_norm: float
-    truncation_inactive: bool
-    converged: bool
-
-
 def count_nodes(u: RadialFunction) -> int:
     """Sign changes of the profile, ignoring sub-roundoff tail wiggle."""
     vals = u.values
@@ -125,7 +113,8 @@ def _march(grid: RadialGrid, model: NonlinearityModel, amps: np.ndarray) -> np.n
     u_{i+1} from u_i and u_{i-1}; all amplitudes advance together.
     """
     h = grid.h
-    lower, upper = grid.three_point_rows
+    lower, _, upper, _ = grid.tridiagonal
+    lower, upper = lower[:-1], upper[1:]
     # row i solved for u_{i+1}: -(lower_i u_{i-1} + (2/h^2) u_i - g(u_i)) / upper_i
     rows = zip((-lower / upper).tolist(), (-2.0 / h**2 / upper).tolist(), (1.0 / upper).tolist())
     u = np.empty((grid.n, amps.size))
@@ -570,11 +559,11 @@ def mountain_pass(q: float, model: NonlinearityModel, grid: RadialGrid) -> Solve
             # u* and so w stay as they are, and every later sweep would fail the same way
             break
     report = newton_refine(u_star, q, model)
-    # solutions come in (u, -u) pairs; report the peak-positive member
+    # solutions come in (u, -u) pairs; report the peak-positive member.  g is odd, so
+    # every certificate field of -u is that of u bit for bit
     peak = report.u.values[int(np.argmax(np.abs(report.u.values)))]
     if peak < 0:
-        report = _report(RadialFunction(grid, -report.u.values), q, model,
-                         report.iterations, converged=report.converged)
+        report = replace(report, u=RadialFunction(grid, -report.u.values))
     return replace(report, iterations=sweeps + report.iterations)
 
 
@@ -587,11 +576,12 @@ def continuation_in_q(model: NonlinearityModel, grid: RadialGrid, k: int,
                       q_start: float, q_end: float, steps: int):
     """March q geometrically from q_start to q_end, warm-starting each solve.
 
-    Returns (branch_points, q_star): q_star is the first q where the branch
-    fails to converge or the truncation activates (qN(u) > 1); None if the
-    branch survives to q_end.  Not `verify.certificate_failure`: a sweep may
-    run on a grid too coarse for the Nehari and Pohozaev identities, and its
-    branch must still end where the truncation activates.
+    Returns (reports, q_star): the `SolveReport` of each point in order, and
+    q_star, the first q where the branch fails to converge or the truncation
+    activates (qN(u) > 1); None if the branch survives to q_end.  Not
+    `verify.certificate_failure`: a sweep may run on a grid too coarse for the
+    Nehari and Pohozaev identities, and its branch must still end where the
+    truncation activates.
     """
     if q_start >= q_end:
         raise ValueError("q_start must be below q_end")
@@ -602,19 +592,17 @@ def continuation_in_q(model: NonlinearityModel, grid: RadialGrid, k: int,
     else:
         qs = np.concatenate(([0.0], np.geomspace(q_end * 1e-4, q_end, steps - 1)))
 
-    branch: list[BranchPoint] = []
+    reports: list[SolveReport] = []
     q_star = None
     warm = None
     for q in qs:
         rep = nodal_shoot(float(q), model, grid, k, warm_start=warm)
-        l2 = math.sqrt(max(integrate_plane(grid, rep.u.values**2), 0.0))
-        branch.append(BranchPoint(float(q), rep.level, float(rep.u.values[0]),
-                                  l2, rep.truncation_inactive, rep.converged))
+        reports.append(rep)
         if not rep.converged or not rep.truncation_inactive:
             q_star = float(q)
             break
         warm = rep.u
-    return branch, q_star
+    return reports, q_star
 
 
 def multiplicity_run(q: float, model: NonlinearityModel, grid: RadialGrid, n: int):
@@ -642,13 +630,14 @@ def multiplicity_run(q: float, model: NonlinearityModel, grid: RadialGrid, n: in
     return reports, None
 
 
-def save_branch_csv(path, branch: list[BranchPoint]) -> None:
-    """Branch file: header q,level,u0,l2,trunc_inactive,converged."""
+def save_branch_csv(path, reports: list[SolveReport]) -> None:
+    """Branch file, a row per report: q,level,u0,l2,trunc_inactive,converged; l2 = ||u||_2."""
     import csv
 
     with open(path, "w", newline="") as fh:
         wr = csv.writer(fh)
         wr.writerow(["q", "level", "u0", "l2", "trunc_inactive", "converged"])
-        for b in branch:
-            wr.writerow([repr(b.q), repr(b.level), repr(b.u0), repr(b.l2_norm),
-                         int(b.truncation_inactive), int(b.converged)])
+        for rep in reports:
+            l2 = math.sqrt(max(integrate_plane(rep.u.grid, rep.u.values**2), 0.0))
+            wr.writerow([repr(rep.q), repr(rep.level), repr(float(rep.u.values[0])), repr(l2),
+                         int(rep.truncation_inactive), int(rep.converged)])

@@ -260,6 +260,15 @@ class TestSweep:
         assert summary["0"]["q_star"] is None
         assert summary["0"]["points"] == 3
 
+    def test_scalar_q_exits_2(self, tmp_path, capsys):
+        cfg = base_config(n=64)
+        cfg["q"] = 1e-3
+        path = write_config(tmp_path, cfg)
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", path, "--out", str(out)]) == 2
+        assert "sweep needs q as {start, end, steps}" in capsys.readouterr().err
+        assert not (out / "sweep.json").exists()
+
     @pytest.mark.parametrize("method, code", [("mountain-pass", 2), ("nodal", 0)])
     def test_method_must_be_nodal(self, tmp_path, capsys, method, code):
         # continuation_in_q traces nodal branches; a mountain pass is rejected before any solve
@@ -301,6 +310,21 @@ class TestGauge:
         assert main(["gauge", "--config", path, "--out", str(tmp_path)]) == 0
         data = json.loads((tmp_path / "gauge.json").read_text())
         assert abs(data["flux"] + data["charge"] / 2.5) < 1e-10
+
+    def test_certified_solve_writes_the_fields(self, tmp_path, capsys):
+        # with no profile_csv, gauge solves as solve does and writes the fields of its solution
+        cfg = base_config(n=8193)
+        cfg["q"] = 1e-3
+        cfg["nodes"] = 0
+        path = write_config(tmp_path, cfg)
+        assert main(["gauge", "--config", path, "--out", str(tmp_path)]) == 0
+        data = json.loads((tmp_path / "gauge.json").read_text())
+        # the default kappa is 1
+        assert data["kappa"] == 1.0
+        assert data["flux"] == pytest.approx(-data["charge"], rel=1e-12)
+        assert f"charge={data['charge']!r} flux={data['flux']!r}" in capsys.readouterr().out
+        lines = (tmp_path / "gauge.csv").read_text().splitlines()
+        assert lines[0] == "r,h,a0,a_tan,b,e_r" and len(lines) == 8194
 
     @pytest.mark.parametrize("command", ["solve", "gauge"])
     def test_uncertified_solve_exits_1(self, tmp_path, capsys, command):

@@ -170,6 +170,17 @@ class TestTableModel:
         assert np.array_equal(m.gprime(-probe), m.gprime(probe))
         assert np.all(m.gprime(np.array([6.5, -7.0, 1e6])) == 0.0)
 
+    def test_samples_above_zero_start_at_the_origin(self):
+        # a table whose first abscissa is above 0 is the same table with (0, 0) given
+        xi = np.linspace(0.1, 8.0, 64)
+        g = xi**3 / (1.0 + xi**2) - xi / 2.0
+        m = table_model(np.column_stack([xi, g]))
+        ref = table_model(np.column_stack([np.r_[0.0, xi], np.r_[0.0, g]]))
+        x = np.linspace(-9.0, 9.0, 1001)
+        for name in ("g", "big_g", "gprime"):
+            assert np.array_equal(getattr(m, name)(x), getattr(ref, name)(x)), name
+        assert m.m0 == ref.m0
+
     def test_rejects_decreasing_abscissae(self):
         with pytest.raises(ValueError):
             table_model([[0.0, 0.0], [1.0, 1.0], [0.5, 0.2], [2.0, 3.0]])

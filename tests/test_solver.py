@@ -1,6 +1,6 @@
 import math
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -162,14 +162,15 @@ class TestShoot:
     def test_is_the_discrete_fixed_point(self, model):
         g = make_grid(24.0, 1025)
         h = g.nodes[1] - g.nodes[0]
-        lower, upper = g.three_point_rows
+        lower, _, upper, _ = g.tridiagonal
         shot = _shoot(g, model, 0)
         # the exponential tail patch starts where the shot leaves the march
         patch = int(np.argmax(_march(g, model, shot[:1])[:, 0] != shot))
         assert patch > g.n // 2
         f = np.empty(g.n - 1)
         f[0] = -4.0 * (shot[1] - shot[0]) / h**2 - model.g(shot[0])
-        f[1:] = lower * shot[:-2] + 2.0 / h**2 * shot[1:-1] + upper * shot[2:] - model.g(shot[1:-1])
+        f[1:] = (lower[:-1] * shot[:-2] + 2.0 / h**2 * shot[1:-1] + upper[1:] * shot[2:]
+                 - model.g(shot[1:-1]))
         # rows 0 .. patch - 2 read no patched value; measured 1.8e-12, roundoff
         # of the 4 u_0 / h^2 terms (3.9e-12)
         assert np.max(np.abs(f[: patch - 1])) < 1e-11
@@ -762,16 +763,6 @@ class TestReorderedKernels:
         fresh = RadialFunction(grid, u.values.copy())
         assert residual_pde(u, q, model) == residual_pde(fresh, q, model)
 
-    def test_three_point_rows_cached_and_read_only(self):
-        g = make_grid(24.0, 1025)
-        assert "three_point_rows" not in vars(g)
-        rows = g.three_point_rows
-        assert g.three_point_rows is rows
-        r, h = g.nodes[1:-1], g.nodes[1] - g.nodes[0]
-        for a, sign in zip(rows, (1.0, -1.0)):
-            assert not a.flags.writeable
-            assert np.array_equal(a, -1.0 / h**2 + sign / (2.0 * h * r))
-
 
 class TestCertificate:
     """Certificates built from once-evaluated pieces equal the standalone functions."""
@@ -793,6 +784,25 @@ class TestCertificate:
         assert rep.residual_pohozaev == pohozaev_residual(fresh(), q, model)
         assert (rep.residual_pde, rep.residual_pde_l2) == residual_pde(fresh(), q, model)
         assert rep.truncation_inactive == (q * big_n(fresh()) <= 1.0)
+
+    @pytest.mark.parametrize("odd_model", ["power", "table"])
+    def test_sign_flip_keeps_every_certificate_field(self, odd_model):
+        # the mountain pass flips its polished result to the peak-positive member and
+        # keeps the certificate: for an odd g every field of -u is that of u bit for bit
+        if odd_model == "power":
+            model = power_model(2.0, 1.0)
+        else:
+            xi = np.linspace(0.0, 8.0, 64)
+            model = table_model(np.column_stack([xi, xi**3 / (1.0 + xi**2) - xi / 2.0]))
+        grid = make_grid(24.0, 1025)
+        # a 1-node profile that is not a solution, so no residual is zero
+        u = RadialFunction(grid, 3.0 * (1.0 - grid.nodes**2 / 4.0) * np.exp(-grid.nodes**2 / 4.0))
+        neg = RadialFunction(grid, -u.values)
+        rep = solver._report(u, 1e-3, model, 7)
+        flipped, fresh = replace(rep, u=neg), solver._report(neg, 1e-3, model, 7)
+        assert fresh.node_count == 1 and fresh.residual_pde > 0.0
+        for name in (f.name for f in fields(solver.SolveReport) if f.name != "u"):
+            assert getattr(fresh, name) == getattr(flipped, name), name
 
 
 class TestFailurePaths:
@@ -816,6 +826,17 @@ class TestFailurePaths:
         rep = newton_refine(rough, 0.0, model)
         assert not rep.converged
         assert rep.iterations == 1
+
+    def test_non_finite_chord_step_fails_nodal_shoot(self, model, grid, ground_state,
+                                                     monkeypatch):
+        # the chord stops at its first step, which is NaN, and keeps its start
+        monkeypatch.setattr(solver, "_band_solver",
+                            lambda u, q, model: lambda b: np.full(b.size, np.nan))
+        start = RadialFunction(grid, ground_state.u.values * (1 + 1e-4))
+        rep = nodal_shoot(5.9e-5, model, grid, 0, warm_start=start)
+        assert not rep.converged
+        assert rep.iterations == 0
+        assert np.array_equal(rep.u.values, start.values)
 
     def test_non_finite_step_fails_newton_refine(self, model, grid, ground_state, monkeypatch):
         monkeypatch.setattr(solver, "_krylov_step",
@@ -938,7 +959,7 @@ class TestContinuation:
         g = make_grid(24.0, 4097)
         branch, q_star = continuation_in_q(model, g, 0, 0.0, 5e-3, 6)
         assert branch[0].converged
-        assert abs(branch[0].u0 - BL_U0) < 1e-6
+        assert abs(branch[0].u.values[0] - BL_U0) < 1e-6
         assert all(b.converged for b in branch)
         qs = [b.q for b in branch]
         assert qs == sorted(qs)
@@ -1000,6 +1021,16 @@ class TestMultiplicity:
         dist, _, flagged = distinctness(reports)
         assert dist[0, 1] == pytest.approx(0.05, rel=1e-12)
         assert flagged == [(0, 1)]
+
+    def test_levels_out_of_order_fail_the_run(self, model, grid, ground_state, monkeypatch):
+        # a certified k = 1 report, distinct from k = 0, whose level is below it
+        below = replace(ground_state, u=RadialFunction(grid, -ground_state.u.values),
+                        node_count=1, level=ground_state.level - 1.0)
+        shots = [ground_state, below]
+        monkeypatch.setattr(solver, "nodal_shoot", lambda q, model, grid, k: shots[k])
+        reports, failure = multiplicity_run(0.0, model, grid, 2)
+        assert failure == "level ordering violated at k=1"
+        assert len(reports) == 2 and all(r is s for r, s in zip(reports, shots))
 
     def test_sign_flip_preserves_residual(self, ground_state, model, grid):
         neg = RadialFunction(grid, -ground_state.u.values)
