@@ -115,6 +115,9 @@ CONFIG_SCHEMA = {
     },
 }
 
+# built once: jsonschema.validate would check CONFIG_SCHEMA against its meta-schema on every call
+_CONFIG_VALIDATOR = jsonschema.validators.validator_for(CONFIG_SCHEMA)(CONFIG_SCHEMA)
+
 
 class ConfigError(Exception):
     pass
@@ -134,10 +137,10 @@ def load_config(path: str) -> dict:
                             parse_int=lambda token: _finite(token, int))
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    try:
-        jsonschema.validate(cfg, CONFIG_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        raise ConfigError(f"invalid config: {exc.message} (at {'/'.join(map(str, exc.path))})") from exc
+    # the error jsonschema.validate would raise
+    error = jsonschema.exceptions.best_match(_CONFIG_VALIDATOR.iter_errors(cfg))
+    if error is not None:
+        raise ConfigError(f"invalid config: {error.message} (at {'/'.join(map(str, error.path))})")
     return cfg
 
 

@@ -17,7 +17,6 @@ from dataclasses import asdict, dataclass, field
 from typing import Callable, ClassVar, Optional
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 # equal steps of the envelope table on [0, 1] and on each octave above it
 _STEPS = 16384
@@ -60,6 +59,8 @@ class NonlinearityModel:
         trapezoids of lambda and of lambda_bar = xi^p0 times the running max.
         """
         if self._table is None or self._table[0][-1] < xi_max < np.inf:
+            from scipy.integrate import cumulative_trapezoid
+
             xi = np.linspace(0.0, 1.0, _STEPS + 1)
             while xi[-1] < xi_max < np.inf:
                 xi = np.concatenate((xi, xi[-1] * (1.0 + np.arange(1, _STEPS + 1) / _STEPS)))
@@ -113,8 +114,9 @@ def table_model(samples) -> NonlinearityModel:
     """Nonlinearity from (xi, g(xi)) samples on xi >= 0, extended oddly.
 
     g is monotone-cubic interpolated and clamped beyond the last sample; G is
-    integrated and g' differentiated from the interpolant, and m0 estimated
-    from the samples nearest the origin.
+    integrated and g' differentiated from the interpolant, and past the last
+    sample G grows linearly and g' is 0, as the clamped g requires.  m0 is
+    estimated from the samples nearest the origin.
     """
     from scipy.interpolate import PchipInterpolator
 
@@ -135,9 +137,13 @@ def table_model(samples) -> NonlinearityModel:
         xi = np.asarray(xi, dtype=float)
         return np.sign(xi) * interp(np.clip(np.abs(xi), 0.0, xi_s[-1]))
 
+    # past the last sample g is g(xi_last), so G grows linearly there
+    g_last, big_g_last = float(interp(xi_s[-1])), float(anti(xi_s[-1]))
+
     def big_g(xi):
-        xi = np.asarray(xi, dtype=float)
-        return anti(np.clip(np.abs(xi), 0.0, xi_s[-1]))
+        a = np.abs(np.asarray(xi, dtype=float))
+        return np.where(a <= xi_s[-1], anti(np.minimum(a, xi_s[-1])),
+                        big_g_last + g_last * (a - xi_s[-1]))
 
     def gprime(xi):
         a = np.abs(np.asarray(xi, dtype=float))

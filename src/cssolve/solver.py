@@ -35,10 +35,7 @@ from dataclasses import dataclass, fields, replace
 from typing import Optional
 
 import numpy as np
-# not called: the benchmark's tracer counts calls through this binding
-from scipy.integrate import solve_ivp  # noqa: F401
 from scipy.linalg.lapack import dgttrf, dgttrs
-from scipy.optimize import minimize_scalar
 from scipy.sparse.linalg import LinearOperator, gmres
 
 from .energy import j_trunc, riesz_gradient
@@ -48,6 +45,21 @@ from .grid import (RadialFunction, RadialGrid, cumulative_integral, dilate, inte
 from .nonlinearity import NonlinearityModel
 from .verify import (certificate_failure, distinctness, nehari_residual, pohozaev_residual,
                      residual_pde, robin_rate, strong_residual)
+
+
+def __getattr__(name: str):
+    """`solve_ivp`, bound here on first access and never called.
+
+    The benchmark's tracer counts calls through ``solver.solve_ivp``; binding
+    it lazily keeps scipy.integrate, and the scipy.optimize, scipy.special
+    and scipy.fft it imports, out of every process that does not ask for it.
+    """
+    if name == "solve_ivp":
+        from scipy.integrate import solve_ivp
+
+        globals()[name] = solve_ivp
+        return solve_ivp
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)
@@ -510,6 +522,8 @@ def mountain_pass(q: float, model: NonlinearityModel, grid: RadialGrid) -> Solve
     The first ray runs through `negative_energy_endpoint`; if that raises,
     the zero profile is returned with converged=False.
     """
+    from scipy.optimize import minimize_scalar
+
     if q < 0:
         raise ValueError("q must be non-negative")
     try:
@@ -635,7 +649,7 @@ def save_branch_csv(path, reports: list[SolveReport]) -> None:
     import csv
 
     with open(path, "w", newline="") as fh:
-        wr = csv.writer(fh)
+        wr = csv.writer(fh, lineterminator="\n")
         wr.writerow(["q", "level", "u0", "l2", "trunc_inactive", "converged"])
         for rep in reports:
             l2 = math.sqrt(max(integrate_plane(rep.u.grid, rep.u.values**2), 0.0))

@@ -7,8 +7,6 @@ against the package under test, so agreement is meaningful.
 import functools
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.special import k0
 
 # Frozen reference values for the positive radial ground state of
 #   -u'' - u'/r + u = u^2,  u'(0) = 0,  u -> 0,
@@ -35,6 +33,8 @@ def bl_rhs(r, y):
 
 
 def _fate(a, r_max, k=0):
+    from scipy.integrate import solve_ivp
+
     ev = lambda r, y: y[0]
     ev.terminal = False
     sol = solve_ivp(bl_rhs, [0.0, r_max], [a, 0.0], rtol=1e-12, atol=1e-15,
@@ -66,6 +66,9 @@ def _bl_profile(node_bytes: bytes) -> np.ndarray:
 
 def _bl_shoot(nodes: np.ndarray) -> np.ndarray:
     """The profile of `bl_ground_state`, computed by shooting."""
+    from scipy.integrate import solve_ivp
+    from scipy.special import k0
+
     lo, hi = 1.0, None
     a = 2.0
     while hi is None:

@@ -1,11 +1,17 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
+import jsonschema
 import numpy as np
 import pytest
 
-from cssolve.cli import ConfigError, load_config, main
+import cssolve
+from cssolve.cli import CONFIG_SCHEMA, ConfigError, load_config, main
 from cssolve.grid import RadialFunction, make_grid, save_profile_csv
 
 from oracles import BL_LEVEL
@@ -44,6 +50,16 @@ class TestConfigValidation:
         path = write_config(tmp_path, {"grid": {"r_max": 8.0, "n": 64}})
         with pytest.raises(ConfigError):
             load_config(path)
+
+    def test_schema_is_a_valid_schema(self):
+        # load_config validates against a validator built once, without checking the schema
+        jsonschema.validators.validator_for(CONFIG_SCHEMA).check_schema(CONFIG_SCHEMA)
+
+    def test_schema_violation_names_the_value_and_its_path(self, tmp_path, capsys):
+        path = write_config(tmp_path, base_config(n=3))
+        assert main(["solve", "--config", path, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "invalid config: 3 is less than the minimum of 16 (at grid/n)" in err
 
     def test_wrong_q_shape_for_solve(self, tmp_path):
         cfg = base_config(n=64)
@@ -137,6 +153,26 @@ class TestConfigValidation:
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate", "--config", path])
         assert exc.value.code == 2
+
+
+class TestImports:
+    def test_import_loads_only_what_a_solve_runs(self):
+        # scipy.integrate, scipy.optimize and scipy.interpolate load where they are called
+        heavy = ("scipy.integrate", "scipy.optimize", "scipy.special", "scipy.interpolate")
+        code = f"import sys, cssolve, cssolve.cli; print([m for m in {heavy!r} if m in sys.modules])"
+        env = {**os.environ, "PYTHONPATH": str(Path(cssolve.__file__).resolve().parents[1])}
+        run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=env, check=True)
+        assert run.stdout.strip() == "[]"
+
+    def test_solve_ivp_bound_on_first_access(self):
+        import scipy.integrate
+
+        from cssolve import solver
+
+        assert solver.solve_ivp is scipy.integrate.solve_ivp
+        with pytest.raises(AttributeError):
+            solver.no_such_name
 
 
 class TestHypotheses:

@@ -6,6 +6,7 @@ import pytest
 
 from cssolve.grid import RadialFunction, make_grid
 from cssolve.nonlinearity import (
+    NonlinearityModel,
     capital_lambda,
     capital_lambda_bar,
     check_hypotheses,
@@ -181,6 +182,21 @@ class TestTableModel:
             assert np.array_equal(getattr(m, name)(x), getattr(ref, name)(x)), name
         assert m.m0 == ref.m0
 
+    def test_primitive_grows_past_the_last_sample(self):
+        from scipy.interpolate import PchipInterpolator
+
+        xi = np.linspace(0.0, 8.0, 64)
+        g = xi**3 / (1.0 + xi**2) - xi / 2.0
+        m = table_model(np.column_stack([xi, g]))
+        # g is clamped to g(8) past the last sample, so G' = g there as well
+        probe = np.array([9.0, 10.0, -10.0])
+        eps = 1e-3
+        fd = (m.big_g(probe + eps) - m.big_g(probe - eps)) / (2.0 * eps)
+        np.testing.assert_allclose(fd, m.g(probe), rtol=0.0, atol=1e-9)
+        # inside the samples G is the interpolant's antiderivative, bit for bit
+        x = np.linspace(-8.0, 8.0, 1001)
+        assert np.array_equal(m.big_g(x), PchipInterpolator(xi, g).antiderivative()(np.abs(x)))
+
     def test_rejects_decreasing_abscissae(self):
         with pytest.raises(ValueError):
             table_model([[0.0, 0.0], [1.0, 1.0], [0.5, 0.2], [2.0, 3.0]])
@@ -195,6 +211,17 @@ class TestCheckHypotheses:
         assert abs(report.m0 - 0.5) < 1e-12
         assert abs(report.delta0 - 0.5) < 1e-12
         assert report.zeta0 is not None and 1.4 < report.zeta0 < 1.6
+
+    def test_super_exponential_growth_fails(self):
+        # g outgrows exp(0.1 xi^2), the check's smaller exponent; every other check passes
+        model = NonlinearityModel(g=lambda xi: xi * np.exp(xi**2 / 2.0) - 2.0 * xi,
+                                  big_g=lambda xi: np.exp(xi**2 / 2.0) - 1.0 - xi**2,
+                                  gprime=lambda xi: (1.0 + xi**2) * np.exp(xi**2 / 2.0) - 2.0,
+                                  m0=0.5)
+        report = check_hypotheses(model)
+        assert report.odd_violation < 1e-10 and report.g2prime_ok and report.zeta0 is not None
+        assert not report.growth_ok
+        assert not report.all_ok
 
     def test_json_keys(self, model):
         data = json.loads(check_hypotheses(model).to_json())

@@ -253,7 +253,10 @@ class TestRaySearch:
     def test_unbuildable_start_ray_fails_the_solve(self):
         # g(xi) = -xi: int G < 0 for every amplitude, so there is no start ray
         model = table_model([[0, 0], [1, -1], [2, -2], [3, -3]])
-        rep = mountain_pass(0.0, model, make_grid(24.0, 257))
+        grid = make_grid(24.0, 257)
+        with pytest.raises(RuntimeError, match="int G positive"):
+            negative_energy_endpoint(model, grid)
+        rep = mountain_pass(0.0, model, grid)
         assert not rep.converged
         assert np.all(rep.u.values == 0.0)
 
@@ -983,6 +986,8 @@ class TestContinuation:
         lines = path.read_text().splitlines()
         assert lines[0] == "q,level,u0,l2,trunc_inactive,converged"
         assert len(lines) == len(branch) + 1
+        # rows end in \n, as in the profile and gauge files
+        assert b"\r" not in path.read_bytes()
 
 
 class TestMultiplicity:
