@@ -12,7 +12,7 @@ Three complementary engines:
   tridiagonal LU, factored once, and a Jacobi sweep on the 5-point rows),
   one evaluation and one M solve per step.  Each chord step is mixed with
   the previous one (depth-one Anderson, a secant step that recovers part of
-  the nonlocal J that M leaves out); the last step stays plain.
+  the nonlocal J that M leaves out); it stops on its iterate's residual.
 * ``newton_refine`` — matrix-free Newton--Krylov polish of the full
   nonlocal strong-form system: each Newton step is solved by scipy's
   restarted GMRES, right-preconditioned by the same M at the Newton
@@ -269,6 +269,9 @@ _GRAD_TOL = 1e-3
 # step budget of the chord and of the Newton polish, and the polish's sup-norm target
 _MAX_STEPS = 60
 _NEWTON_TOL = 1e-9
+# the chord's stop on max|F|, in eps/h^2 max(1, |u|_inf): the 5-point rows (|L|_inf =
+# 5.3/h^2) leave 2.5-7 of that at the floor, a smooth residual 8 or more (n = 8193)
+_CHORD_STOP = 5.0
 # the weight of _band_solver's Jacobi sweep, which zeroes the highest frequency
 _JACOBI_DAMPING = 15.0 / 32.0
 
@@ -395,32 +398,31 @@ def _inner_newton(u: RadialFunction, q: float, model: NonlinearityModel, k: int)
         u_{k+1} = u_k - s_k - gamma (du - ds),  gamma = <ds, s_k> / <ds, ds>,
 
     with du = u_k - u_{k-1} and ds = s_k - s_{k-1}, a secant step.  A step
-    with max|s_k| > 1 is halved and not mixed.  The iteration stops after a
-    plain step with max|s_k| < 1e-10: at that size ds is near the rounding
-    of f, which would make gamma noise, and the plain step returns the chord's
-    own u - M^{-1} f(u) of an evaluated iterate.  The stall rule compares
-    plain step sizes, before any mixing: a step not below half the last one,
-    or 60 steps, leave u to `newton_refine` (ds = 0 has stalled, so
-    <ds, ds> > 0 when mixing).
-    Returns (u, steps, ok); ok is False on a singular M, a non-finite step,
-    a changed node count or a blow-up past 10 max(|u_start|, 1) of the new
-    iterate.
+    with max|s_k| > 1 is halved, and neither it nor one below 1e-10, whose ds
+    is near the rounding of f, is mixed.  The chord returns the first iterate
+    with max|f| <= 5 eps/h^2 max(1, |u|_inf) and solves no M after it.  One
+    with max|f| above half the last one's, or 60 steps, leave u to `newton_refine`
+    (ds = 0 means f_k = f_{k-1}, a stall, so <ds, ds> > 0 when mixing).
+    Returns (u, steps, ok); ok is False on a singular M, a non-finite step, or
+    a new iterate with a changed node count or max|u| past 10 max(|u_start|, 1).
     """
     g = u.grid
-    f = strong_residual(u, q, model)
     solve = _band_solver(u, q, model)
     if solve is None:
         return u, 0, False
-    bound = 10.0 * max(float(np.max(np.abs(u.values))), 1.0)
-    last = math.inf
-    prev = None
+    top = float(np.max(np.abs(u.values)))
+    bound, stop = 10.0 * max(top, 1.0), _CHORD_STOP * np.finfo(float).eps / g.h**2
+    last, prev = math.inf, None
     for steps in range(_MAX_STEPS):
+        f = strong_residual(u, q, model)
+        nf = float(np.max(np.abs(f)))
+        if nf <= stop * max(1.0, top) or nf > 0.5 * last:
+            return u, steps, True
+        last = nf
         step = solve(f)
         size = float(np.max(np.abs(step)))
         if not math.isfinite(size):
             return u, steps, False
-        if size >= 0.5 * last:
-            return u, steps, True
         if size > 1.0:
             new = u.values - 0.5 * step
         else:
@@ -433,13 +435,10 @@ def _inner_newton(u: RadialFunction, q: float, model: NonlinearityModel, k: int)
         prev = u.values, step
         # a fresh array: frozen here, so RadialFunction wraps it without a copy
         new.setflags(write=False)
-        trial = RadialFunction(g, new)
-        if float(np.max(np.abs(trial.values))) > bound or count_nodes(trial) != k:
+        trial, top = RadialFunction(g, new), float(np.max(np.abs(new)))
+        if top > bound or count_nodes(trial) != k:
             return u, steps, False
-        u, f = trial, strong_residual(trial, q, model)
-        if size < 1e-10:
-            return u, steps + 1, True
-        last = size
+        u = trial
     return u, _MAX_STEPS, True
 
 

@@ -223,6 +223,41 @@ class TestCheckHypotheses:
         assert not report.growth_ok
         assert not report.all_ok
 
+    @pytest.mark.parametrize("a, c", [(0.15, 80.0), (0.09, 0.0)], ids=["late", "slower"])
+    def test_exponential_quadratic_tail_fails(self, a, c):
+        # g = xi (exp(a xi^2 - c) - exp(-c) - 1).  At a = 0.15 g outgrows exp(0.1 xi^2)
+        # from xi = 23 on, yet |g| exp(-0.1 xi^2) is smaller at xi = 30 than at 15; at
+        # a = 0.09 that ratio decays across the tail but ends at 3.7e-3.  Every other
+        # check passes
+        e = lambda xi: np.exp(a * xi**2 - c)
+        model = NonlinearityModel(
+            g=lambda xi: xi * (e(xi) - math.exp(-c) - 1.0),
+            big_g=lambda xi: (e(xi) - math.exp(-c)) / (2 * a) - (math.exp(-c) + 1.0) * xi**2 / 2,
+            gprime=lambda xi: (1.0 + 2 * a * xi**2) * e(xi) - math.exp(-c) - 1.0,
+            m0=0.5)
+        report = check_hypotheses(model)
+        assert report.odd_violation < 1e-10 and report.g2prime_ok and report.zeta0 is not None
+        assert not report.growth_ok
+        assert not report.all_ok
+
+    @pytest.mark.parametrize("p, omega", [(2.0, 16.0), (3.0, 400.0)])
+    def test_sign_change_on_the_tail_passes_growth(self, p, omega):
+        # g = 0 at xi = 16 and 20, where log|g| dips to -inf and climbs back; g still
+        # grows polynomially, and G > 0 from xi = 24 and 28.3 on
+        report = check_hypotheses(power_model(p, omega))
+        assert report.growth_ok
+        assert report.all_ok
+
+    def test_g_vanishing_near_the_origin_passes_growth(self):
+        # g = 0 on the first samples, where the log of the running maximum is -inf
+        outside = lambda xi: np.abs(xi) >= 1.0
+        model = NonlinearityModel(
+            g=lambda xi: np.where(outside(xi), xi**3 - xi, 0.0),
+            big_g=lambda xi: np.where(outside(xi), xi**4 / 4 - xi**2 / 2 + 0.25, 0.0),
+            gprime=lambda xi: np.where(outside(xi), 3.0 * xi**2 - 1.0, 0.0),
+            m0=0.5)
+        assert check_hypotheses(model).growth_ok
+
     def test_json_keys(self, model):
         data = json.loads(check_hypotheses(model).to_json())
         assert set(data) == {"odd_violation", "m0", "delta0", "zeta0", "growth_ok", "g2prime_ok"}

@@ -106,8 +106,8 @@ class TestNodalShoot:
         # the continuation step; a speed-up must leave its certified numbers
         rep = nodal_shoot(5.9e-5, model, grid, 0, warm_start=ground_state.u)
         assert rep.converged
-        # four chord steps, no Newton step
-        assert rep.iterations == 4
+        # three chord steps, the third landing at the residual's floor, and no Newton step
+        assert rep.iterations == 3
         assert rep.level == pytest.approx(7.754114926920636, rel=1e-12)
         # at the residual's roundoff floor the solve fixes u(0) only so far: four
         # more Newton steps (Krylov rtol 1e-12) from a certified step moved it by
@@ -134,13 +134,57 @@ class TestNodalShoot:
         assert rep.converged
         assert rep.residual_pde <= 1e-9
 
+    @pytest.mark.parametrize("k, q", [(0, 5.9e-5), (1, 2e-4)], ids=["k=0", "k=1"])
+    def test_chord_returns_at_the_first_iterate_at_its_stop(self, model, grid, ground_state,
+                                                           excited_state, k, q, monkeypatch):
+        # one strong residual per iterate, steps + 1 in all, and no M solve after the last
+        events = []
+        residual, band_solver = solver.strong_residual, solver._band_solver
+
+        def counted_residual(u, *args):
+            f = residual(u, *args)
+            events.append((u, float(np.max(np.abs(f)))))
+            return f
+
+        def counted_band_solver(*args):
+            solve = band_solver(*args)
+            return lambda b: events.append("M") or solve(b)
+
+        monkeypatch.setattr(solver, "strong_residual", counted_residual)
+        monkeypatch.setattr(solver, "_band_solver", counted_band_solver)
+        start = RadialFunction(grid, (ground_state, excited_state)[k].u.values)
+        u, steps, ok = solver._inner_newton(start, q, model, k)
+        assert ok and steps > 0
+        evaluations = [e for e in events if e != "M"]
+        assert len(evaluations) == steps + 1 and events[-1] is evaluations[-1]
+        assert len({id(v) for v, _ in evaluations}) == steps + 1 and evaluations[-1][0] is u
+        unit = np.finfo(float).eps / grid.h**2
+        stop = [solver._CHORD_STOP * unit * max(1.0, np.max(np.abs(v.values)))
+                for v, _ in evaluations]
+        assert evaluations[-1][1] <= stop[-1]
+        assert all(nf > tol for (_, nf), tol in zip(evaluations[:-1], stop))
+
+    def test_step_budget_leaves_the_polish_to_certify(self, model, grid, ground_state,
+                                                      monkeypatch):
+        # the chord spends its budget of one step; newton_refine, on the same budget,
+        # certifies, and iterations counts both
+        monkeypatch.setattr(solver, "_MAX_STEPS", 1)
+        polished = []
+        refine = solver.newton_refine
+        monkeypatch.setattr(solver, "newton_refine",
+                            lambda *args: polished.append(refine(*args)) or polished[-1])
+        rep = nodal_shoot(5.9e-5, model, grid, 0, warm_start=ground_state.u)
+        assert rep.converged and rep.residual_pde <= 1e-9
+        assert polished[0].iterations == 1
+        assert rep.iterations == 1 + polished[0].iterations
+
     @pytest.mark.parametrize("k", [0, 1, 2])
     def test_cold_shot_certifies_well_inside_the_residual_target(self, model, k):
-        # the chord stops on its step, not on the residual, and M leaves the high
-        # frequencies to about 1e-3 per step; the margins were 1134x, 4.7x and 15.7x
+        # the chord stops on the residual, at a 300th of the target; the margins are
+        # 913x, 977x and 838x
         rep = nodal_shoot(3e-5, model, make_grid(24.0, 2049), k)
         assert rep.converged and rep.node_count == k
-        assert rep.residual_pde <= 0.5 * solver._residual_tol(rep.u)
+        assert rep.residual_pde <= solver._residual_tol(rep.u) / 100
 
     def test_cold_shot_converges_in_few_steps(self, model):
         # the plain chord took 18 steps here; the mixed one takes 8
